@@ -368,12 +368,12 @@ def residual(ctx, params_path, grid_text, branches, mu1_root, mu2_root, fmt):
         mu1, mu2 = _roots_for(p, mu1_root, mu2_root)
         built = _build_selected(p, mu1, mu2, branches, default_all=False)
         rows = []
-        worst = 0.0
+        worst = [0.0] * len(built)
         for r in grid.points():
             vals = [ode.residual(br, p, r) for _, br in built]
-            worst = max(worst, *vals)
+            worst = [max(w, v) for w, v in zip(worst, vals)]
             rows.append((r, *vals))
-        rows.append(("max", *([worst] * len(built))))
+        rows.append(("max", *worst))
         emit_table(["r"] + [bid.value for bid, _ in built], rows, fmt)
 
     _run(ctx, body)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import DegenerateCase, DomainError, InvalidParams, NoConvergence, PoleError
 
@@ -93,6 +94,62 @@ class Hyp2F1:
                     "reached by the series"
                 )
 
+    @cached_property
+    def _shifted(self) -> "Hyp2F1":
+        """(a+1, b+1; c+1), the triple of the derivative."""
+        return Hyp2F1(self.a + 1.0, self.b + 1.0, self.c + 1.0)
+
+    def _connection_plan(self, pole_tol: float) -> "_ConnectionPlan":
+        """The z-independent half of the connection formula, built on first
+        use and kept on the instance for the pole_tol it was built with.
+
+        Like cached_property it lives in the instance __dict__, so equality
+        and hashing, which compare the fields only, never see it.  Callers
+        racing on one instance may each build a plan; each uses its own.
+        """
+        plan = self.__dict__.get("_plan")
+        if plan is None or plan.pole_tol != pole_tol:
+            plan = self.__dict__["_plan"] = _ConnectionPlan(self, pole_tol)
+        return plan
+
+
+class _ConnectionPlan:
+    """Triples and coefficients of the linear connection formula (DLMF 15.8.4):
+
+        sin(pi cab)/pi * 2F1(a,b;c;z) = G(c) [ near_coef F_near(w)
+                                              - w^cab far_coef F_far(w) ]
+
+    with w = 1-z, cab = c-a-b, F_near = 2F1(a,b;a+b-c+1;w) and
+    F_far = 2F1(c-a,c-b;cab+1;w).  Reciprocal gammas make a coefficient
+    with a pole vanish cleanly.  far_coef is kept as its three factors,
+    which multiply w^cab one at a time: that rounding order fixes the
+    values hyp2f1 returns in this region.  A plain slotted class: a
+    dataclass here would add milliseconds to the package import.
+    """
+
+    __slots__ = ("pole_tol", "near", "far", "near_coef", "far_rgammas",
+                 "gamma_c", "cab", "pi_over_sin")
+
+    def __init__(self, p: Hyp2F1, pole_tol: float) -> None:
+        # ordered parameters keep the a<->b symmetry bitwise
+        a, b, c = (p.a, p.b, p.c) if p.a <= p.b else (p.b, p.a, p.c)
+        cab = c - a - b
+        if _dist_to_int(cab) <= pole_tol:
+            raise DegenerateCase(
+                f"connection formula degenerate: c-a-b={cab!r} is an integer"
+            )
+        self.pole_tol = pole_tol
+        self.near = Hyp2F1(a, b, a + b - c + 1.0)
+        self.far = Hyp2F1(c - a, c - b, cab + 1.0)
+        self.near_coef = rgamma(c - a, pole_tol) * rgamma(c - b, pole_tol) \
+            * rgamma(a + b - c + 1.0, pole_tol)
+        self.far_rgammas = (rgamma(a, pole_tol), rgamma(b, pole_tol),
+                            rgamma(cab + 1.0, pole_tol))
+        self.gamma_c = gamma(c, pole_tol)
+        self.cab = cab
+        # pi/sin(pi(c-a-b)) from the triple as given
+        self.pi_over_sin = math.pi / math.sin(math.pi * (p.c - p.a - p.b))
+
 
 def pochhammer(x: float, n: int) -> float:
     """Rising factorial x(x+1)...(x+n-1); 1 for n = 0.
@@ -136,6 +193,15 @@ def rgamma(x: float, pole_tol: float = DEFAULT_POLE_TOL) -> float:
     return 0.0 if math.isinf(g) else 1.0 / g
 
 
+def _no_convergence(
+    a: float, b: float, c: float, z: float, cfg: EvalConfig
+) -> NoConvergence:
+    return NoConvergence(
+        f"2F1 series did not reach rel_tol={cfg.rel_tol} in {cfg.max_terms} terms "
+        f"(a={a}, b={b}, c={c}, z={z})"
+    )
+
+
 def _series_sum(
     a: float, b: float, c: float, z: float, cfg: EvalConfig, nterms: int | None
 ) -> float:
@@ -145,50 +211,104 @@ def _series_sum(
     case); otherwise terms are added until one falls below rel_tol relative
     to the largest partial sum seen.
     """
-    acc = 1.0
-    term = 1.0
-    scale = 1.0
-    limit = nterms if nterms is not None else cfg.max_terms
-    for k in range(limit):
-        denom = (c + k) * (k + 1.0)
-        if abs(c + k) <= cfg.pole_tol:
-            raise PoleError(f"series hit the pole in c={c!r} at term {k + 1}")
-        term *= (a + k) * (b + k) / denom * z
+    tol, rel = cfg.pole_tol, cfg.rel_tol
+    acc = term = scale = 1.0
+    k = 0.0  # a float counter saves an int->float conversion per use
+    for _ in range(nterms if nterms is not None else cfg.max_terms):
+        if -tol <= c + k <= tol:
+            raise PoleError(f"series hit the pole in c={c!r} at term {int(k) + 1}")
+        term *= (a + k) * (b + k) / ((c + k) * (k + 1.0)) * z
         acc += term
-        scale = max(scale, abs(acc))
-        if nterms is None and abs(term) <= cfg.rel_tol * scale:
+        # scale = max(scale, |acc|) and |term| <= rel*scale, spelled out:
+        # builtin calls dominate this loop otherwise
+        if acc > scale or -acc > scale:
+            scale = abs(acc)
+        if nterms is None and -rel * scale <= term <= rel * scale:
             return acc
+        k += 1.0
     if nterms is not None:
         return acc
-    raise NoConvergence(
-        f"2F1 series did not reach rel_tol={cfg.rel_tol} in {cfg.max_terms} terms "
-        f"(a={a}, b={b}, c={c}, z={z})"
-    )
+    raise _no_convergence(a, b, c, z, cfg)
 
 
-def _connection_core(a: float, b: float, c: float, z: float, cfg: EvalConfig) -> float:
-    """sin(pi(c-a-b))/pi * 2F1(a,b;c;z) assembled from functions of 1-z.
+def _series_jet(
+    a: float, b: float, c: float, z: float, cfg: EvalConfig, nterms: int | None
+) -> tuple[float, float, float]:
+    """(F, F', F'') of the defining series from one pass over its terms t_k:
+    the sums of t_k, k t_k / z and k(k-1) t_k / z^2.
 
-    This is the regularized form of the linear connection identity; the
-    reciprocal-gamma factors make terms with poles vanish cleanly.
+    From k = 2 on a term is carried as g = t_k / z^2, so no step divides by
+    z and z = 0 gives the exact values.  Truncation, pole checks and the
+    term budget are those of _series_sum, with the stopping test applied to
+    all three sums.
     """
-    if b < a:  # keep the a<->b symmetry bitwise
-        a, b = b, a
-    cab = c - a - b
-    if _dist_to_int(cab) <= cfg.pole_tol:
-        raise DegenerateCase(
-            f"connection formula degenerate: c-a-b={cab!r} is an integer"
-        )
-    if not (0.0 < z < 1.0):
-        raise DomainError(f"connection formula requires 0 < z < 1, got z={z!r}")
-    one_minus = 1.0 - z
-    f_near = hyp2f1(Hyp2F1(a, b, a + b - c + 1.0), one_minus, cfg)
-    f_far = hyp2f1(Hyp2F1(c - a, c - b, cab + 1.0), one_minus, cfg)
-    term1 = rgamma(c - a, cfg.pole_tol) * rgamma(c - b, cfg.pole_tol) \
-        * rgamma(a + b - c + 1.0, cfg.pole_tol) * f_near
-    term2 = one_minus ** cab * rgamma(a, cfg.pole_tol) * rgamma(b, cfg.pole_tol) \
-        * rgamma(cab + 1.0, cfg.pole_tol) * f_far
-    return gamma(c, cfg.pole_tol) * (term1 - term2)
+    if nterms == 0:
+        return 1.0, 0.0, 0.0
+    tol, rel = cfg.pole_tol, cfg.rel_tol
+    if -tol <= c <= tol:
+        raise PoleError(f"series hit the pole in c={c!r} at term 1")
+    g = a * b / c
+    f0, f1, f2 = 1.0 + g * z, g, 0.0
+    s0, s1, s2 = max(1.0, abs(f0)), abs(f1), 0.0
+    zz = z * z
+    zk = 1.0  # t_2 / z^2 = t_1 / z carries no factor of z, later steps do
+    k = 1.0
+    for _ in range((nterms if nterms is not None else cfg.max_terms) - 1):
+        if -tol <= c + k <= tol:
+            raise PoleError(f"series hit the pole in c={c!r} at term {int(k) + 1}")
+        g *= (a + k) * (b + k) / ((c + k) * (k + 1.0)) * zk
+        zk = z
+        k += 1.0
+        t0, t1, t2 = zz * g, k * z * g, k * (k - 1.0) * g
+        f0 += t0
+        f1 += t1
+        f2 += t2
+        # the scales and tests of _series_sum, spelled out the same way
+        if f0 > s0 or -f0 > s0:
+            s0 = abs(f0)
+        if f1 > s1 or -f1 > s1:
+            s1 = abs(f1)
+        if f2 > s2 or -f2 > s2:
+            s2 = abs(f2)
+        if nterms is None and -rel * s2 <= t2 <= rel * s2 \
+                and -rel * s1 <= t1 <= rel * s1 and -rel * s0 <= t0 <= rel * s0:
+            return f0, f1, f2
+    if nterms is not None:
+        return f0, f1, f2
+    raise _no_convergence(a, b, c, z, cfg)
+
+
+def _connection(plan: _ConnectionPlan, z: float, cfg: EvalConfig) -> float:
+    """sin(pi(c-a-b))/pi * 2F1(a,b;c;z) for 0 < z < 1, from the 1-z side."""
+    w = 1.0 - z
+    ra, rb, rc = plan.far_rgammas
+    near = plan.near_coef * hyp2f1(plan.near, w, cfg)
+    far = w ** plan.cab * ra * rb * rc * hyp2f1(plan.far, w, cfg)
+    return plan.gamma_c * (near - far)
+
+
+def _connection_jet(
+    plan: _ConnectionPlan, z: float, cfg: EvalConfig
+) -> tuple[float, float, float]:
+    """(F, F', F'') at 0.5 < z < 1 from one series per side in w = 1-z:
+    the product rule for w^cab, and a sign flip per order for dw/dz = -1."""
+    w = 1.0 - z  # below 0.5: both sides are plain series
+    n0, n1, n2 = _series_jet(
+        plan.near.a, plan.near.b, plan.near.c, w, cfg, plan.near.terminating_degree)
+    r0, r1, r2 = _series_jet(
+        plan.far.a, plan.far.b, plan.far.c, w, cfg, plan.far.terminating_degree)
+    cab = plan.cab
+    p0 = w ** cab
+    p1 = cab * p0 / w
+    p2 = (cab - 1.0) * p1 / w
+    ra, rb, rc = plan.far_rgammas
+    nc, fc = plan.near_coef, ra * rb * rc
+    # F is assembled as in _connection and hyp2f1
+    f = plan.pi_over_sin * (plan.gamma_c * (nc * n0 - p0 * ra * rb * rc * r0))
+    g1 = nc * n1 - fc * (p1 * r0 + p0 * r1)
+    g2 = nc * n2 - fc * (p2 * r0 + 2.0 * p1 * r1 + p0 * r2)
+    scale = plan.pi_over_sin * plan.gamma_c
+    return f, -scale * g1, scale * g2
 
 
 def _pfaff_mapped(a: float, b: float, c: float, z: float, cfg: EvalConfig) -> float:
@@ -216,10 +336,8 @@ def hyp2f1(p: Hyp2F1, z: float, cfg: EvalConfig = DEFAULT_CONFIG) -> float:
     if abs(z) <= _SERIES_SPLIT:
         return _series_sum(p.a, p.b, p.c, z, cfg, None)
     if _SERIES_SPLIT < z < 1.0:
-        cab = p.c - p.a - p.b
-        return math.pi / math.sin(math.pi * cab) * _connection_core(
-            p.a, p.b, p.c, z, cfg
-        )
+        plan = p._connection_plan(cfg.pole_tol)
+        return plan.pi_over_sin * _connection(plan, z, cfg)
     if -1.0 < z < -_SERIES_SPLIT:
         return _pfaff_mapped(p.a, p.b, p.c, z, cfg)
     if z == 1.0:
@@ -233,8 +351,32 @@ def hyp2f1(p: Hyp2F1, z: float, cfg: EvalConfig = DEFAULT_CONFIG) -> float:
 
 def hyp2f1_derivative(p: Hyp2F1, z: float, cfg: EvalConfig = DEFAULT_CONFIG) -> float:
     """d/dz 2F1(a,b;c;z) via the parameter-shift rule (ab/c shifted triple)."""
-    shifted = Hyp2F1(p.a + 1.0, p.b + 1.0, p.c + 1.0)
-    return p.a * p.b / p.c * hyp2f1(shifted, z, cfg)
+    return p.a * p.b / p.c * hyp2f1(p._shifted, z, cfg)
+
+
+def _hyp2f1_jet(
+    p: Hyp2F1, z: float, cfg: EvalConfig = DEFAULT_CONFIG
+) -> tuple[float, float, float]:
+    """(F, F', F'') of 2F1(a,b;c;z), one series pass per side.
+
+    Covers what a solution branch reaches: terminating series at any finite
+    z, and otherwise the direct series for |z| <= 0.5, the connection
+    formula for 0.5 < z < 1, and z = 1 itself, which z(r) rounds to next to
+    an end point (Gauss's closed form per order, so c-a-b > 2 is needed).
+    Any other z raises DomainError.
+    """
+    if not math.isfinite(z):
+        raise DomainError(f"argument must be finite, got z={z!r}")
+    if p.terminating_degree is not None:
+        return _series_jet(p.a, p.b, p.c, z, cfg, p.terminating_degree)
+    if abs(z) <= _SERIES_SPLIT:
+        return _series_jet(p.a, p.b, p.c, z, cfg, None)
+    if _SERIES_SPLIT < z < 1.0:
+        return _connection_jet(p._connection_plan(cfg.pole_tol), z, cfg)
+    if z == 1.0:
+        return (hyp2f1(p, z, cfg), hyp2f1_derivative(p, z, cfg),
+                p.a * p.b / p.c * hyp2f1_derivative(p._shifted, z, cfg))
+    raise DomainError(f"derivatives need -0.5 <= z <= 1, got z={z!r}")
 
 
 def pfaff_transform(p: Hyp2F1) -> tuple[Hyp2F1, float]:
@@ -252,7 +394,10 @@ def connection_15_8_4(p: Hyp2F1, z: float, cfg: EvalConfig = DEFAULT_CONFIG) -> 
     Verification partner of the direct evaluation; raises DegenerateCase
     when c-a-b is an integer (logarithmic case, out of scope).
     """
-    return _connection_core(p.a, p.b, p.c, z, cfg)
+    plan = p._connection_plan(cfg.pole_tol)
+    if not (0.0 < z < 1.0):
+        raise DomainError(f"connection formula requires 0 < z < 1, got z={z!r}")
+    return _connection(plan, z, cfg)
 
 
 def inversion_15_8_6(

@@ -30,9 +30,9 @@ from .hypergeom import (
     EvalConfig,
     Hyp2F1,
     _dist_to_int,
+    _hyp2f1_jet,
     gamma,
     hyp2f1,
-    hyp2f1_derivative,
     rgamma,
 )
 
@@ -319,8 +319,8 @@ def evaluate(s: SolutionBranch, r: float, cfg: EvalConfig = DEFAULT_CONFIG) -> f
 def value_and_derivatives(
     s: SolutionBranch, r: float, cfg: EvalConfig = DEFAULT_CONFIG
 ) -> tuple[float, float, float]:
-    """(F, F', F'') at r, assembled analytically with the parameter-shift
-    rule for the hypergeometric factor and the product rule elsewhere."""
+    """(F, F', F'') at r: the hypergeometric factor and its two derivatives
+    come from one series pass, the rest from the product rule."""
     if not (s.map.xi1 < r < s.map.xi2):
         raise DomainError(
             f"r={r!r} outside the open interval ({s.map.xi1!r}, {s.map.xi2!r})"
@@ -336,11 +336,7 @@ def value_and_derivatives(
 
     z = s.map.z(r)
     u = s.map.dz_dr
-    h = s.hyp
-    h0 = hyp2f1(h, z, cfg)
-    h1 = hyp2f1_derivative(h, z, cfg)
-    shifted = Hyp2F1(h.a + 1.0, h.b + 1.0, h.c + 1.0)
-    h2 = h.a * h.b / h.c * hyp2f1_derivative(shifted, z, cfg)
+    h0, h1, h2 = _hyp2f1_jet(s.hyp, z, cfg)
 
     e = s.extra_power
     if e == 0.0:

@@ -13,6 +13,11 @@ CLASSICAL = {
     "c3": 0.0, "lambda": 6.0, "xi1": -1.0, "xi2": 1.0,
 }
 
+GENERIC = {
+    "a1": -1.5, "b1": 0.3, "a2": 0.1, "b2": -0.6, "a3": -0.4, "b3": 0.05,
+    "c3": -0.5, "lambda": 3.2, "xi1": -1.2, "xi2": 0.9,
+}
+
 
 def run_cli(*args):
     return subprocess.run(
@@ -149,6 +154,24 @@ class TestResidualCommand:
         assert lines[-1].startswith("max,")
         worst = float(lines[-1].split(",")[1])
         assert worst <= 1e-10
+
+    def test_max_row_per_column(self, tmp_path):
+        # generic coefficients: the four branches' residuals peak at
+        # different points, so one shared maximum would be wrong somewhere
+        path = tmp_path / "generic.json"
+        path.write_text(json.dumps(GENERIC))
+        res = run_cli("residual", "--params", str(path),
+                      "--grid", "-1.1:0.8:9", "--branch", "all", "--format", "csv")
+        assert res.returncode == 0
+        lines = res.stdout.strip().split("\n")
+        assert lines[0] == "r,hat1,hat2,breve1,breve2"
+        body = [[float(v) for v in line.split(",")[1:]] for line in lines[1:-1]]
+        assert len(body) == 9
+        label, *maxima = lines[-1].split(",")
+        assert label == "max"
+        columns = list(zip(*body))
+        assert [float(v) for v in maxima] == [max(col) for col in columns]
+        assert len(set(maxima)) > 1
 
 
 class TestLegendreCommands:

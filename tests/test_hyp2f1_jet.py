@@ -1,0 +1,186 @@
+"""(F, F', F'') of 2F1 from one series pass, against mpmath and against the
+value and parameter-shift derivative routes of hyp2f1."""
+
+import math
+
+import pytest
+
+from hyplegendre import (
+    DEFAULT_CONFIG,
+    DegenerateCase,
+    DomainError,
+    EvalConfig,
+    Hyp2F1,
+    NoConvergence,
+    PoleError,
+    hyp2f1,
+    hyp2f1_derivative,
+)
+from hyplegendre.hypergeom import _hyp2f1_jet
+from hyplegendre.ode_solutions import (
+    BranchId,
+    CoordinateMap,
+    MapVariant,
+    SolutionBranch,
+    value_and_derivatives,
+)
+from hyplegendre.rng import SplitMix64
+
+mpmath = pytest.importorskip("mpmath")
+
+REF_DPS = 40
+# relative error bounds against mpmath; the connection formula subtracts
+# two terms of like size, which costs up to ~2 digits at these points
+SERIES_BOUND = 1e-14
+CONNECTION_BOUND = 1e-12
+GAUSS_BOUND = 1e-12  # z = 1: products of four Lanczos gamma values
+
+
+def reference(a, b, c, z):
+    """F, F', F'' at 40 digits; derivatives by mpmath.diff."""
+    with mpmath.workdps(REF_DPS):
+        f = lambda t: mpmath.hyp2f1(a, b, c, t)
+        return [f(z), mpmath.diff(f, z, 1), mpmath.diff(f, z, 2)]
+
+
+def assert_close(p, z, bound):
+    got = _hyp2f1_jet(p, z)
+    want = reference(p.a, p.b, p.c, z)
+    for order, (g, w) in enumerate(zip(got, want)):
+        err = float(abs(g - w) / abs(w))
+        assert err <= bound, (p, z, order, err)
+
+
+class TestAgainstMpmath:
+    @pytest.mark.parametrize("z", [0.0, 0.3, 0.7, 0.95, -0.6])
+    def test_terminating(self, z):
+        p = Hyp2F1(-3.0, 2.2, 1.4)
+        assert p.terminating_degree == 3
+        assert_close(p, z, SERIES_BOUND)
+
+    @pytest.mark.parametrize("abc", [(0.6, 1.4, 2.3), (-1.7, 2.9, 0.6)])
+    @pytest.mark.parametrize("z", [0.0, 0.25, -0.4, 0.5, -0.5])
+    def test_series_region(self, abc, z):
+        assert_close(Hyp2F1(*abc), z, SERIES_BOUND)
+
+    @pytest.mark.parametrize("abc", [
+        (0.4, 0.7, 1.9),      # c-a-b = 0.8
+        (1.3, 0.9, 1.7),      # c-a-b = -0.5
+        (2.2, -1.35, 0.45),   # c-a-b = -0.4
+        (-0.288, 4.12, 2.54),
+    ])
+    @pytest.mark.parametrize("z", [0.5 + 1e-12, 0.75, 1.0 - 1e-6])
+    def test_connection_region(self, abc, z):
+        assert_close(Hyp2F1(*abc), z, CONNECTION_BOUND)
+
+    def test_exact_at_zero(self):
+        a, b, c = 0.6, 1.4, 2.3
+        f0, f1, f2 = _hyp2f1_jet(Hyp2F1(a, b, c), 0.0)
+        assert f0 == 1.0
+        assert f1 == a * b / c
+        assert f2 == a * b / c * ((a + 1.0) * (b + 1.0) / (c + 1.0))
+
+
+def test_agrees_with_value_and_shift_routes():
+    # the value route and the parameter-shift rule, one hyp2f1 call per
+    # order, are the reference this kernel replaced
+    rng = SplitMix64(31)
+    checked = 0
+    for _ in range(300):
+        p = Hyp2F1(rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0), rng.uniform(0.3, 4.0))
+        z = rng.uniform(-0.5, 0.98)
+        try:
+            want = (
+                hyp2f1(p, z),
+                hyp2f1_derivative(p, z),
+                p.a * p.b / p.c * hyp2f1_derivative(p._shifted, z),
+            )
+        except DegenerateCase:
+            with pytest.raises(DegenerateCase):
+                _hyp2f1_jet(p, z)
+            continue
+        got = _hyp2f1_jet(p, z)
+        for g, w in zip(got, want):
+            assert abs(g - w) <= 1e-10 * (1.0 + abs(w))
+        checked += 1
+    assert checked > 250
+
+
+def _bare_branch(hyp, xi1=0.0, xi2=1.0):
+    # no edge factors: the branch is the 2F1 of z = (r - xi1)/(xi2 - xi1)
+    return SolutionBranch(
+        mu1=0.0, mu2=0.0, extra_power=0.0, hyp=hyp,
+        map=CoordinateMap(MapVariant.MAP_I, xi1, xi2), branch_id=BranchId.HAT1,
+    )
+
+
+class TestErrors:
+    def test_integer_cab_degenerate(self):
+        p = Hyp2F1(0.3, 0.7, 2.0)
+        with pytest.raises(DegenerateCase):
+            hyp2f1(p, 0.8)
+        with pytest.raises(DegenerateCase):
+            _hyp2f1_jet(p, 0.8)
+        with pytest.raises(DegenerateCase):
+            value_and_derivatives(_bare_branch(p), 0.8)
+
+    @pytest.mark.parametrize("z", [1.0, 1.2, -0.8, -1.5, math.inf, math.nan])
+    def test_domain(self, z):
+        # at z = 1, c-a-b = 0.8 gives F but not F' or F''
+        with pytest.raises(DomainError):
+            _hyp2f1_jet(Hyp2F1(0.4, 0.7, 1.9), z)
+
+    def test_branch_at_rounded_end_point(self):
+        # next to xi2, z(r) rounds to exactly 1; with c-a-b > 2 all three
+        # orders are finite there (Gauss's sum)
+        a, b, c = 0.3, 0.4, 3.5
+        br = _bare_branch(Hyp2F1(a, b, c), -1.0, 1.0)
+        r = math.nextafter(1.0, 0.0)
+        assert br.map.z(r) == 1.0
+        got = value_and_derivatives(br, r)
+        with mpmath.workdps(REF_DPS):
+            want = [mpmath.hyp2f1(a, b, c, 1),
+                    a * b / c * mpmath.hyp2f1(a + 1, b + 1, c + 1, 1),
+                    a * b * (a + 1) * (b + 1) / (c * (c + 1))
+                    * mpmath.hyp2f1(a + 2, b + 2, c + 2, 1)]
+        for order, (g, w) in enumerate(zip(got, want)):
+            dz = 2.0 ** -order  # dz/dr = 1/2 on (-1, 1)
+            assert abs(g - dz * w) <= GAUSS_BOUND * abs(dz * w), order
+
+    def test_terminating_any_finite_z(self):
+        p = Hyp2F1(-2.0, 3.0, 1.0)  # 1 - 6z + 6z^2
+        assert _hyp2f1_jet(p, 2.0) == (13.0, 18.0, 12.0)
+        with pytest.raises(DomainError):
+            _hyp2f1_jet(p, math.inf)
+
+    def test_pole_in_c(self):
+        p = Hyp2F1(0.5, 0.7, -2.0 + 1e-8)
+        cfg = EvalConfig(pole_tol=1e-6)
+        with pytest.raises(PoleError):
+            hyp2f1(p, 0.3, cfg)
+        with pytest.raises(PoleError):
+            _hyp2f1_jet(p, 0.3, cfg)
+
+    def test_term_budget(self):
+        cfg = EvalConfig(rel_tol=1e-15, max_terms=5, pole_tol=1e-10)
+        p = Hyp2F1(0.5, 0.7, 1.1)
+        with pytest.raises(NoConvergence):
+            _hyp2f1_jet(p, 0.45, cfg)
+
+    def test_budget_covers_all_three_sums(self):
+        # F'' has the slowest tail: with the budget F alone needs, the
+        # kernel still runs out
+        p = Hyp2F1(0.5, 0.7, 1.1)
+        z = 0.3
+        need = next(n for n in range(1, 200)
+                    if _converges(lambda cfg: hyp2f1(p, z, cfg), n))
+        assert not _converges(lambda cfg: _hyp2f1_jet(p, z, cfg), need)
+        assert _converges(lambda cfg: _hyp2f1_jet(p, z, cfg), need + 10)
+
+
+def _converges(fn, max_terms):
+    try:
+        fn(EvalConfig(rel_tol=DEFAULT_CONFIG.rel_tol, max_terms=max_terms))
+    except NoConvergence:
+        return False
+    return True

@@ -277,6 +277,51 @@ class TestConnection:
         with pytest.raises(DegenerateCase):
             connection_15_8_4(Hyp2F1(0.3, 0.7, 2.0), 0.6)
 
+    def test_zero_difference_typed(self):
+        # c-a-b exactly 0: the check runs before pi/sin(pi(c-a-b)) is formed
+        with pytest.raises(DegenerateCase):
+            hyp2f1(Hyp2F1(0.5, 0.25, 0.75), 0.8)
+
+
+class TestConnectionPlan:
+    def test_equality_and_hash_ignore_plan(self):
+        p, q = Hyp2F1(0.4, 0.7, 1.9), Hyp2F1(0.4, 0.7, 1.9)
+        hyp2f1(p, 0.8)
+        hyp2f1_derivative(p, 0.3)
+        assert "_plan" in vars(p) and "_shifted" in vars(p)
+        assert p == q and hash(p) == hash(q)
+        assert {p: "x"}[q] == "x"
+        assert p != Hyp2F1(0.4, 0.7, 2.0)
+
+    def test_plan_never_crosses_pole_tol(self):
+        # c-a = -2 + 1e-8 is a pole of rgamma under pole_tol=1e-6 only, so
+        # the two tolerances give different coefficients
+        a, b, c = 3.9 - 1e-8, 0.7, 1.9
+        loose = EvalConfig(pole_tol=1e-6)
+        fresh = [hyp2f1(Hyp2F1(a, b, c), 0.8, cfg) for cfg in (DEFAULT_CONFIG, loose)]
+        assert fresh[0] != fresh[1]
+        for order in ((DEFAULT_CONFIG, loose), (loose, DEFAULT_CONFIG)):
+            p = Hyp2F1(a, b, c)
+            got = {cfg.pole_tol: hyp2f1(p, 0.8, cfg) for cfg in order}
+            assert [got[cfg.pole_tol] for cfg in (DEFAULT_CONFIG, loose)] == fresh
+
+    def test_shared_with_connection_identity(self):
+        # one plan serves hyp2f1 and connection_15_8_4 alike
+        a, b, c = 0.4, 0.7, 1.9
+        used = Hyp2F1(a, b, c)
+        for z in (0.6, 0.8, 0.95):
+            value = hyp2f1(used, z)
+            got = connection_15_8_4(used, z)
+            assert got == connection_15_8_4(Hyp2F1(a, b, c), z)
+            lhs = math.sin(math.pi * (c - a - b)) / math.pi * value
+            assert abs(got - lhs) <= 1e-12 * (1.0 + abs(lhs))
+
+    def test_domain_checked_after_degeneracy(self):
+        with pytest.raises(DomainError):
+            connection_15_8_4(Hyp2F1(0.4, 0.7, 1.9), 1.2)
+        with pytest.raises(DegenerateCase):
+            connection_15_8_4(Hyp2F1(0.3, 0.7, 2.0), 1.2)
+
 
 class TestInversion:
     def test_order_zero(self):
