@@ -57,10 +57,8 @@ from .ode_solutions import (
     OdeParams,
     RootPair,
     SolutionBranch,
-    SolutionCombination,
     build_branch,
     connection_check,
-    connection_check_second,
     evaluate,
     indicial_exponents,
     reduced_equation_coefficients,

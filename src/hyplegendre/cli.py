@@ -18,6 +18,7 @@ Examples:
 from __future__ import annotations
 
 import json
+import math
 import sys
 from dataclasses import dataclass
 
@@ -51,6 +52,7 @@ _NUMERICAL_ERRORS = (
     DegenerateCase,
     ComplexExponent,
     RootMismatch,
+    ArithmeticError,  # float overflow or division by zero
 )
 
 
@@ -59,42 +61,44 @@ def fmt17(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _cell(value) -> str:
+def _cell(value, fmt: str) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
         return fmt17(value)
+    if fmt == "json" and isinstance(value, str):
+        return json.dumps(value)
     return str(value)
-
-
-def _json_cell(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return fmt17(value)
-    if isinstance(value, int):
-        return str(value)
-    return json.dumps(value)
 
 
 def emit_table(headers: list[str], rows: list[tuple], fmt: str) -> None:
     if fmt == "csv":
         print(",".join(headers))
         for row in rows:
-            print(",".join(_cell(v) for v in row))
+            print(",".join(_cell(v, fmt) for v in row))
     elif fmt == "json":
         body = []
         for row in rows:
             fields = ", ".join(
-                f"{json.dumps(h)}: {_json_cell(v)}" for h, v in zip(headers, row)
+                f"{json.dumps(h)}: {_cell(v, fmt)}" for h, v in zip(headers, row)
             )
             body.append("  {" + fields + "}")
         print("[\n" + ",\n".join(body) + "\n]")
     else:
-        cells = [headers] + [[_cell(v) for v in row] for row in rows]
+        cells = [headers] + [[_cell(v, fmt) for v in row] for row in rows]
         widths = [max(len(r[i]) for r in cells) for i in range(len(headers))]
         for r in cells:
             print("  ".join(val.ljust(w) for val, w in zip(r, widths)).rstrip())
+
+
+def _finite(rows: list[tuple]) -> list[tuple]:
+    """The rows of a result table, or DomainError at the first value past
+    the first column that is not finite: no command reports inf or nan."""
+    for row in rows:
+        for value in row[1:]:
+            if not math.isfinite(value):
+                raise DomainError(f"value {value!r} at r={row[0]!r} is not finite")
+    return rows
 
 
 def _load_json_fields(path: str, keys: tuple[str, ...], int_keys: tuple[str, ...] = ()) -> dict:
@@ -231,7 +235,7 @@ def exponents(ctx, params_path, fmt):
         for name, pair in (("mu1", exps.mu1), ("mu2", exps.mu2),
                            ("mu_inf", exps.mu_inf)):
             if pair.is_complex:
-                res1 = res2 = _complex_residual(p, name, pair)
+                res1 = res2 = ode.root_residual(p, name, complex(*pair.as_tuple()))
             else:
                 res1 = ode.root_residual(p, name, pair.first)
                 res2 = ode.root_residual(p, name, pair.second)
@@ -242,15 +246,6 @@ def exponents(ctx, params_path, fmt):
             rows, fmt)
 
     _run(ctx, body)
-
-
-def _complex_residual(p: ode.OdeParams, name: str, pair: ode.RootPair) -> float:
-    from .ode_solutions import _quadratic_coeffs
-
-    idx = {"mu1": 0, "mu2": 1, "mu_inf": 2}[name]
-    b, c = _quadratic_coeffs(p)[idx]
-    z = complex(pair.first, pair.second)
-    return abs(z * z + b * z + c)
 
 
 def _selected_branches(branch_options: tuple[str, ...], default_all: bool) -> list[ode.BranchId]:
@@ -345,7 +340,7 @@ def eval_cmd(ctx, params_path, grid_text, branches, mu1_root, mu2_root, fmt):
         rows = []
         for r in grid.points():
             rows.append((r, *(ode.evaluate(br, r) for _, br in built)))
-        emit_table(["r"] + [bid.value for bid, _ in built], rows, fmt)
+        emit_table(["r"] + [bid.value for bid, _ in built], _finite(rows), fmt)
 
     _run(ctx, body)
 
@@ -374,7 +369,7 @@ def residual(ctx, params_path, grid_text, branches, mu1_root, mu2_root, fmt):
             worst = [max(w, v) for w, v in zip(worst, vals)]
             rows.append((r, *vals))
         rows.append(("max", *worst))
-        emit_table(["r"] + [bid.value for bid, _ in built], rows, fmt)
+        emit_table(["r"] + [bid.value for bid, _ in built], _finite(rows), fmt)
 
     _run(ctx, body)
 
@@ -410,7 +405,7 @@ def universal(ctx, params_path, ell, mprime, a_coef, c_coef, m_coef,
             u = lf.UniversalParams.from_degrees(
                 ell=ell, mprime=mprime, a=a_coef, c=c_coef, m=m_coef)
         rows = [(r, lf.universal_sum(u, r)) for r in grid.points()]
-        emit_table(["r", "value"], rows, fmt)
+        emit_table(["r", "value"], _finite(rows), fmt)
 
     _run(ctx, body)
 
@@ -447,7 +442,7 @@ def generalized(ctx, params_path, k_deg, m_ord, n_ord, xi1, xi2, grid_text, fmt)
         for r in grid.points():
             f1, f2 = lf.generalized_solutions(t, mu1, mu2, p, r)
             rows.append((r, f1, f2))
-        emit_table(["r", "f1", "f2"], rows, fmt)
+        emit_table(["r", "f1", "f2"], _finite(rows), fmt)
 
     _run(ctx, body)
 

@@ -16,19 +16,6 @@ from .errors import DegenerateCase, DomainError, InvalidParams, NoConvergence, P
 
 DEFAULT_POLE_TOL = 1e-10
 
-# Lanczos approximation, g = 7, 9 terms.
-_LANCZOS_C0 = 0.99999999999980993
-_LANCZOS = (
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-_SQRT_TWO_PI = 2.5066282746310005024
 _SERIES_SPLIT = 0.5  # direct summation for |z| <= split, transforms beyond
 
 
@@ -121,13 +108,12 @@ class _ConnectionPlan:
 
     with w = 1-z, cab = c-a-b, F_near = 2F1(a,b;a+b-c+1;w) and
     F_far = 2F1(c-a,c-b;cab+1;w).  Reciprocal gammas make a coefficient
-    with a pole vanish cleanly.  far_coef is kept as its three factors,
-    which multiply w^cab one at a time: that rounding order fixes the
-    values hyp2f1 returns in this region.  A plain slotted class: a
-    dataclass here would add milliseconds to the package import.
+    with a pole vanish cleanly; a coefficient past the float range raises
+    DomainError.  A plain slotted class: a dataclass here would add
+    milliseconds to the package import.
     """
 
-    __slots__ = ("pole_tol", "near", "far", "near_coef", "far_rgammas",
+    __slots__ = ("pole_tol", "near", "far", "near_coef", "far_coef",
                  "gamma_c", "cab", "pi_over_sin")
 
     def __init__(self, p: Hyp2F1, pole_tol: float) -> None:
@@ -143,9 +129,12 @@ class _ConnectionPlan:
         self.far = Hyp2F1(c - a, c - b, cab + 1.0)
         self.near_coef = rgamma(c - a, pole_tol) * rgamma(c - b, pole_tol) \
             * rgamma(a + b - c + 1.0, pole_tol)
-        self.far_rgammas = (rgamma(a, pole_tol), rgamma(b, pole_tol),
-                            rgamma(cab + 1.0, pole_tol))
+        self.far_coef = rgamma(a, pole_tol) * rgamma(b, pole_tol) \
+            * rgamma(cab + 1.0, pole_tol)
         self.gamma_c = gamma(c, pole_tol)
+        if not (math.isfinite(self.near_coef) and math.isfinite(self.far_coef)
+                and math.isfinite(self.gamma_c)):
+            raise DomainError(f"connection coefficients of {p} leave the float range")
         self.cab = cab
         # pi/sin(pi(c-a-b)) from the triple as given
         self.pi_over_sin = math.pi / math.sin(math.pi * (p.c - p.a - p.b))
@@ -165,32 +154,27 @@ def pochhammer(x: float, n: int) -> float:
 
 
 def gamma(x: float, pole_tol: float = DEFAULT_POLE_TOL) -> float:
-    """Gamma function for real x, Lanczos approximation with reflection.
+    """Gamma function for real x: math.gamma behind a pole check.
 
     Raises PoleError when x is within pole_tol of a non-positive integer.
+    Where Gamma overflows (x past ~171.6, or within ~1e-308 of 0) the
+    result is inf with the sign of x.
     """
     if _is_nonpositive_integer(x, pole_tol):
         raise PoleError(f"gamma pole at x={x!r}")
-    if x < 0.5:
-        # reflection; sin(pi*x) is safely away from 0 past the pole check
-        return math.pi / (math.sin(math.pi * x) * gamma(1.0 - x, pole_tol))
-    z = x - 1.0
-    acc = _LANCZOS_C0
-    for i, coef in enumerate(_LANCZOS):
-        acc += coef / (z + i + 1.0)
-    t = z + 7.5
     try:
-        return _SQRT_TWO_PI * t ** (z + 0.5) * math.exp(-t) * acc
+        return math.gamma(x)
     except OverflowError:
-        return math.inf
+        return math.copysign(math.inf, x)
 
 
 def rgamma(x: float, pole_tol: float = DEFAULT_POLE_TOL) -> float:
-    """Reciprocal gamma 1/Gamma(x); 0 at the poles. Entire, never raises."""
+    """Reciprocal gamma 1/Gamma(x); 0 at the poles. Never raises: where
+    Gamma underflows to 0 (x below ~-171) the result is inf with its sign."""
     if _is_nonpositive_integer(x, pole_tol):
         return 0.0
     g = gamma(x, pole_tol)
-    return 0.0 if math.isinf(g) else 1.0 / g
+    return 1.0 / g if g != 0.0 else math.copysign(math.inf, g)
 
 
 def _no_convergence(
@@ -281,9 +265,8 @@ def _series_jet(
 def _connection(plan: _ConnectionPlan, z: float, cfg: EvalConfig) -> float:
     """sin(pi(c-a-b))/pi * 2F1(a,b;c;z) for 0 < z < 1, from the 1-z side."""
     w = 1.0 - z
-    ra, rb, rc = plan.far_rgammas
     near = plan.near_coef * hyp2f1(plan.near, w, cfg)
-    far = w ** plan.cab * ra * rb * rc * hyp2f1(plan.far, w, cfg)
+    far = w ** plan.cab * plan.far_coef * hyp2f1(plan.far, w, cfg)
     return plan.gamma_c * (near - far)
 
 
@@ -301,10 +284,9 @@ def _connection_jet(
     p0 = w ** cab
     p1 = cab * p0 / w
     p2 = (cab - 1.0) * p1 / w
-    ra, rb, rc = plan.far_rgammas
-    nc, fc = plan.near_coef, ra * rb * rc
+    nc, fc = plan.near_coef, plan.far_coef
     # F is assembled as in _connection and hyp2f1
-    f = plan.pi_over_sin * (plan.gamma_c * (nc * n0 - p0 * ra * rb * rc * r0))
+    f = plan.pi_over_sin * (plan.gamma_c * (nc * n0 - p0 * fc * r0))
     g1 = nc * n1 - fc * (p1 * r0 + p0 * r1)
     g2 = nc * n2 - fc * (p2 * r0 + 2.0 * p1 * r1 + p0 * r2)
     scale = plan.pi_over_sin * plan.gamma_c

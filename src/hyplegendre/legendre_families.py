@@ -15,6 +15,7 @@ from .errors import (
     DegenerateCase,
     DomainError,
     InvalidParams,
+    NoConvergence,
     PoleError,
 )
 from .hypergeom import (
@@ -37,6 +38,8 @@ from .ode_solutions import (
 )
 
 _CONSISTENCY_TOL = 1e-9
+_SUM_ERR_FACTOR = 16.0 * 2.0 ** -52  # rounding error per unit of sum |term|
+_SUM_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -283,11 +286,28 @@ def _universal_poly_coeffs(u: UniversalParams) -> list[tuple[float, int]]:
 
 
 def universal_sum(u: UniversalParams, r: float) -> float:
-    """The universal polynomial family by direct summation."""
+    """The universal polynomial family by direct summation.
+
+    The alternating terms cancel more as the degree grows, so the error is
+    estimated as 16 eps |prefactor| sum |c_nu r^e|; NoConvergence is raised
+    unless it is at most 1e-8 (1 + |F|).
+    """
     if not (-1.0 <= r <= 1.0):
         raise DomainError(f"r={r!r} outside [-1, 1]")
-    poly = sum(coef * r ** e for coef, e in _universal_poly_coeffs(u))
-    return _universal_normalization(u) * (1.0 - r * r) ** (u.mprime / 2.0) * poly
+    poly = size = 0.0
+    for coef, e in _universal_poly_coeffs(u):
+        term = coef * r ** e
+        poly += term
+        size += abs(term)
+    pref = _universal_normalization(u) * (1.0 - r * r) ** (u.mprime / 2.0)
+    value = pref * poly
+    err = _SUM_ERR_FACTOR * abs(pref) * size
+    if not err <= _SUM_TOL * (1.0 + abs(value)):  # nan fails too
+        raise NoConvergence(
+            f"universal sum at ell={u.ell!r}, r={r!r} lost its digits to "
+            f"cancellation (error estimate {err:.3g})"
+        )
+    return value
 
 
 def universal_sum_derivatives(u: UniversalParams, r: float) -> tuple[float, float, float]:

@@ -31,6 +31,7 @@ from .hypergeom import (
     Hyp2F1,
     _dist_to_int,
     _hyp2f1_jet,
+    _is_nonpositive_integer,
     gamma,
     hyp2f1,
     rgamma,
@@ -144,8 +145,9 @@ def indicial_exponents(p: OdeParams) -> IndicialExponents:
     )
 
 
-def root_residual(p: OdeParams, which: str, mu: float) -> float:
-    """|mu^2 + B mu + C| for the named quadratic ('mu1', 'mu2' or 'mu_inf')."""
+def root_residual(p: OdeParams, which: str, mu: float | complex) -> float:
+    """|mu^2 + B mu + C| for the named quadratic ('mu1', 'mu2' or 'mu_inf');
+    mu may be complex."""
     idx = {"mu1": 0, "mu2": 1, "mu_inf": 2}[which]
     b, c = _quadratic_coeffs(p)[idx]
     return abs(mu * mu + b * mu + c)
@@ -217,21 +219,6 @@ class SolutionBranch:
     hyp: Hyp2F1
     map: CoordinateMap
     branch_id: BranchId
-
-
-@dataclass(frozen=True)
-class SolutionCombination:
-    """Linear combination of two branches built from the same parameters."""
-
-    branch_a: SolutionBranch
-    coeff_a: float
-    branch_b: SolutionBranch
-    coeff_b: float
-
-    def __post_init__(self) -> None:
-        a, b = self.branch_a, self.branch_b
-        if (a.mu1, a.mu2, a.map.xi1, a.map.xi2) != (b.mu1, b.mu2, b.map.xi1, b.map.xi2):
-            raise InvalidParams("combined branches must share exponents and interval")
 
 
 def _branch_data(p: OdeParams, mu1: float, mu2: float) -> tuple[float, float, float, float]:
@@ -364,7 +351,7 @@ def apply_operator(
 
 
 def residual(
-    s: SolutionBranch | SolutionCombination,
+    s: SolutionBranch,
     p: OdeParams,
     r: float,
     cfg: EvalConfig = DEFAULT_CONFIG,
@@ -374,29 +361,9 @@ def residual(
     The derivative magnitudes in the denominator keep the measure scale-free
     near zeros of F.
     """
-    if isinstance(s, SolutionCombination):
-        fa = value_and_derivatives(s.branch_a, r, cfg)
-        fb = value_and_derivatives(s.branch_b, r, cfg)
-        f, f1, f2 = (
-            s.coeff_a * fa[i] + s.coeff_b * fb[i] for i in range(3)
-        )
-    else:
-        f, f1, f2 = value_and_derivatives(s, r, cfg)
+    f, f1, f2 = value_and_derivatives(s, r, cfg)
     lhs = apply_operator(p, r, f, f1, f2)
     return abs(lhs) / (1.0 + abs(f) + abs(f1) + abs(f2))
-
-
-def _check_connection_degeneracy(
-    gamma_arg: float, c_breve: float, pole_tol: float
-) -> None:
-    if _dist_to_int(1.0 - c_breve) <= pole_tol:
-        raise DegenerateCase(
-            f"sine argument 1-c_breve={1.0 - c_breve!r} is an integer"
-        )
-    if gamma_arg < 0.5 and _dist_to_int(gamma_arg) <= pole_tol:
-        raise DegenerateCase(
-            f"gamma pole in connection coefficient at {gamma_arg!r}"
-        )
 
 
 def connection_check(
@@ -405,56 +372,35 @@ def connection_check(
     mu2: float,
     r: float,
     cfg: EvalConfig = DEFAULT_CONFIG,
+    hat: BranchId = BranchId.HAT1,
 ) -> tuple[float, float]:
-    """Both sides of the first-kind connection identity, evaluated
+    """Both sides of the connection identity of a hat branch, evaluated
     independently:
 
-        sin(pi(1-c_breve))/pi * fhat1
-          = G(c_hat) [ fbreve1 / (G(c_hat-a) G(c_hat-b) G(c_breve))
-                     - fbreve2 / (G(a) G(b) G(2-c_breve)) ]
+        sin(pi(1-c_breve))/pi * fhat
+          = G(c) [ fbreve1 / (G(c-a) G(c-b) G(c_breve))
+                 - fbreve2 / (G(a) G(b) G(2-c_breve)) ]
 
-    with (a, b) the first-kind upper parameters.  Reciprocal gammas are used
-    so a term with a pole in its coefficient contributes zero.
+    with (a, b; c) the hat branch's own triple: the first-kind upper
+    parameters and c_hat for HAT1, and (a-c_hat+1, b-c_hat+1; 2-c_hat) for
+    HAT2, which turns the same formula into the second-kind identity.
+    Reciprocal gammas are used so a term with a pole in its coefficient
+    contributes zero.
     """
-    s, m_mid, c_hat, c_breve = _branch_data(p, mu1, mu2)
-    _check_connection_degeneracy(c_hat, c_breve, cfg.pole_tol)
-    a, b = m_mid - s, m_mid + s
-    hat1 = build_branch(p, mu1, mu2, BranchId.HAT1)
-    breve1 = build_branch(p, mu1, mu2, BranchId.BREVE1)
-    breve2 = build_branch(p, mu1, mu2, BranchId.BREVE2)
-    lhs = math.sin(math.pi * (1.0 - c_breve)) / math.pi * _f_part(hat1, r, cfg)
-    gc = gamma(c_hat, cfg.pole_tol)
-    term1 = rgamma(c_hat - a, cfg.pole_tol) * rgamma(c_hat - b, cfg.pole_tol) \
-        * rgamma(c_breve, cfg.pole_tol) * _f_part(breve1, r, cfg)
-    term2 = rgamma(a, cfg.pole_tol) * rgamma(b, cfg.pole_tol) \
-        * rgamma(2.0 - c_breve, cfg.pole_tol) * _f_part(breve2, r, cfg)
-    return lhs, gc * (term1 - term2)
-
-
-def connection_check_second(
-    p: OdeParams,
-    mu1: float,
-    mu2: float,
-    r: float,
-    cfg: EvalConfig = DEFAULT_CONFIG,
-) -> tuple[float, float]:
-    """Second-kind analogue of connection_check, with the compensating
-    parameter swap folded in:
-
-        sin(pi(1-c_breve))/pi * fhat2
-          = G(2-c_hat) [ fbreve1 / (G(1-a) G(1-b) G(c_breve))
-                       - fbreve2 / (G(a-c_hat+1) G(b-c_hat+1) G(2-c_breve)) ]
-    """
-    s, m_mid, c_hat, c_breve = _branch_data(p, mu1, mu2)
-    _check_connection_degeneracy(2.0 - c_hat, c_breve, cfg.pole_tol)
-    a, b = m_mid - s, m_mid + s
-    hat2 = build_branch(p, mu1, mu2, BranchId.HAT2)
-    breve1 = build_branch(p, mu1, mu2, BranchId.BREVE1)
-    breve2 = build_branch(p, mu1, mu2, BranchId.BREVE2)
-    lhs = math.sin(math.pi * (1.0 - c_breve)) / math.pi * _f_part(hat2, r, cfg)
-    gc = gamma(2.0 - c_hat, cfg.pole_tol)
-    term1 = rgamma(1.0 - a, cfg.pole_tol) * rgamma(1.0 - b, cfg.pole_tol) \
-        * rgamma(c_breve, cfg.pole_tol) * _f_part(breve1, r, cfg)
-    term2 = rgamma(a - c_hat + 1.0, cfg.pole_tol) * rgamma(b - c_hat + 1.0, cfg.pole_tol) \
-        * rgamma(2.0 - c_breve, cfg.pole_tol) * _f_part(breve2, r, cfg)
-    return lhs, gc * (term1 - term2)
+    if hat not in (BranchId.HAT1, BranchId.HAT2):
+        raise InvalidParams(f"connection identities exist for hat1 and hat2, not {hat!r}")
+    hat_branch, breve1, breve2 = (build_branch(p, mu1, mu2, bid)
+                                  for bid in (hat, BranchId.BREVE1, BranchId.BREVE2))
+    a, b, c = hat_branch.hyp.a, hat_branch.hyp.b, hat_branch.hyp.c
+    c_breve = breve1.hyp.c
+    tol = cfg.pole_tol
+    if _dist_to_int(1.0 - c_breve) <= tol:
+        raise DegenerateCase(f"sine argument 1-c_breve={1.0 - c_breve!r} is an integer")
+    if _is_nonpositive_integer(c, tol):
+        raise DegenerateCase(f"gamma pole in connection coefficient at {c!r}")
+    lhs = math.sin(math.pi * (1.0 - c_breve)) / math.pi * _f_part(hat_branch, r, cfg)
+    term1 = rgamma(c - a, tol) * rgamma(c - b, tol) * rgamma(c_breve, tol) \
+        * _f_part(breve1, r, cfg)
+    term2 = rgamma(a, tol) * rgamma(b, tol) * rgamma(2.0 - c_breve, tol) \
+        * _f_part(breve2, r, cfg)
+    return lhs, gamma(c, tol) * (term1 - term2)

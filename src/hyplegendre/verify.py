@@ -37,14 +37,13 @@ class SuiteResult:
     max_err: float
 
 
-def _connection_case(rng: SplitMix64, tol: float, second: bool) -> float:
+def _connection_case(rng: SplitMix64, tol: float, hat: ode.BranchId) -> float:
     p, exps = draw_nondegenerate(rng)
     mu1, mu2 = exps.mu1.second, exps.mu2.second
-    check = ode.connection_check_second if second else ode.connection_check
     worst = 0.0
     for t in _SAMPLE_FRACTIONS:
         r = p.xi1 + t * p.width
-        lhs, rhs = check(p, mu1, mu2, r)
+        lhs, rhs = ode.connection_check(p, mu1, mu2, r, hat=hat)
         worst = max(worst, abs(lhs - rhs) / (1.0 + abs(lhs)))
     return worst
 
@@ -99,8 +98,8 @@ def _kuipers_case(rng: SplitMix64, tol: float) -> float:
 
 
 _CASE_RUNNERS = {
-    "connection": lambda rng, tol: _connection_case(rng, tol, second=False),
-    "connection2": lambda rng, tol: _connection_case(rng, tol, second=True),
+    "connection": lambda rng, tol: _connection_case(rng, tol, ode.BranchId.HAT1),
+    "connection2": lambda rng, tol: _connection_case(rng, tol, ode.BranchId.HAT2),
     "pfaff": _pfaff_case,
     "duplication": _duplication_case,
     "sumform": _sumform_case,

@@ -16,7 +16,6 @@ from hyplegendre import (
     UniversalParams,
     build_branch,
     connection_check,
-    connection_check_second,
     gamma,
     generalized_solutions,
     hyp2f1,
@@ -86,7 +85,7 @@ def test_criterion_3_connection_identities():
             r = p.xi1 + t * p.width
             lhs, rhs = connection_check(p, mu1, mu2, r)
             worst1 = max(worst1, abs(lhs - rhs) / (1.0 + abs(lhs)))
-            lhs2, rhs2 = connection_check_second(p, mu1, mu2, r)
+            lhs2, rhs2 = connection_check(p, mu1, mu2, r, hat=BranchId.HAT2)
             worst2 = max(worst2, abs(lhs2 - rhs2) / (1.0 + abs(lhs2)))
     _report("criterion 3 (connection identity, 100 draws x 5 pts)",
             worst1 <= 1e-8 and worst2 <= 1e-8,

@@ -144,6 +144,41 @@ class TestEvalCommand:
         assert set(rows[0]) == {"r", "hat1"}
 
 
+class TestNonFiniteValues:
+    # mu1 = -600 on the lo root: the edge prefactor leaves the float range
+    OVERFLOW = {"a1": 0, "b1": 600, "a2": 0, "b2": 0, "a3": 0, "b3": 0,
+                "c3": 0, "lambda": 2, "xi1": -1, "xi2": 1}
+
+    @pytest.fixture()
+    def overflow_file(self, tmp_path):
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps(self.OVERFLOW))
+        return str(path)
+
+    @pytest.mark.parametrize("command", ["eval", "residual"])
+    def test_inf_is_an_error(self, overflow_file, command):
+        res = run_cli(command, "--params", overflow_file, "--mu1-root", "lo",
+                      "--grid", "-0.9:0.9:3")
+        assert res.returncode == 4
+        assert "DomainError" in res.stderr and "not finite" in res.stderr
+        assert res.stdout == ""
+
+    def test_overflow_is_an_error_not_a_traceback(self, overflow_file):
+        res = run_cli("eval", "--params", overflow_file, "--mu1-root", "lo",
+                      "--grid", "-0.999:-0.99:2")
+        assert res.returncode == 4
+        assert res.stderr.startswith("error: OverflowError")
+        assert "Traceback" not in res.stderr
+        assert res.stdout == ""
+
+    def test_universal_digit_loss_is_an_error(self):
+        res = run_cli("legendre", "universal", "--ell", "80", "--mprime", "1",
+                      "--grid", "-0.9:0.9:5")
+        assert res.returncode == 4
+        assert "NoConvergence" in res.stderr
+        assert res.stdout == ""
+
+
 class TestResidualCommand:
     def test_max_row(self, classical_file):
         res = run_cli("residual", "--params", classical_file,

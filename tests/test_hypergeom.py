@@ -59,14 +59,29 @@ class TestGamma:
         assert abs(gamma(6.0) - math.factorial(5)) / 120.0 <= 1e-13
 
     def test_against_libm(self):
-        # platform gamma as an independent oracle over the accuracy window
+        # scipy's gamma as an independent oracle (gamma itself is math.gamma)
+        scipy_special = pytest.importorskip("scipy.special")
         for i in range(391):
             x = 0.5 + i * 0.05
-            assert abs(gamma(x) - math.gamma(x)) / math.gamma(x) <= 1e-13
+            want = float(scipy_special.gamma(x))
+            assert abs(gamma(x) - want) / want <= 1e-13
 
     def test_reflection_region(self):
+        scipy_special = pytest.importorskip("scipy.special")
         for x in (-0.25, -1.3, -3.7, 0.2):
-            assert abs(gamma(x) - math.gamma(x)) / abs(math.gamma(x)) <= 1e-12
+            want = float(scipy_special.gamma(x))
+            assert abs(gamma(x) - want) / abs(want) <= 1e-12
+
+    def test_finite_up_to_overflow(self):
+        # Gamma(142.3) ~ 8.4e243 is finite; a Lanczos fit overflowed there
+        scipy_special = pytest.importorskip("scipy.special")
+        want = float(scipy_special.gamma(142.3))
+        assert math.isfinite(gamma(142.3))
+        assert abs(gamma(142.3) - want) / want <= 1e-15
+
+    def test_overflow_has_the_sign_of_x(self):
+        assert gamma(171.7) == math.inf
+        assert gamma(-1e-320, pole_tol=1e-330) == -math.inf
 
     def test_poles(self):
         for x in (0.0, -1.0, -5.0, -2.0 + 1e-12):
@@ -84,6 +99,12 @@ class TestGamma:
         assert rgamma(0.0) == 0.0
         assert rgamma(-4.0) == 0.0
         assert abs(rgamma(3.0) - 0.5) <= 1e-14
+
+    def test_rgamma_never_raises_where_gamma_underflows(self):
+        # Gamma underflows to +-0 below about -171; 1/Gamma keeps its sign
+        assert rgamma(-200.5) == -math.inf
+        assert rgamma(-180.3) == -math.inf
+        assert rgamma(-171.5) == math.inf
 
 
 class TestHyp2F1Type:
@@ -315,6 +336,16 @@ class TestConnectionPlan:
             assert got == connection_15_8_4(Hyp2F1(a, b, c), z)
             lhs = math.sin(math.pi * (c - a - b)) / math.pi * value
             assert abs(got - lhs) <= 1e-12 * (1.0 + abs(lhs))
+
+    def test_unrepresentable_coefficient_raises(self):
+        # 1/Gamma(a+b-c+1) = 1/Gamma(-200.9) is past the float range while
+        # 1/Gamma(c-a) = 1/Gamma(202.2) rounds to 0: a plan must not hand
+        # their product, nan, to the connection formula
+        p = Hyp2F1(-200.5, 0.3, 1.7)
+        with pytest.raises(DomainError):
+            hyp2f1(p, 0.7)
+        with pytest.raises(DomainError):
+            connection_15_8_4(p, 0.7)
 
     def test_domain_checked_after_degeneracy(self):
         with pytest.raises(DomainError):

@@ -7,6 +7,7 @@ from hyplegendre import (
     DomainError,
     InvalidParams,
     LegendreTriple,
+    NoConvergence,
     OdeParams,
     UniversalParams,
     build_branch,
@@ -169,6 +170,43 @@ class TestUniversalSum:
         u = UniversalParams.from_degrees(ell=2.0, mprime=1.0)
         with pytest.raises(DomainError):
             universal_sum(u, 1.2)
+
+    def test_cancellation_raises(self):
+        # the alternating terms cancel more as the degree grows: from about
+        # degree 40 the error estimate exceeds the bound (finite but wrong
+        # values, or inf and nan past ell ~ 71, before the check)
+        for ell in (40.0, 60.0, 80.0):
+            u = UniversalParams.from_degrees(ell=ell, mprime=1.0)
+            for r in (-0.8, 0.5, 0.8):
+                with pytest.raises(NoConvergence):
+                    universal_sum(u, r)
+
+    def test_moderate_degrees_accepted_and_accurate(self):
+        # n_index <= 16 and |r| <= 0.95 pass the check, and what passes is
+        # within the check's bound of a 40-digit oracle
+        mpmath = pytest.importorskip("mpmath")
+        for n in range(17):
+            for mprime in (0.5, 1.0, 2.5):
+                u = UniversalParams.from_degrees(ell=mprime + n, mprime=mprime)
+                for r in (-0.95, -0.6, -0.2, 0.35, 0.7, 0.95):
+                    got = universal_sum(u, r)
+                    want = _universal_sum_mp(mpmath, u, r)
+                    assert abs(got - want) <= 1e-8 * (1.0 + abs(want))
+
+
+def _universal_sum_mp(mpmath, u, r):
+    n = u.n_index
+    with mpmath.workdps(40):
+        ell, x = mpmath.mpf(u.ell), mpmath.mpf(r)
+        poly = mpmath.fsum(
+            (-1) ** nu * mpmath.gamma(2 * ell - 2 * nu + 1) * x ** (n - 2 * nu)
+            / (2 ** ell * mpmath.factorial(nu) * mpmath.factorial(n - 2 * nu)
+               * mpmath.gamma(ell - nu + 1))
+            for nu in range(n // 2 + 1)
+        )
+        norm = mpmath.sqrt((2 * ell + 1) * mpmath.factorial(n)
+                           / (2 * mpmath.gamma(ell + u.mprime + 1)))
+        return float(norm * (1 - x * x) ** (mpmath.mpf(u.mprime) / 2) * poly)
 
 
 class TestUniversalHypergeometric:

@@ -13,10 +13,8 @@ from hyplegendre import (
     MapVariant,
     OdeParams,
     RootMismatch,
-    SolutionCombination,
     build_branch,
     connection_check,
-    connection_check_second,
     evaluate,
     indicial_exponents,
     reduced_equation_coefficients,
@@ -244,41 +242,6 @@ class TestResidual:
                     br = build_branch(p, mu1, mu2, BranchId.HAT1)
                     assert max(residual(br, p, r) for r in pts) <= 1e-8
 
-    def test_zero_combination(self):
-        p = classical_params(3)
-        a = build_branch(p, 0.0, 0.0, BranchId.HAT1)
-        b = build_branch(p, 0.0, 0.0, BranchId.BREVE1)
-        combo = SolutionCombination(a, 0.0, b, 0.0)
-        assert residual(combo, p, 0.4) == 0.0
-
-    def test_combination_linearity(self):
-        rng = SplitMix64(14)
-        p, exps = draw_nondegenerate(rng)
-        mu1, mu2 = exps.mu1.second, exps.mu2.second
-        combo = SolutionCombination(
-            build_branch(p, mu1, mu2, BranchId.HAT1), 0.7,
-            build_branch(p, mu1, mu2, BranchId.HAT2), -1.3,
-        )
-        for r in chebyshev_points(p.xi1, p.xi2, 10):
-            assert residual(combo, p, r) <= 1e-8
-
-    def test_combination_invariant(self):
-        p = classical_params(2)
-        q = classical_params(3)
-        a = build_branch(p, 0.0, 0.0, BranchId.HAT1)
-        b = build_branch(q, 0.0, 0.0, BranchId.HAT1)
-        combo = SolutionCombination(a, 1.0, b, 1.0)  # same exponents/interval
-        with pytest.raises(InvalidParams):
-            SolutionCombination(
-                a, 1.0,
-                build_branch(
-                    OdeParams(a1=-2.0, b1=0, a2=0, b2=0, a3=0, b3=0, c3=0,
-                              lam=6.0, xi1=-1.0, xi2=2.0),
-                    0.0, 0.0, BranchId.HAT1),
-                1.0,
-            )
-        assert combo is not None
-
 
 class TestConnectionCheck:
     def test_seeded_draws(self):
@@ -296,7 +259,7 @@ class TestConnectionCheck:
             p, exps = draw_nondegenerate(rng)
             mu1, mu2 = exps.mu1.second, exps.mu2.second
             r = p.xi1 + 0.35 * p.width
-            lhs, rhs = connection_check_second(p, mu1, mu2, r)
+            lhs, rhs = connection_check(p, mu1, mu2, r, hat=BranchId.HAT2)
             assert abs(lhs - rhs) <= 1e-8 * (1.0 + abs(lhs))
 
     def test_reciprocal_gamma_zeroes_terminating_term(self):
@@ -324,3 +287,10 @@ class TestConnectionCheck:
         p = classical_params(2)
         with pytest.raises(DegenerateCase):
             connection_check(p, 0.0, 0.0, 0.3)
+
+    def test_only_hat_branches(self):
+        p, exps = draw_nondegenerate(SplitMix64(15))
+        mu1, mu2 = exps.mu1.second, exps.mu2.second
+        for bid in (BranchId.BREVE1, BranchId.BREVE2):
+            with pytest.raises(InvalidParams):
+                connection_check(p, mu1, mu2, p.xi1 + 0.2 * p.width, hat=bid)
