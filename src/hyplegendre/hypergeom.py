@@ -9,6 +9,7 @@ the module-level DEFAULT_CONFIG is used when none is given.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -17,6 +18,7 @@ from .errors import DegenerateCase, DomainError, InvalidParams, NoConvergence, P
 DEFAULT_POLE_TOL = 1e-10
 
 _SERIES_SPLIT = 0.5  # direct summation for |z| <= split, transforms beyond
+_C0 = array("d", [1.0])  # the memo before any evaluation: c_0 alone
 
 
 def _dist_to_int(x: float) -> float:
@@ -60,6 +62,15 @@ class Hyp2F1:
     DEFAULT_POLE_TOL of a non-positive integer the series is a polynomial
     and the degree is the smallest admissible one.  A non-positive integer
     c is rejected unless the series terminates before the pole in c.
+
+    What depends on the triple alone is built on first use and kept in the
+    instance __dict__, where equality and hashing, which compare the fields
+    only, never see it: the shifted and Pfaff triples, the connection plan,
+    and the memo of series coefficients c_k = (a)_k (b)_k / ((c)_k k!).
+    The memo is an array('d') that every summation reads and extends in the
+    same pass; it holds at most max_terms + 1 entries of the configuration
+    that grew it, and it is replaced, never mutated, so callers sharing an
+    instance see either the old or the new one whole.
     """
 
     a: float
@@ -86,13 +97,17 @@ class Hyp2F1:
         """(a+1, b+1; c+1), the triple of the derivative."""
         return Hyp2F1(self.a + 1.0, self.b + 1.0, self.c + 1.0)
 
+    @cached_property
+    def _pfaff(self) -> "Hyp2F1":
+        """(a, c-b; c) with a <= b, summed at z/(z-1) by the Pfaff route;
+        the ordering keeps the a<->b symmetry bitwise."""
+        a, b = (self.a, self.b) if self.a <= self.b else (self.b, self.a)
+        return Hyp2F1(a, self.c - b, self.c)
+
     def _connection_plan(self, pole_tol: float) -> "_ConnectionPlan":
         """The z-independent half of the connection formula, built on first
-        use and kept on the instance for the pole_tol it was built with.
-
-        Like cached_property it lives in the instance __dict__, so equality
-        and hashing, which compare the fields only, never see it.  Callers
-        racing on one instance may each build a plan; each uses its own.
+        use and kept for the pole_tol it was built with.  Callers racing on
+        one instance may each build a plan; each uses its own.
         """
         plan = self.__dict__.get("_plan")
         if plan is None or plan.pole_tol != pole_tol:
@@ -177,77 +192,106 @@ def rgamma(x: float, pole_tol: float = DEFAULT_POLE_TOL) -> float:
     return 1.0 / g if g != 0.0 else math.copysign(math.inf, g)
 
 
-def _no_convergence(
-    a: float, b: float, c: float, z: float, cfg: EvalConfig
-) -> NoConvergence:
+def _steps(p: Hyp2F1, cfg: EvalConfig, nterms: int | None) -> tuple[int, bool]:
+    """(steps, at_pole): the recurrence steps a summation may take, and
+    whether they stop short of the budget at the pole in c, i.e. at the
+    first k >= 0 with |c + k| <= pole_tol."""
+    budget = nterms if nterms is not None else cfg.max_terms
+    c, tol = p.c, cfg.pole_tol
+    if c <= tol:
+        k = max(0.0, math.ceil(-c - tol) - 1.0)  # no earlier k can qualify
+        while k < budget and c + k <= tol:
+            if c + k >= -tol:
+                return int(k), True
+            k += 1.0
+    return budget, False
+
+
+def _exhausted(p: Hyp2F1, z: float, cfg: EvalConfig, steps: int, at_pole: bool) -> Exception:
+    if at_pole:
+        return PoleError(f"series hit the pole in c={p.c!r} at term {steps + 1}")
     return NoConvergence(
         f"2F1 series did not reach rel_tol={cfg.rel_tol} in {cfg.max_terms} terms "
-        f"(a={a}, b={b}, c={c}, z={z})"
+        f"(a={p.a}, b={p.b}, c={p.c}, z={z})"
     )
 
 
-def _series_sum(
-    a: float, b: float, c: float, z: float, cfg: EvalConfig, nterms: int | None
-) -> float:
-    """Direct summation of the defining series.
+def _publish(p: Hyp2F1, coefs: list[float], cfg: EvalConfig) -> None:
+    # one assignment of a new array: a published memo is never mutated
+    p.__dict__["_coefs"] = array("d", coefs[:cfg.max_terms + 1])
 
-    With nterms given the sum is over exactly that many terms (terminating
-    case); otherwise terms are added until one falls below rel_tol relative
-    to the largest partial sum seen.
+
+def _series(p: Hyp2F1, z: float, cfg: EvalConfig, nterms: int | None) -> float:
+    """Direct summation of the defining series, the sum of c_k z^k.
+
+    With nterms given the sum is over exactly that many recurrence steps
+    (terminating case); otherwise terms are added until one falls below
+    rel_tol relative to the largest partial sum seen.  The c_k are read
+    from the memo of p; those past its end are computed in the same pass
+    and published with the result.
     """
-    tol, rel = cfg.pole_tol, cfg.rel_tol
-    acc = term = scale = 1.0
-    k = 0.0  # a float counter saves an int->float conversion per use
-    for _ in range(nterms if nterms is not None else cfg.max_terms):
-        if -tol <= c + k <= tol:
-            raise PoleError(f"series hit the pole in c={c!r} at term {int(k) + 1}")
-        term *= (a + k) * (b + k) / ((c + k) * (k + 1.0)) * z
-        acc += term
-        # scale = max(scale, |acc|) and |term| <= rel*scale, spelled out:
+    steps, at_pole = _steps(p, cfg, nterms)
+    coefs = p.__dict__.get("_coefs", _C0)
+    rel = cfg.rel_tol
+    acc = scale = zk = 1.0
+    for ck in coefs[1:steps + 1]:
+        zk *= z
+        t = ck * zk
+        acc += t
+        # scale = max(scale, |acc|) and |t| <= rel*scale, spelled out:
         # builtin calls dominate this loop otherwise
         if acc > scale or -acc > scale:
             scale = abs(acc)
-        if nterms is None and -rel * scale <= term <= rel * scale:
+        if nterms is None and -rel * scale <= t <= rel * scale:
             return acc
-        k += 1.0
-    if nterms is not None:
-        return acc
-    raise _no_convergence(a, b, c, z, cfg)
+    known = len(coefs) - 1
+    if known < steps:
+        grown = coefs.tolist()
+        a, b, c = p.a, p.b, p.c
+        ck = grown[-1]
+        k = float(known)  # a float counter saves an int->float conversion per use
+        for _ in range(steps - known):
+            ck *= (a + k) * (b + k) / ((c + k) * (k + 1.0))
+            grown.append(ck)
+            k += 1.0
+            zk *= z
+            t = ck * zk
+            acc += t
+            if acc > scale or -acc > scale:
+                scale = abs(acc)
+            if nterms is None and -rel * scale <= t <= rel * scale:
+                _publish(p, grown, cfg)
+                return acc
+        _publish(p, grown, cfg)
+    if nterms is None or at_pole:
+        raise _exhausted(p, z, cfg, steps, at_pole)
+    return acc
 
 
-def _series_jet(
-    a: float, b: float, c: float, z: float, cfg: EvalConfig, nterms: int | None
+def _jet(
+    p: Hyp2F1, z: float, cfg: EvalConfig, nterms: int | None
 ) -> tuple[float, float, float]:
-    """(F, F', F'') of the defining series from one pass over its terms t_k:
-    the sums of t_k, k t_k / z and k(k-1) t_k / z^2.
+    """(F, F', F'') of the defining series from one pass over its
+    coefficients: the sums of c_k z^k, k c_k z^(k-1) and k(k-1) c_k z^(k-2).
 
-    From k = 2 on a term is carried as g = t_k / z^2, so no step divides by
-    z and z = 0 gives the exact values.  Truncation, pole checks and the
-    term budget are those of _series_sum, with the stopping test applied to
-    all three sums.
+    The powers of z are carried by multiplication, so z = 0 gives the exact
+    values.  Memo, truncation, pole checks and the term budget are those of
+    _series, with the stopping test applied to all three sums.
     """
-    if nterms == 0:
-        return 1.0, 0.0, 0.0
-    tol, rel = cfg.pole_tol, cfg.rel_tol
-    if -tol <= c <= tol:
-        raise PoleError(f"series hit the pole in c={c!r} at term 1")
-    g = a * b / c
-    f0, f1, f2 = 1.0 + g * z, g, 0.0
-    s0, s1, s2 = max(1.0, abs(f0)), abs(f1), 0.0
-    zz = z * z
-    zk = 1.0  # t_2 / z^2 = t_1 / z carries no factor of z, later steps do
+    steps, at_pole = _steps(p, cfg, nterms)
+    coefs = p.__dict__.get("_coefs", _C0)
+    rel = cfg.rel_tol
+    f0, f1, f2 = 1.0, 0.0, 0.0
+    s0, s1, s2 = 1.0, 0.0, 0.0
+    # z^k, z^(k-1), z^(k-2) for the next k; t2 vanishes at k = 1
+    z0, z1, z2 = z, 1.0, 0.0
     k = 1.0
-    for _ in range((nterms if nterms is not None else cfg.max_terms) - 1):
-        if -tol <= c + k <= tol:
-            raise PoleError(f"series hit the pole in c={c!r} at term {int(k) + 1}")
-        g *= (a + k) * (b + k) / ((c + k) * (k + 1.0)) * zk
-        zk = z
-        k += 1.0
-        t0, t1, t2 = zz * g, k * z * g, k * (k - 1.0) * g
+    for ck in coefs[1:steps + 1]:
+        t0, t1, t2 = ck * z0, k * ck * z1, k * (k - 1.0) * ck * z2
         f0 += t0
         f1 += t1
         f2 += t2
-        # the scales and tests of _series_sum, spelled out the same way
+        # the scales and tests of _series, spelled out the same way
         if f0 > s0 or -f0 > s0:
             s0 = abs(f0)
         if f1 > s1 or -f1 > s1:
@@ -257,9 +301,48 @@ def _series_jet(
         if nterms is None and -rel * s2 <= t2 <= rel * s2 \
                 and -rel * s1 <= t1 <= rel * s1 and -rel * s0 <= t0 <= rel * s0:
             return f0, f1, f2
-    if nterms is not None:
-        return f0, f1, f2
-    raise _no_convergence(a, b, c, z, cfg)
+        z0, z1, z2 = z0 * z, z0, z1
+        k += 1.0
+    known = len(coefs) - 1
+    if known < steps:
+        grown = coefs.tolist()
+        a, b, c = p.a, p.b, p.c
+        ck = grown[-1]
+        for _ in range(steps - known):
+            j = k - 1.0
+            ck *= (a + j) * (b + j) / ((c + j) * k)
+            grown.append(ck)
+            t0, t1, t2 = ck * z0, k * ck * z1, k * j * ck * z2
+            f0 += t0
+            f1 += t1
+            f2 += t2
+            if f0 > s0 or -f0 > s0:
+                s0 = abs(f0)
+            if f1 > s1 or -f1 > s1:
+                s1 = abs(f1)
+            if f2 > s2 or -f2 > s2:
+                s2 = abs(f2)
+            if nterms is None and -rel * s2 <= t2 <= rel * s2 \
+                    and -rel * s1 <= t1 <= rel * s1 and -rel * s0 <= t0 <= rel * s0:
+                _publish(p, grown, cfg)
+                return f0, f1, f2
+            z0, z1, z2 = z0 * z, z0, z1
+            k += 1.0
+        _publish(p, grown, cfg)
+    if nterms is None or at_pole:
+        raise _exhausted(p, z, cfg, steps, at_pole)
+    return f0, f1, f2
+
+
+def _series_magnitude(p: Hyp2F1, z: float) -> float:
+    """The sum of |c_k z^k| over the terms of a terminating series, read
+    from the memo its evaluation at z filled: the scale of the rounding
+    error of that sum."""
+    total, zk, az = 0.0, 1.0, abs(z)
+    for ck in p.__dict__.get("_coefs", _C0)[:p.terminating_degree + 1]:
+        total += abs(ck) * zk
+        zk *= az
+    return total
 
 
 def _connection(plan: _ConnectionPlan, z: float, cfg: EvalConfig) -> float:
@@ -276,10 +359,8 @@ def _connection_jet(
     """(F, F', F'') at 0.5 < z < 1 from one series per side in w = 1-z:
     the product rule for w^cab, and a sign flip per order for dw/dz = -1."""
     w = 1.0 - z  # below 0.5: both sides are plain series
-    n0, n1, n2 = _series_jet(
-        plan.near.a, plan.near.b, plan.near.c, w, cfg, plan.near.terminating_degree)
-    r0, r1, r2 = _series_jet(
-        plan.far.a, plan.far.b, plan.far.c, w, cfg, plan.far.terminating_degree)
+    n0, n1, n2 = _jet(plan.near, w, cfg, plan.near.terminating_degree)
+    r0, r1, r2 = _jet(plan.far, w, cfg, plan.far.terminating_degree)
     cab = plan.cab
     p0 = w ** cab
     p1 = cab * p0 / w
@@ -291,15 +372,6 @@ def _connection_jet(
     g2 = nc * n2 - fc * (p2 * r0 + 2.0 * p1 * r1 + p0 * r2)
     scale = plan.pi_over_sin * plan.gamma_c
     return f, -scale * g1, scale * g2
-
-
-def _pfaff_mapped(a: float, b: float, c: float, z: float, cfg: EvalConfig) -> float:
-    # 2F1(a,b;c;z) = (1-z)^(-a) 2F1(a, c-b; c; z/(z-1)), used for z < -split;
-    # parameter order is canonicalized so the a<->b symmetry stays bitwise
-    if b < a:
-        a, b = b, a
-    w = z / (z - 1.0)
-    return (1.0 - z) ** (-a) * _series_sum(a, c - b, c, w, cfg, None)
 
 
 def hyp2f1(p: Hyp2F1, z: float, cfg: EvalConfig = DEFAULT_CONFIG) -> float:
@@ -314,14 +386,16 @@ def hyp2f1(p: Hyp2F1, z: float, cfg: EvalConfig = DEFAULT_CONFIG) -> float:
         raise DomainError(f"argument must be finite, got z={z!r}")
     if p.terminating_degree is not None:
         # exactly d+1 terms: the leading 1 plus d recurrence steps
-        return _series_sum(p.a, p.b, p.c, z, cfg, p.terminating_degree)
+        return _series(p, z, cfg, p.terminating_degree)
     if abs(z) <= _SERIES_SPLIT:
-        return _series_sum(p.a, p.b, p.c, z, cfg, None)
+        return _series(p, z, cfg, None)
     if _SERIES_SPLIT < z < 1.0:
         plan = p._connection_plan(cfg.pole_tol)
         return plan.pi_over_sin * _connection(plan, z, cfg)
     if -1.0 < z < -_SERIES_SPLIT:
-        return _pfaff_mapped(p.a, p.b, p.c, z, cfg)
+        # 2F1(a,b;c;z) = (1-z)^(-a) 2F1(a, c-b; c; z/(z-1))
+        q = p._pfaff
+        return (1.0 - z) ** (-q.a) * _series(q, z / (z - 1.0), cfg, None)
     if z == 1.0:
         cab = p.c - p.a - p.b
         if cab > 0.0:
@@ -350,9 +424,9 @@ def _hyp2f1_jet(
     if not math.isfinite(z):
         raise DomainError(f"argument must be finite, got z={z!r}")
     if p.terminating_degree is not None:
-        return _series_jet(p.a, p.b, p.c, z, cfg, p.terminating_degree)
+        return _jet(p, z, cfg, p.terminating_degree)
     if abs(z) <= _SERIES_SPLIT:
-        return _series_jet(p.a, p.b, p.c, z, cfg, None)
+        return _jet(p, z, cfg, None)
     if _SERIES_SPLIT < z < 1.0:
         return _connection_jet(p._connection_plan(cfg.pole_tol), z, cfg)
     if z == 1.0:

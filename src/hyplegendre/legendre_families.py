@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import (
     ComplexExponent,
@@ -23,6 +24,7 @@ from .hypergeom import (
     EvalConfig,
     Hyp2F1,
     _dist_to_int,
+    _series_magnitude,
     gamma,
     hyp2f1,
     pochhammer,
@@ -44,7 +46,11 @@ _SUM_TOL = 1e-8
 
 @dataclass(frozen=True)
 class LegendreTriple:
-    """Degree k and the two order parameters (m, n)."""
+    """Degree k and the two order parameters (m, n).
+
+    The 2F1 triples of the two generalized solutions are built on first use
+    and kept in the instance __dict__, out of sight of equality and hashing.
+    """
 
     k: float
     m: float
@@ -54,6 +60,22 @@ class LegendreTriple:
         for name in ("k", "m", "n"):
             if not math.isfinite(getattr(self, name)):
                 raise InvalidParams(f"field '{name}' must be finite")
+
+    @cached_property
+    def _first(self) -> Hyp2F1:
+        return self._triple(-self.m)
+
+    @cached_property
+    def _second(self) -> Hyp2F1:
+        return self._triple(self.m)
+
+    def _triple(self, m: float) -> Hyp2F1:
+        # (-k+(n+m)/2, k+1+(n+m)/2; 1+m): F1 takes -m, F2 takes m
+        half = (self.n + m) / 2.0
+        try:
+            return Hyp2F1(-self.k + half, self.k + 1.0 + half, 1.0 + m)
+        except PoleError as exc:
+            raise DegenerateC(str(exc)) from exc
 
     def to_dict(self) -> dict:
         return {"k": self.k, "m": self.m, "n": self.n}
@@ -72,7 +94,9 @@ class UniversalParams:
 
     The fields are linked: b = 0, mprime = sqrt(a + c + m^2),
     lam = ell(ell+1) - c and ell = mprime + n_index with n_index a
-    nonnegative integer.  The constructor rejects inconsistent packs.
+    nonnegative integer.  The constructor rejects inconsistent packs.  The
+    coefficients of the sum and closed forms are built on first use and
+    kept in the instance __dict__, out of sight of equality and hashing.
     """
 
     ell: float
@@ -138,6 +162,47 @@ class UniversalParams:
                 self.lam, self.n_index)
         return dict(zip(_UNIVERSAL_KEYS, vals))
 
+    @cached_property
+    def _sum_form(self) -> tuple[list[tuple[float, int]], float]:
+        """The (coefficient, power) pairs of the polynomial factor of the sum
+        form, and its normalization."""
+        n, ell = self.n_index, self.ell
+        try:  # math.factorial past 170 does not convert to float
+            coeffs = [
+                ((-1.0) ** nu * gamma(2.0 * ell - 2.0 * nu + 1.0)
+                 / (2.0 ** ell * math.factorial(nu) * math.factorial(n - 2 * nu)
+                    * gamma(ell - nu + 1.0)), n - 2 * nu)
+                for nu in range(n // 2 + 1)
+            ]
+            norm = math.sqrt((2.0 * ell + 1.0) * math.factorial(n)
+                             / (2.0 * gamma(ell + self.mprime + 1.0)))
+        except OverflowError as exc:
+            raise NoConvergence(
+                f"sum-form coefficients at n_index={n} leave the float range") from exc
+        return coeffs, norm
+
+    @cached_property
+    def _closed_form(self) -> tuple[float, Hyp2F1]:
+        """The constant and the 2F1 triple of the closed form (even n_index)."""
+        n, ell = self.n_index, self.ell
+        half = n // 2
+        try:
+            pref = (
+                (-1.0) ** half
+                * 2.0 ** (ell - 0.5)
+                * gamma(ell + 0.5)
+                * pochhammer(0.5, half)
+                / (math.sqrt(math.pi) * pochhammer((1.0 + ell + self.mprime) / 2.0, half))
+                * math.sqrt(
+                    (2.0 * ell + 1.0)
+                    / (math.factorial(n) * gamma(ell + self.mprime + 1.0))
+                )
+            )
+        except OverflowError as exc:
+            raise NoConvergence(
+                f"closed-form constant at n_index={n} leaves the float range") from exc
+        return pref, Hyp2F1((1.0 + ell + self.mprime) / 2.0, -float(half), 0.5)
+
     @classmethod
     def from_dict(cls, data: dict) -> "UniversalParams":
         return cls(
@@ -199,13 +264,7 @@ def generalized_solutions(
     if not (p.xi1 <= r <= p.xi2):
         raise DomainError(f"r={r!r} outside [{p.xi1!r}, {p.xi2!r}]")
     zb = (p.xi2 - r) / p.width
-    half_diff = (t.n - t.m) / 2.0
-    half_sum = (t.n + t.m) / 2.0
-    try:
-        h1 = Hyp2F1(-t.k + half_diff, t.k + 1.0 + half_diff, 1.0 - t.m)
-        h2 = Hyp2F1(-t.k + half_sum, t.k + 1.0 + half_sum, 1.0 + t.m)
-    except PoleError as exc:
-        raise DegenerateC(str(exc)) from exc
+    h1, h2 = t._first, t._second
     left = _edge_power(r - p.xi1, mu1)
     f1 = left * _edge_power(p.xi2 - r, mu2) * hyp2f1(h1, zb, cfg)
     f2 = left * _edge_power(p.xi2 - r, mu2 + t.m) * hyp2f1(h2, zb, cfg)
@@ -231,16 +290,11 @@ def kuipers_reduction_check(
     if not (xi1 < r < xi2):
         raise DomainError(f"r={r!r} outside ({xi1!r}, {xi2!r})")
     mu1, mu2 = t.n / 2.0, -t.m / 2.0
-    half_diff = (t.n - t.m) / 2.0
-    try:
-        hyp = Hyp2F1(-t.k + half_diff, t.k + 1.0 + half_diff, 1.0 - t.m)
-    except PoleError as exc:
-        raise DegenerateC(str(exc)) from exc
     branch = SolutionBranch(
         mu1=mu1,
         mu2=mu2,
         extra_power=0.0,
-        hyp=hyp,
+        hyp=t._first,
         map=CoordinateMap(MapVariant.MAP_II, xi1, xi2),
         branch_id=BranchId.BREVE1,
     )
@@ -258,31 +312,13 @@ def kuipers_reduction_check(
     return abs(lhs) / (1.0 + abs(f) + abs(f1) + abs(f2))
 
 
-def _universal_normalization(u: UniversalParams) -> float:
-    n = u.n_index
-    return math.sqrt(
-        (2.0 * u.ell + 1.0) * math.factorial(n)
-        / (2.0 * gamma(u.ell + u.mprime + 1.0))
-    )
-
-
-def _universal_poly_coeffs(u: UniversalParams) -> list[tuple[float, int]]:
-    """(coefficient, power) pairs of the polynomial factor of the sum form."""
-    n = u.n_index
-    out = []
-    for nu in range(n // 2 + 1):
-        coef = (
-            (-1.0) ** nu
-            * gamma(2.0 * u.ell - 2.0 * nu + 1.0)
-            / (
-                2.0 ** u.ell
-                * math.factorial(nu)
-                * math.factorial(n - 2 * nu)
-                * gamma(u.ell - nu + 1.0)
-            )
+def _check_cancellation(form: str, u: UniversalParams, r: float,
+                        value: float, err: float) -> None:
+    if not err <= _SUM_TOL * (1.0 + abs(value)):  # nan fails too
+        raise NoConvergence(
+            f"universal {form} at ell={u.ell!r}, r={r!r} lost its digits to "
+            f"cancellation (error estimate {err:.3g})"
         )
-        out.append((coef, n - 2 * nu))
-    return out
 
 
 def universal_sum(u: UniversalParams, r: float) -> float:
@@ -290,48 +326,58 @@ def universal_sum(u: UniversalParams, r: float) -> float:
 
     The alternating terms cancel more as the degree grows, so the error is
     estimated as 16 eps |prefactor| sum |c_nu r^e|; NoConvergence is raised
-    unless it is at most 1e-8 (1 + |F|).
+    unless it is at most 1e-8 (1 + |F|).  It is also raised where the
+    coefficients leave the float range.
     """
     if not (-1.0 <= r <= 1.0):
         raise DomainError(f"r={r!r} outside [-1, 1]")
+    coeffs, norm = u._sum_form
     poly = size = 0.0
-    for coef, e in _universal_poly_coeffs(u):
+    for coef, e in coeffs:
         term = coef * r ** e
         poly += term
         size += abs(term)
-    pref = _universal_normalization(u) * (1.0 - r * r) ** (u.mprime / 2.0)
+    pref = norm * (1.0 - r * r) ** (u.mprime / 2.0)
     value = pref * poly
-    err = _SUM_ERR_FACTOR * abs(pref) * size
-    if not err <= _SUM_TOL * (1.0 + abs(value)):  # nan fails too
-        raise NoConvergence(
-            f"universal sum at ell={u.ell!r}, r={r!r} lost its digits to "
-            f"cancellation (error estimate {err:.3g})"
-        )
+    _check_cancellation("sum", u, r, value, _SUM_ERR_FACTOR * abs(pref) * size)
     return value
 
 
 def universal_sum_derivatives(u: UniversalParams, r: float) -> tuple[float, float, float]:
-    """(F, F', F'') of the sum form at an interior point, term by term."""
+    """(F, F', F'') of the sum form at an interior point, term by term.
+
+    Each of the three is a sum over the terms of the sum form, differentiated
+    by the product rule; universal_sum's cancellation check is applied to
+    each, with the sum of the |term| of that order.
+    """
     if not (-1.0 < r < 1.0):
         raise DomainError(f"r={r!r} outside (-1, 1)")
-    s0 = s1 = s2 = 0.0
-    for coef, e in _universal_poly_coeffs(u):
-        s0 += coef * r ** e
-        if e >= 1:
-            s1 += coef * e * r ** (e - 1)
-        if e >= 2:
-            s2 += coef * e * (e - 1) * r ** (e - 2)
+    coeffs, norm = u._sum_form
     mp = u.mprime
     one = 1.0 - r * r
     w0 = one ** (mp / 2.0)
     w1 = -mp * r * one ** (mp / 2.0 - 1.0)
     w2 = mp * one ** (mp / 2.0 - 2.0) * ((mp - 1.0) * r * r - 1.0)
-    norm = _universal_normalization(u)
-    return (
+    s0 = s1 = s2 = size0 = size1 = size2 = 0.0
+    for coef, e in coeffs:
+        t0 = coef * r ** e
+        t1 = coef * e * r ** (e - 1) if e >= 1 else 0.0
+        t2 = coef * e * (e - 1) * r ** (e - 2) if e >= 2 else 0.0
+        s0 += t0
+        s1 += t1
+        s2 += t2
+        size0 += abs(w0 * t0)
+        size1 += abs(w1 * t0 + w0 * t1)
+        size2 += abs(w2 * t0 + 2.0 * w1 * t1 + w0 * t2)
+    out = (
         norm * w0 * s0,
         norm * (w1 * s0 + w0 * s1),
         norm * (w2 * s0 + 2.0 * w1 * s1 + w0 * s2),
     )
+    for value, size in zip(out, (size0, size1, size2)):
+        _check_cancellation("sum derivative", u, r, value,
+                            _SUM_ERR_FACTOR * abs(norm) * size)
+    return out
 
 
 def universal_hypergeometric(
@@ -341,29 +387,23 @@ def universal_hypergeometric(
 
         C * (1-r^2)^(mprime/2) * 2F1((1+ell+mprime)/2, -n/2; 1/2; r^2),
 
-    defined for even n only; the odd case is served by universal_sum.
+    defined for even n only; the odd case is served by universal_sum.  The
+    terminating series cancels as the degree grows, so NoConvergence is
+    raised as in universal_sum, from 16 eps |prefactor| sum |c_k r^(2k)|.
     """
-    n = u.n_index
-    if n % 2 != 0:
+    if u.n_index % 2 != 0:
         raise DomainError(
             "the hypergeometric closed form requires an even degree offset"
         )
     if not (-1.0 <= r <= 1.0):
         raise DomainError(f"r={r!r} outside [-1, 1]")
-    half = n // 2
-    pref = (
-        (-1.0) ** half
-        * 2.0 ** (u.ell - 0.5)
-        * gamma(u.ell + 0.5)
-        * pochhammer(0.5, half)
-        / (math.sqrt(math.pi) * pochhammer((1.0 + u.ell + u.mprime) / 2.0, half))
-        * math.sqrt(
-            (2.0 * u.ell + 1.0)
-            / (math.factorial(n) * gamma(u.ell + u.mprime + 1.0))
-        )
-    )
-    hyp = Hyp2F1((1.0 + u.ell + u.mprime) / 2.0, -float(half), 0.5)
-    return pref * (1.0 - r * r) ** (u.mprime / 2.0) * hyp2f1(hyp, r * r, cfg)
+    const, hyp = u._closed_form
+    x = r * r
+    pref = const * (1.0 - x) ** (u.mprime / 2.0)
+    value = pref * hyp2f1(hyp, x, cfg)
+    err = _SUM_ERR_FACTOR * abs(pref) * _series_magnitude(hyp, x)
+    _check_cancellation("closed form", u, r, value, err)
+    return value
 
 
 def universal_ode_embedding(u: UniversalParams) -> OdeParams:

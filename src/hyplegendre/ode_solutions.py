@@ -44,7 +44,11 @@ _JSON_KEYS = ("a1", "b1", "a2", "b2", "a3", "b3", "c3", "lambda", "xi1", "xi2")
 
 @dataclass(frozen=True)
 class OdeParams:
-    """The nine real coefficients, spectral parameter and singular points."""
+    """The nine real coefficients, spectral parameter and singular points.
+
+    connection_check keeps the branches it builds in the instance
+    __dict__, out of sight of equality and hashing.
+    """
 
     a1: float
     b1: float
@@ -389,8 +393,7 @@ def connection_check(
     """
     if hat not in (BranchId.HAT1, BranchId.HAT2):
         raise InvalidParams(f"connection identities exist for hat1 and hat2, not {hat!r}")
-    hat_branch, breve1, breve2 = (build_branch(p, mu1, mu2, bid)
-                                  for bid in (hat, BranchId.BREVE1, BranchId.BREVE2))
+    hat_branch, breve1, breve2 = _connection_branches(p, mu1, mu2, hat)
     a, b, c = hat_branch.hyp.a, hat_branch.hyp.b, hat_branch.hyp.c
     c_breve = breve1.hyp.c
     tol = cfg.pole_tol
@@ -404,3 +407,17 @@ def connection_check(
     term2 = rgamma(a, tol) * rgamma(b, tol) * rgamma(2.0 - c_breve, tol) \
         * _f_part(breve2, r, cfg)
     return lhs, gamma(c, tol) * (term1 - term2)
+
+
+def _connection_branches(
+    p: OdeParams, mu1: float, mu2: float, hat: BranchId
+) -> tuple[SolutionBranch, ...]:
+    """The hat, breve1 and breve2 branches of connection_check, kept on p
+    for the last (mu1, mu2, hat) asked for."""
+    key = (mu1, mu2, hat)
+    kept = p.__dict__.get("_connection")
+    if kept is None or kept[0] != key:
+        branches = tuple(build_branch(p, mu1, mu2, bid)
+                         for bid in (hat, BranchId.BREVE1, BranchId.BREVE2))
+        kept = p.__dict__["_connection"] = (key, branches)
+    return kept[1]

@@ -178,6 +178,43 @@ class TestErrors:
         assert _converges(lambda cfg: _hyp2f1_jet(p, z, cfg), need + 10)
 
 
+class TestMemo:
+    """The jet reads and grows the same coefficient memo as hyp2f1."""
+
+    @pytest.mark.parametrize("abc", [(0.6, 1.4, 2.3), (0.4, 0.7, 1.9), (-3.0, 2.2, 1.4)])
+    def test_warm_equals_fresh_in_any_order(self, abc):
+        zs = (0.45, 0.05, 0.49, 0.0, 0.75, -0.4, 0.97)
+        fresh = {z: (_hyp2f1_jet(Hyp2F1(*abc), z), hyp2f1(Hyp2F1(*abc), z)) for z in zs}
+        for order in (zs, zs[::-1]):
+            jet_first, value_first = Hyp2F1(*abc), Hyp2F1(*abc)
+            for z in order:
+                assert _hyp2f1_jet(jet_first, z) == fresh[z][0]
+                assert hyp2f1(jet_first, z) == fresh[z][1]
+                assert hyp2f1(value_first, z) == fresh[z][1]
+                assert _hyp2f1_jet(value_first, z) == fresh[z][0]
+
+    def test_pole_met_at_the_same_term_past_a_warm_memo(self):
+        abc = (0.5, 0.7, -2.0 + 1e-8)
+        loose = EvalConfig(pole_tol=1e-6)
+        with pytest.raises(PoleError, match="at term 3$"):
+            _hyp2f1_jet(Hyp2F1(*abc), 0.3, loose)
+        p = Hyp2F1(*abc)
+        _hyp2f1_jet(p, 0.3)
+        with pytest.raises(PoleError, match="at term 3$"):
+            _hyp2f1_jet(p, 0.3, loose)
+
+    def test_term_budget_holds_past_a_warm_memo(self):
+        tight = EvalConfig(max_terms=5)
+        with pytest.raises(NoConvergence) as fresh:
+            _hyp2f1_jet(Hyp2F1(0.5, 0.7, 1.1), 0.45, tight)
+        p = Hyp2F1(0.5, 0.7, 1.1)
+        _hyp2f1_jet(p, 0.45)
+        with pytest.raises(NoConvergence) as warm:
+            _hyp2f1_jet(p, 0.45, tight)
+        assert str(warm.value) == str(fresh.value)
+        assert len(vars(p)["_coefs"]) <= DEFAULT_CONFIG.max_terms + 1
+
+
 def _converges(fn, max_terms):
     try:
         fn(EvalConfig(rel_tol=DEFAULT_CONFIG.rel_tol, max_terms=max_terms))

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import pytest
 
@@ -352,6 +354,111 @@ class TestConnectionPlan:
             connection_15_8_4(Hyp2F1(0.4, 0.7, 1.9), 1.2)
         with pytest.raises(DegenerateCase):
             connection_15_8_4(Hyp2F1(0.3, 0.7, 2.0), 1.2)
+
+
+class TestSeriesMemo:
+    """Each Hyp2F1 keeps the coefficients c_k it has summed; a warm
+    instance must return what a fresh one returns."""
+
+    TRIPLES = [(0.6, 1.4, 2.3), (-1.7, 2.9, 0.6), (0.4, 0.7, 1.9), (-3.0, 2.2, 1.4)]
+    # series, connection and Pfaff points, in the order the memo grows
+    # least to most and back
+    ZS = [0.45, 0.05, 0.49, -0.3, 0.8, -0.8, 0.95, 0.0]
+
+    def test_warm_equals_fresh_in_any_order(self):
+        for abc in self.TRIPLES:
+            fresh = {z: hyp2f1(Hyp2F1(*abc), z) for z in self.ZS}
+            for order in (self.ZS, self.ZS[::-1], sorted(self.ZS)):
+                p = Hyp2F1(*abc)
+                for z in order:
+                    assert hyp2f1(p, z) == fresh[z], (abc, z)
+                    assert hyp2f1(p, z) == fresh[z], (abc, z)
+
+    def test_pole_met_at_the_same_term_past_a_warm_memo(self):
+        # c = -2 + 1e-8 is a pole under pole_tol = 1e-6 only: the default
+        # tolerance sums through it and leaves c_3 and beyond in the memo
+        abc = (0.5, 0.7, -2.0 + 1e-8)
+        loose = EvalConfig(pole_tol=1e-6)
+        with pytest.raises(PoleError, match="at term 3$"):
+            hyp2f1(Hyp2F1(*abc), 0.3, loose)
+        p = Hyp2F1(*abc)
+        hyp2f1(p, 0.3)
+        assert len(vars(p)["_coefs"]) > 4
+        with pytest.raises(PoleError, match="at term 3$"):
+            hyp2f1(p, 0.3, loose)
+
+    def test_term_budget_holds_past_a_warm_memo(self):
+        tight = EvalConfig(max_terms=5)
+        with pytest.raises(NoConvergence) as fresh:
+            hyp2f1(Hyp2F1(0.5, 0.7, 1.1), 0.45, tight)
+        p = Hyp2F1(0.5, 0.7, 1.1)
+        hyp2f1(p, 0.45)
+        assert len(vars(p)["_coefs"]) > 6
+        with pytest.raises(NoConvergence) as warm:
+            hyp2f1(p, 0.45, tight)
+        assert str(warm.value) == str(fresh.value)
+
+    def test_memo_never_exceeds_the_budget(self):
+        p = Hyp2F1(0.5, 0.7, 1.1)
+        with pytest.raises(NoConvergence):
+            hyp2f1(p, 0.45, EvalConfig(max_terms=5))
+        assert len(vars(p)["_coefs"]) == 6
+        hyp2f1(p, 0.5)
+        assert len(vars(p)["_coefs"]) <= DEFAULT_CONFIG.max_terms + 1
+        # a terminating series longer than the budget is still summed whole
+        q = Hyp2F1(-700.0, 0.5, 1.5)
+        value = hyp2f1(q, 1e-3)
+        assert len(vars(q)["_coefs"]) == DEFAULT_CONFIG.max_terms + 1
+        assert hyp2f1(q, 1e-3) == value
+        want = direct_2f1(-700.0, 0.5, 1.5, 1e-3, terms=701)
+        assert abs(value - want) <= 1e-14 * abs(want)
+
+    def test_equality_and_hash_ignore_memo(self):
+        p, q = Hyp2F1(0.4, 0.7, 1.9), Hyp2F1(0.4, 0.7, 1.9)
+        hyp2f1(p, 0.3)
+        hyp2f1(p, -0.8)
+        assert "_coefs" in vars(p) and "_coefs" in vars(p._pfaff)
+        assert p == q and hash(p) == hash(q)
+        assert {p: "x"}[q] == "x"
+
+    def test_published_memo_is_never_mutated(self):
+        p = Hyp2F1(0.6, 1.4, 2.3)
+        hyp2f1(p, 0.05)
+        short = vars(p)["_coefs"]
+        kept = short.tolist()
+        hyp2f1(p, 0.49)  # needs more terms than z = 0.05
+        longer = vars(p)["_coefs"]
+        assert longer is not short and short.tolist() == kept
+        assert len(longer) > len(kept) and longer[:len(kept)].tolist() == kept
+
+    def test_threads_sharing_instances(self):
+        # threads growing the memos of shared instances, switching often,
+        # must each see the values of a fresh instance
+        abc = (0.6, 1.4, 2.3)
+        zs = [0.03 * i for i in range(17)]
+        fresh = [hyp2f1(Hyp2F1(*abc), z) for z in zs]
+        shared = [Hyp2F1(*abc) for _ in range(60)]
+        wrong = []
+
+        def work(step):
+            for p in shared:
+                for i in range(len(zs)):
+                    j = (i * step) % len(zs)
+                    if hyp2f1(p, zs[j]) != fresh[j]:
+                        wrong.append((step, j))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(step,)) for step in (1, 3, 5, 16)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []
 
 
 class TestInversion:

@@ -4,6 +4,7 @@ import pytest
 
 from hyplegendre import (
     BranchId,
+    DegenerateC,
     DomainError,
     InvalidParams,
     LegendreTriple,
@@ -23,6 +24,7 @@ from hyplegendre import (
     universal_ode_residual,
     universal_sum,
 )
+from hyplegendre.legendre_families import universal_sum_derivatives
 from hyplegendre.ode_solutions import root_residual
 
 from oracles import legendre_recurrence
@@ -96,6 +98,26 @@ class TestGeneralizedSolutions:
                 r = -0.95 + i * 0.095
                 f1, _ = generalized_solutions(t, 0.0, 0.0, p, r)
                 assert abs(f1 - legendre_recurrence(k, r)) <= 1e-11
+
+
+    def test_triples_built_once(self):
+        p = classical_params(1.5)
+        t = LegendreTriple(k=1.5, m=0.3, n=0.2)
+        got = [generalized_solutions(t, 0.1, -0.15, p, r) for r in (-0.5, 0.2, 0.7)]
+        first, second = t._first, t._second
+        assert [generalized_solutions(t, 0.1, -0.15, p, r) for r in (-0.5, 0.2, 0.7)] == got
+        assert t._first is first and t._second is second
+        fresh = LegendreTriple(k=1.5, m=0.3, n=0.2)
+        assert [generalized_solutions(fresh, 0.1, -0.15, p, r) for r in (-0.5, 0.2, 0.7)] == got
+        assert t == fresh and hash(t) == hash(fresh)
+
+    def test_pole_in_one_triple_leaves_the_other(self):
+        # m = -1 puts the lower parameter 1 + m of F2 on the pole; F1 and
+        # the Kuipers check, which needs F1 only, are unaffected
+        t = LegendreTriple(k=1.5, m=-1.0, n=0.4)
+        with pytest.raises(DegenerateC):
+            generalized_solutions(t, 0.0, 0.0, classical_params(1.5), 0.3)
+        assert kuipers_reduction_check(t, -1.0, 1.0, 0.3) <= 1e-8
 
 
 class TestKuipersReduction:
@@ -181,6 +203,13 @@ class TestUniversalSum:
                 with pytest.raises(NoConvergence):
                     universal_sum(u, r)
 
+    def test_coefficients_past_the_float_range_typed(self):
+        # n_index = 180: math.factorial(180) does not convert to float
+        u = UniversalParams.from_degrees(ell=181.0, mprime=1.0)
+        for fn in (universal_sum, universal_sum_derivatives, universal_hypergeometric):
+            with pytest.raises(NoConvergence):
+                fn(u, 0.5)
+
     def test_moderate_degrees_accepted_and_accurate(self):
         # n_index <= 16 and |r| <= 0.95 pass the check, and what passes is
         # within the check's bound of a 40-digit oracle
@@ -195,21 +224,75 @@ class TestUniversalSum:
 
 
 def _universal_sum_mp(mpmath, u, r):
-    n = u.n_index
     with mpmath.workdps(40):
-        ell, x = mpmath.mpf(u.ell), mpmath.mpf(r)
-        poly = mpmath.fsum(
-            (-1) ** nu * mpmath.gamma(2 * ell - 2 * nu + 1) * x ** (n - 2 * nu)
-            / (2 ** ell * mpmath.factorial(nu) * mpmath.factorial(n - 2 * nu)
-               * mpmath.gamma(ell - nu + 1))
-            for nu in range(n // 2 + 1)
-        )
-        norm = mpmath.sqrt((2 * ell + 1) * mpmath.factorial(n)
-                           / (2 * mpmath.gamma(ell + u.mprime + 1)))
-        return float(norm * (1 - x * x) ** (mpmath.mpf(u.mprime) / 2) * poly)
+        return float(_universal_sum_at(mpmath, u, mpmath.mpf(r)))
+
+
+def _universal_sum_at(mpmath, u, x):
+    """The sum form at the working precision of the caller."""
+    n = u.n_index
+    ell = mpmath.mpf(u.ell)
+    poly = mpmath.fsum(
+        (-1) ** nu * mpmath.gamma(2 * ell - 2 * nu + 1) * x ** (n - 2 * nu)
+        / (2 ** ell * mpmath.factorial(nu) * mpmath.factorial(n - 2 * nu)
+           * mpmath.gamma(ell - nu + 1))
+        for nu in range(n // 2 + 1)
+    )
+    norm = mpmath.sqrt((2 * ell + 1) * mpmath.factorial(n)
+                       / (2 * mpmath.gamma(ell + u.mprime + 1)))
+    return norm * (1 - x * x) ** (mpmath.mpf(u.mprime) / 2) * poly
+
+
+class TestUniversalSumDerivatives:
+    def test_cancellation_raises(self):
+        # at ell 61, r = 0.8 the unchecked sums gave F = 388 for 0.918
+        u = UniversalParams.from_degrees(ell=61.0, mprime=1.0)
+        with pytest.raises(NoConvergence):
+            universal_sum_derivatives(u, 0.8)
+        with pytest.raises(NoConvergence):
+            universal_ode_residual(u, 0.8)
+
+    def test_moderate_degrees_accepted(self):
+        for n in range(17):
+            for mprime in (0.5, 1.0, 2.0, 2.5):
+                u = UniversalParams.from_degrees(ell=mprime + n, mprime=mprime)
+                for i in range(-19, 20):
+                    r = i * 0.05
+                    f, _, _ = universal_sum_derivatives(u, r)
+                    assert f == universal_sum(u, r)
+
+    def test_derivatives_against_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        for n in (0, 5, 16):
+            for mprime in (0.5, 2.5):
+                u = UniversalParams.from_degrees(ell=mprime + n, mprime=mprime)
+                for r in (-0.9, -0.3, 0.45, 0.8):
+                    got = universal_sum_derivatives(u, r)
+                    with mpmath.workdps(40):
+                        want = [mpmath.diff(lambda x: _universal_sum_at(mpmath, u, x),
+                                            mpmath.mpf(r), k) for k in range(3)]
+                    for g, w in zip(got, want):
+                        assert abs(g - w) <= 1e-8 * (1.0 + abs(w))
 
 
 class TestUniversalHypergeometric:
+    def test_cancellation_raises(self):
+        # the terminating series cancels as the degree grows: at r = 0.8 it
+        # was off by 2.7e-5 at ell 41 and had the wrong sign at ell 61
+        for ell in (41.0, 61.0):
+            u = UniversalParams.from_degrees(ell=ell, mprime=1.0)
+            with pytest.raises(NoConvergence):
+                universal_hypergeometric(u, 0.8)
+
+    def test_moderate_degrees_accepted(self):
+        for n in range(0, 17, 2):
+            for mprime in (0.5, 1.0, 2.0, 2.5):
+                u = UniversalParams.from_degrees(ell=mprime + n, mprime=mprime)
+                for i in range(-20, 21):
+                    s = universal_sum(u, i * 0.05)
+                    h = universal_hypergeometric(u, i * 0.05)
+                    assert abs(s - h) <= 1e-8 * (1.0 + abs(s))
+
     def test_reduces_to_single_term(self):
         # at n = 0 both forms are the bare weight times the same constant
         for mprime in (0.5, 1.0, 2.0):

@@ -283,6 +283,24 @@ class TestConnectionCheck:
         lhs, rhs = connection_check(p, mu1, mu2, 0.2)
         assert abs(lhs - rhs) <= 1e-10 * (1.0 + abs(lhs))
 
+    def test_terms_kept_per_exponents(self):
+        # the branches and coefficients are built once per (mu1, mu2, hat)
+        # and give what a fresh parameter pack gives
+        p, exps = draw_nondegenerate(SplitMix64(17))
+        fresh = lambda: OdeParams.from_dict(p.to_dict())
+        points = [p.xi1 + t * p.width for t in (0.2, 0.5, 0.8)]
+        for mu1 in exps.mu1.as_tuple():
+            for hat in (BranchId.HAT1, BranchId.HAT2, BranchId.HAT1):
+                got = [connection_check(p, mu1, exps.mu2.second, r, hat=hat) for r in points]
+                kept = vars(p)["_connection"]
+                assert [connection_check(p, mu1, exps.mu2.second, r, hat=hat)
+                        for r in points] == got
+                assert vars(p)["_connection"] is kept
+                q = fresh()
+                assert [connection_check(q, mu1, exps.mu2.second, r, hat=hat)
+                        for r in points] == got
+        assert p == fresh() and hash(p) == hash(fresh())
+
     def test_degenerate_sine(self):
         p = classical_params(2)
         with pytest.raises(DegenerateCase):

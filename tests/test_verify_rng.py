@@ -1,3 +1,5 @@
+import pytest
+
 from hyplegendre.rng import SplitMix64, draw_nondegenerate, draw_ode_params
 from hyplegendre.verify import SUITE_NAMES, run_all, run_suite
 
@@ -70,6 +72,12 @@ class TestVerifySuites:
 
     def test_single_suite(self):
         r = run_suite("duplication", seed=1, cases=30, tol=1e-11)
+        assert r.failed == 0
+
+    @pytest.mark.parametrize("cases", [100, 1000])
+    def test_sumform_passes_at_seed_42(self, cases):
+        # the closed form's cancellation check must leave n_index <= 10 alone
+        r = run_suite("sumform", seed=42, cases=cases, tol=1e-8)
         assert r.failed == 0
 
     def test_failure_counted(self):
