@@ -17,10 +17,10 @@ Examples:
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import sys
-from dataclasses import dataclass
 
 import click
 
@@ -32,10 +32,7 @@ from .errors import (
     DomainError,
     Error,
     InvalidParams,
-    NoConvergence,
     ParseError,
-    PoleError,
-    RootMismatch,
 )
 from .verify import SUITE_NAMES, run_all
 
@@ -44,16 +41,6 @@ EXIT_VERIFY_FAILED = 1
 EXIT_PARSE = 2
 EXIT_INVARIANT = 3
 EXIT_NUMERICAL = 4
-
-_NUMERICAL_ERRORS = (
-    DomainError,
-    PoleError,
-    NoConvergence,
-    DegenerateCase,
-    ComplexExponent,
-    RootMismatch,
-    ArithmeticError,  # float overflow or division by zero
-)
 
 
 def fmt17(x: float) -> str:
@@ -127,44 +114,12 @@ def _load_json_fields(path: str, keys: tuple[str, ...], int_keys: tuple[str, ...
 
 
 def load_ode_params(path: str) -> ode.OdeParams:
-    data = _load_json_fields(
-        path, ("a1", "b1", "a2", "b2", "a3", "b3", "c3", "lambda", "xi1", "xi2")
-    )
-    return ode.OdeParams.from_dict(data)
+    return ode.OdeParams.from_dict(_load_json_fields(path, ode._JSON_KEYS))
 
 
-def load_universal_params(path: str) -> lf.UniversalParams:
-    data = _load_json_fields(
-        path,
-        ("ell", "mprime", "a", "b", "c", "m", "lambda", "n_index"),
-        int_keys=("n_index",),
-    )
-    return lf.UniversalParams.from_dict(data)
-
-
-def load_legendre_triple(path: str) -> lf.LegendreTriple:
-    data = _load_json_fields(path, ("k", "m", "n"))
-    return lf.LegendreTriple.from_dict(data)
-
-
-@dataclass(frozen=True)
-class Grid:
-    start: float
-    stop: float
-    count: int
-
-    def __post_init__(self) -> None:
-        if not self.start < self.stop:
-            raise InvalidParams(f"grid start {self.start!r} must be below stop {self.stop!r}")
-        if self.count < 2:
-            raise InvalidParams("grid count must be at least 2")
-
-    def points(self) -> list[float]:
-        step = (self.stop - self.start) / (self.count - 1)
-        return [self.start + i * step for i in range(self.count)]
-
-
-def parse_grid(text: str) -> Grid:
+def parse_grid(text: str) -> list[float]:
+    """The count evenly spaced points of a start:stop:count grid; the last
+    one is stop itself, which start + (count-1)*step can miss by an ulp."""
     parts = text.split(":")
     if len(parts) != 3:
         raise ParseError(f"grid '{text}' must look like start:stop:count")
@@ -173,7 +128,12 @@ def parse_grid(text: str) -> Grid:
         count = int(parts[2])
     except ValueError as exc:
         raise ParseError(f"grid '{text}': {exc}") from exc
-    return Grid(start, stop, count)
+    if not start < stop:
+        raise InvalidParams(f"grid start {start!r} must be below stop {stop!r}")
+    if count < 2:
+        raise InvalidParams("grid count must be at least 2")
+    step = (stop - start) / (count - 1)
+    return [start + i * step for i in range(count - 1)] + [stop]
 
 
 def _pick_root(pair: ode.RootPair, which: str, label: str) -> float:
@@ -182,26 +142,26 @@ def _pick_root(pair: ode.RootPair, which: str, label: str) -> float:
     return pair.first if which == "lo" else pair.second
 
 
-def _run(ctx, body) -> None:
-    verbose = bool(ctx.obj and ctx.obj.get("verbose"))
-    try:
-        code = body()
-    except ParseError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        sys.exit(EXIT_PARSE)
-    except InvalidParams as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        sys.exit(EXIT_INVARIANT)
-    except _NUMERICAL_ERRORS as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        sys.exit(EXIT_NUMERICAL)
-    except Error as exc:  # any stray library error counts as numerical
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        sys.exit(EXIT_NUMERICAL)
-    else:
-        if verbose:
+def _run(command):
+    """Wrap a command: a library error or an ArithmeticError (float
+    overflow, division by zero) is one line on stderr and the exit code of
+    its class; otherwise the command's return value, or 0, is the exit code,
+    after 'done' on stderr under --verbose."""
+
+    @functools.wraps(command)
+    def run(**kwargs):
+        try:
+            code = command(**kwargs)
+        except (Error, ArithmeticError) as exc:
+            print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+            if isinstance(exc, ParseError):
+                sys.exit(EXIT_PARSE)
+            sys.exit(EXIT_INVARIANT if isinstance(exc, InvalidParams) else EXIT_NUMERICAL)
+        if click.get_current_context().find_root().params["verbose"]:
             print("done", file=sys.stderr)
         sys.exit(code if code is not None else EXIT_OK)
+
+    return run
 
 
 _FORMAT = click.option(
@@ -212,66 +172,47 @@ _BRANCHES = click.Choice([b.value for b in ode.BranchId] + ["all"])
 
 @click.group()
 @click.option("--verbose", is_flag=True, help="Progress notes on stderr.")
-@click.pass_context
-def main(ctx, verbose):
+def main(verbose):
     """Closed-form hypergeometric solutions of a generalized Legendre-type
     equation class, with residual and identity verification."""
-    ctx.ensure_object(dict)
-    ctx.obj["verbose"] = verbose
 
 
 @main.command()
+@_run
 @click.option("--params", "params_path", required=True, type=click.Path(),
               help="OdeParams JSON file.")
 @_FORMAT
-@click.pass_context
-def exponents(ctx, params_path, fmt):
+def exponents(params_path, fmt):
     """Indicial roots at both singular points and at infinity."""
-
-    def body():
-        p = load_ode_params(params_path)
-        exps = ode.indicial_exponents(p)
-        rows = []
-        for name, pair in (("mu1", exps.mu1), ("mu2", exps.mu2),
-                           ("mu_inf", exps.mu_inf)):
-            if pair.is_complex:
-                res1 = res2 = ode.root_residual(p, name, complex(*pair.as_tuple()))
-            else:
-                res1 = ode.root_residual(p, name, pair.first)
-                res2 = ode.root_residual(p, name, pair.second)
-            rows.append((name, pair.first, pair.second, pair.is_complex,
-                         res1, res2))
-        emit_table(
-            ["point", "root_lo", "root_hi", "complex", "residual_lo", "residual_hi"],
-            rows, fmt)
-
-    _run(ctx, body)
-
-
-def _selected_branches(branch_options: tuple[str, ...], default_all: bool) -> list[ode.BranchId]:
-    if not branch_options:
-        return list(ode.BranchId) if default_all else [ode.BranchId.HAT1]
-    if "all" in branch_options:
-        return list(ode.BranchId)
-    seen = []
-    for name in branch_options:
-        bid = ode.BranchId(name)
-        if bid not in seen:
-            seen.append(bid)
-    return seen
-
-
-def _roots_for(p: ode.OdeParams, mu1_root: str, mu2_root: str) -> tuple[float, float]:
+    p = load_ode_params(params_path)
     exps = ode.indicial_exponents(p)
-    return (_pick_root(exps.mu1, mu1_root, "mu1"),
-            _pick_root(exps.mu2, mu2_root, "mu2"))
+    rows = []
+    for name, pair in (("mu1", exps.mu1), ("mu2", exps.mu2),
+                       ("mu_inf", exps.mu_inf)):
+        if pair.is_complex:
+            res1 = res2 = ode.root_residual(p, name, complex(*pair.as_tuple()))
+        else:
+            res1 = ode.root_residual(p, name, pair.first)
+            res2 = ode.root_residual(p, name, pair.second)
+        rows.append((name, pair.first, pair.second, pair.is_complex,
+                     res1, res2))
+    emit_table(
+        ["point", "root_lo", "root_hi", "complex", "residual_lo", "residual_hi"],
+        rows, fmt)
 
 
-def _build_selected(p, mu1, mu2, branch_options, default_all):
-    """Build the requested branches; 'all' quietly drops degenerate ones,
-    explicitly named branches raise."""
-    wanted = _selected_branches(branch_options, default_all)
+def _build_selected(p, mu1_root, mu2_root, branch_options, default_all):
+    """The chosen indicial roots and the requested branches built on them;
+    'all' (or the default set) quietly drops degenerate branches,
+    explicitly named ones raise."""
+    exps = ode.indicial_exponents(p)
+    mu1 = _pick_root(exps.mu1, mu1_root, "mu1")
+    mu2 = _pick_root(exps.mu2, mu2_root, "mu2")
     explicit = bool(branch_options) and "all" not in branch_options
+    if explicit:
+        wanted = dict.fromkeys(map(ode.BranchId, branch_options))
+    else:
+        wanted = ode.BranchId if branch_options or default_all else [ode.BranchId.HAT1]
     built = []
     for bid in wanted:
         try:
@@ -281,7 +222,16 @@ def _build_selected(p, mu1, mu2, branch_options, default_all):
                 raise
     if not built:
         raise DegenerateCase("no branch is buildable for these exponents")
-    return built
+    return mu1, mu2, built
+
+
+def _grid_setup(params_path, grid_text, branches, mu1_root, mu2_root):
+    """The parameters, grid points and branches of eval and residual, read
+    in the order that decides which error is reported first."""
+    p = load_ode_params(params_path)
+    points = parse_grid(grid_text)
+    _, _, built = _build_selected(p, mu1_root, mu2_root, branches, default_all=False)
+    return p, points, built
 
 
 _MU1 = click.option("--mu1-root", type=click.Choice(["lo", "hi"]), default="hi",
@@ -291,36 +241,34 @@ _MU2 = click.option("--mu2-root", type=click.Choice(["lo", "hi"]), default="hi",
 
 
 @main.command()
+@_run
 @click.option("--params", "params_path", required=True, type=click.Path())
 @click.option("--branch", "branches", multiple=True, type=_BRANCHES,
               help="Branch to construct (repeatable); default all.")
 @_MU1
 @_MU2
 @_FORMAT
-@click.pass_context
-def solve(ctx, params_path, branches, mu1_root, mu2_root, fmt):
+def solve(params_path, branches, mu1_root, mu2_root, fmt):
     """Construct the closed-form branches and print their parameters."""
-
-    def body():
-        p = load_ode_params(params_path)
-        mu1, mu2 = _roots_for(p, mu1_root, mu2_root)
-        rows = []
-        for bid, br in _build_selected(p, mu1, mu2, branches, default_all=True):
-            degree = br.hyp.terminating_degree
-            rows.append((
-                bid.value, mu1, mu2, br.hyp.a, br.hyp.b, br.hyp.c,
-                br.extra_power, br.map.variant.value,
-                degree if degree is not None else "",
-            ))
-        emit_table(
-            ["branch", "mu1", "mu2", "a", "b", "c", "extra_power", "map",
-             "terminating_degree"],
-            rows, fmt)
-
-    _run(ctx, body)
+    p = load_ode_params(params_path)
+    mu1, mu2, built = _build_selected(p, mu1_root, mu2_root, branches,
+                                      default_all=True)
+    rows = []
+    for bid, br in built:
+        degree = br.hyp.terminating_degree
+        rows.append((
+            bid.value, mu1, mu2, br.hyp.a, br.hyp.b, br.hyp.c,
+            br.extra_power, br.map.variant.value,
+            degree if degree is not None else "",
+        ))
+    emit_table(
+        ["branch", "mu1", "mu2", "a", "b", "c", "extra_power", "map",
+         "terminating_degree"],
+        rows, fmt)
 
 
 @main.command(name="eval")
+@_run
 @click.option("--params", "params_path", required=True, type=click.Path())
 @click.option("--grid", "grid_text", required=True, help="start:stop:count")
 @click.option("--branch", "branches", multiple=True, type=_BRANCHES,
@@ -328,24 +276,18 @@ def solve(ctx, params_path, branches, mu1_root, mu2_root, fmt):
 @_MU1
 @_MU2
 @_FORMAT
-@click.pass_context
-def eval_cmd(ctx, params_path, grid_text, branches, mu1_root, mu2_root, fmt):
+def eval_cmd(params_path, grid_text, branches, mu1_root, mu2_root, fmt):
     """Evaluate solution branches on a grid."""
-
-    def body():
-        p = load_ode_params(params_path)
-        grid = parse_grid(grid_text)
-        mu1, mu2 = _roots_for(p, mu1_root, mu2_root)
-        built = _build_selected(p, mu1, mu2, branches, default_all=False)
-        rows = []
-        for r in grid.points():
-            rows.append((r, *(ode.evaluate(br, r) for _, br in built)))
-        emit_table(["r"] + [bid.value for bid, _ in built], _finite(rows), fmt)
-
-    _run(ctx, body)
+    _, points, built = _grid_setup(params_path, grid_text, branches,
+                                   mu1_root, mu2_root)
+    rows = []
+    for r in points:
+        rows.append((r, *(ode.evaluate(br, r) for _, br in built)))
+    emit_table(["r"] + [bid.value for bid, _ in built], _finite(rows), fmt)
 
 
 @main.command()
+@_run
 @click.option("--params", "params_path", required=True, type=click.Path())
 @click.option("--grid", "grid_text", required=True, help="start:stop:count")
 @click.option("--branch", "branches", multiple=True, type=_BRANCHES,
@@ -353,25 +295,18 @@ def eval_cmd(ctx, params_path, grid_text, branches, mu1_root, mu2_root, fmt):
 @_MU1
 @_MU2
 @_FORMAT
-@click.pass_context
-def residual(ctx, params_path, grid_text, branches, mu1_root, mu2_root, fmt):
+def residual(params_path, grid_text, branches, mu1_root, mu2_root, fmt):
     """Per-point normalized equation residuals of a branch, plus the max."""
-
-    def body():
-        p = load_ode_params(params_path)
-        grid = parse_grid(grid_text)
-        mu1, mu2 = _roots_for(p, mu1_root, mu2_root)
-        built = _build_selected(p, mu1, mu2, branches, default_all=False)
-        rows = []
-        worst = [0.0] * len(built)
-        for r in grid.points():
-            vals = [ode.residual(br, p, r) for _, br in built]
-            worst = [max(w, v) for w, v in zip(worst, vals)]
-            rows.append((r, *vals))
-        rows.append(("max", *worst))
-        emit_table(["r"] + [bid.value for bid, _ in built], _finite(rows), fmt)
-
-    _run(ctx, body)
+    p, points, built = _grid_setup(params_path, grid_text, branches,
+                                   mu1_root, mu2_root)
+    rows = []
+    worst = [0.0] * len(built)
+    for r in points:
+        vals = [ode.residual(br, p, r) for _, br in built]
+        worst = [max(w, v) for w, v in zip(worst, vals)]
+        rows.append((r, *vals))
+    rows.append(("max", *worst))
+    emit_table(["r"] + [bid.value for bid, _ in built], _finite(rows), fmt)
 
 
 @main.group()
@@ -380,6 +315,7 @@ def legendre():
 
 
 @legendre.command()
+@_run
 @click.option("--params", "params_path", type=click.Path(),
               help="UniversalParams JSON file (overrides the flags below).")
 @click.option("--ell", type=float, help="Total degree.")
@@ -390,27 +326,24 @@ def legendre():
               help="Magnetic-type coefficient; defaults to mprime.")
 @click.option("--grid", "grid_text", required=True, help="start:stop:count")
 @_FORMAT
-@click.pass_context
-def universal(ctx, params_path, ell, mprime, a_coef, c_coef, m_coef,
+def universal(params_path, ell, mprime, a_coef, c_coef, m_coef,
               grid_text, fmt):
     """Universal polynomial family values on a grid."""
-
-    def body():
-        grid = parse_grid(grid_text)
-        if params_path is not None:
-            u = load_universal_params(params_path)
-        else:
-            if ell is None or mprime is None:
-                raise ParseError("give either --params or both --ell and --mprime")
-            u = lf.UniversalParams.from_degrees(
-                ell=ell, mprime=mprime, a=a_coef, c=c_coef, m=m_coef)
-        rows = [(r, lf.universal_sum(u, r)) for r in grid.points()]
-        emit_table(["r", "value"], _finite(rows), fmt)
-
-    _run(ctx, body)
+    points = parse_grid(grid_text)
+    if params_path is not None:
+        u = lf.UniversalParams.from_dict(_load_json_fields(
+            params_path, lf._UNIVERSAL_KEYS, int_keys=("n_index",)))
+    else:
+        if ell is None or mprime is None:
+            raise ParseError("give either --params or both --ell and --mprime")
+        u = lf.UniversalParams.from_degrees(
+            ell=ell, mprime=mprime, a=a_coef, c=c_coef, m=m_coef)
+    rows = [(r, lf.universal_sum(u, r)) for r in points]
+    emit_table(["r", "value"], _finite(rows), fmt)
 
 
 @legendre.command()
+@_run
 @click.option("--params", "params_path", type=click.Path(),
               help="LegendreTriple JSON file (overrides --k/--m/--n).")
 @click.option("--k", "k_deg", type=float)
@@ -420,34 +353,31 @@ def universal(ctx, params_path, ell, mprime, a_coef, c_coef, m_coef,
 @click.option("--xi2", type=float, default=1.0, show_default=True)
 @click.option("--grid", "grid_text", required=True, help="start:stop:count")
 @_FORMAT
-@click.pass_context
-def generalized(ctx, params_path, k_deg, m_ord, n_ord, xi1, xi2, grid_text, fmt):
+def generalized(params_path, k_deg, m_ord, n_ord, xi1, xi2, grid_text, fmt):
     """Generalized two-order family (both solutions) on a grid.
 
     Uses the standard exponent choice mu1 = n/2, mu2 = -m/2.
     """
-
-    def body():
-        grid = parse_grid(grid_text)
-        if params_path is not None:
-            t = load_legendre_triple(params_path)
-        else:
-            if k_deg is None or m_ord is None or n_ord is None:
-                raise ParseError("give either --params or all of --k, --m, --n")
-            t = lf.LegendreTriple(k=k_deg, m=m_ord, n=n_ord)
-        p = ode.OdeParams(a1=-2.0, b1=0.0, a2=0.0, b2=0.0, a3=0.0, b3=0.0,
-                          c3=0.0, lam=t.k * (t.k + 1.0), xi1=xi1, xi2=xi2)
-        mu1, mu2 = t.n / 2.0, -t.m / 2.0
-        rows = []
-        for r in grid.points():
-            f1, f2 = lf.generalized_solutions(t, mu1, mu2, p, r)
-            rows.append((r, f1, f2))
-        emit_table(["r", "f1", "f2"], _finite(rows), fmt)
-
-    _run(ctx, body)
+    points = parse_grid(grid_text)
+    if params_path is not None:
+        t = lf.LegendreTriple.from_dict(
+            _load_json_fields(params_path, ("k", "m", "n")))
+    else:
+        if k_deg is None or m_ord is None or n_ord is None:
+            raise ParseError("give either --params or all of --k, --m, --n")
+        t = lf.LegendreTriple(k=k_deg, m=m_ord, n=n_ord)
+    p = ode.OdeParams(a1=-2.0, b1=0.0, a2=0.0, b2=0.0, a3=0.0, b3=0.0,
+                      c3=0.0, lam=t.k * (t.k + 1.0), xi1=xi1, xi2=xi2)
+    mu1, mu2 = t.n / 2.0, -t.m / 2.0
+    rows = []
+    for r in points:
+        f1, f2 = lf.generalized_solutions(t, mu1, mu2, p, r)
+        rows.append((r, f1, f2))
+    emit_table(["r", "f1", "f2"], _finite(rows), fmt)
 
 
 @main.command()
+@_run
 @click.option("--seed", type=int, default=42, show_default=True,
               help="Base seed of the SplitMix64 case generator.")
 @click.option("--cases", type=int, default=100, show_default=True,
@@ -458,23 +388,18 @@ def generalized(ctx, params_path, k_deg, m_ord, n_ord, xi1, xi2, grid_text, fmt)
               type=click.Choice(list(SUITE_NAMES)),
               help="Run only the named suites (repeatable).")
 @_FORMAT
-@click.pass_context
-def verify(ctx, seed, cases, tol, suites, fmt):
+def verify(seed, cases, tol, suites, fmt):
     """Seeded property suites; exits 0 only if every case passes."""
-
-    def body():
-        if cases < 1:
-            raise InvalidParams("cases must be at least 1")
-        if not tol > 0.0:
-            raise InvalidParams("tol must be positive")
-        chosen = tuple(suites) if suites else SUITE_NAMES
-        results = run_all(seed=seed, cases=cases, tol=tol, suites=chosen)
-        rows = [(r.name, r.cases, r.passed, r.failed, r.max_err)
-                for r in results]
-        emit_table(["suite", "cases", "passed", "failed", "max_err"], rows, fmt)
-        return EXIT_OK if all(r.failed == 0 for r in results) else EXIT_VERIFY_FAILED
-
-    _run(ctx, body)
+    if cases < 1:
+        raise InvalidParams("cases must be at least 1")
+    if not tol > 0.0:
+        raise InvalidParams("tol must be positive")
+    chosen = tuple(suites) if suites else SUITE_NAMES
+    results = run_all(seed=seed, cases=cases, tol=tol, suites=chosen)
+    rows = [(r.name, r.cases, r.passed, r.failed, r.max_err)
+            for r in results]
+    emit_table(["suite", "cases", "passed", "failed", "max_err"], rows, fmt)
+    return EXIT_OK if all(r.failed == 0 for r in results) else EXIT_VERIFY_FAILED
 
 
 if __name__ == "__main__":

@@ -245,7 +245,6 @@ def build_branch(
     mu1: float,
     mu2: float,
     branch_id: BranchId,
-    pole_tol: float = DEFAULT_POLE_TOL,
 ) -> SolutionBranch:
     """Assemble one of the four closed-form branches for the chosen exponents.
 
@@ -270,7 +269,7 @@ def build_branch(
         extra = 1.0 - c_breve
         a, b, c = lo - c_breve + 1.0, hi - c_breve + 1.0, 2.0 - c_breve
         variant = MapVariant.MAP_II
-    if branch_id.is_second_kind and abs(extra) <= pole_tol:
+    if branch_id.is_second_kind and abs(extra) <= DEFAULT_POLE_TOL:
         raise DegenerateC(
             f"{branch_id.value} coincides with its first-kind sibling (c = 1)"
         )

@@ -37,7 +37,7 @@ class SuiteResult:
     max_err: float
 
 
-def _connection_case(rng: SplitMix64, tol: float, hat: ode.BranchId) -> float:
+def _connection_case(rng: SplitMix64, hat: ode.BranchId) -> float:
     p, exps = draw_nondegenerate(rng)
     mu1, mu2 = exps.mu1.second, exps.mu2.second
     worst = 0.0
@@ -48,7 +48,7 @@ def _connection_case(rng: SplitMix64, tol: float, hat: ode.BranchId) -> float:
     return worst
 
 
-def _pfaff_case(rng: SplitMix64, tol: float) -> float:
+def _pfaff_case(rng: SplitMix64) -> float:
     a = rng.uniform(-3.0, 3.0)
     b = rng.uniform(-3.0, 3.0)
     c = rng.uniform(0.3, 3.5)
@@ -60,14 +60,14 @@ def _pfaff_case(rng: SplitMix64, tol: float) -> float:
     return abs(direct - transformed) / (1.0 + abs(direct))
 
 
-def _duplication_case(rng: SplitMix64, tol: float) -> float:
+def _duplication_case(rng: SplitMix64) -> float:
     x = rng.uniform(0.5, 10.0)
     lhs = hg.gamma(2.0 * x)
     rhs = 2.0 ** (2.0 * x - 1.0) * hg.gamma(x) * hg.gamma(x + 0.5) / _SQRT_PI
     return abs(lhs - rhs) / abs(lhs)
 
 
-def _sumform_case(rng: SplitMix64, tol: float) -> float:
+def _sumform_case(rng: SplitMix64) -> float:
     mprime = (0.5, 1.0, 1.5, 2.0)[rng.index(4)]
     n = 2 * rng.index(6)
     u = lf.UniversalParams.from_degrees(ell=mprime + n, mprime=mprime)
@@ -82,7 +82,7 @@ def _sumform_case(rng: SplitMix64, tol: float) -> float:
     return worst_abs / max(scale, 1e-30)
 
 
-def _kuipers_case(rng: SplitMix64, tol: float) -> float:
+def _kuipers_case(rng: SplitMix64) -> float:
     t = lf.LegendreTriple(
         k=rng.uniform(0.2, 3.5),
         m=rng.uniform(-0.85, 0.85),
@@ -98,8 +98,8 @@ def _kuipers_case(rng: SplitMix64, tol: float) -> float:
 
 
 _CASE_RUNNERS = {
-    "connection": lambda rng, tol: _connection_case(rng, tol, ode.BranchId.HAT1),
-    "connection2": lambda rng, tol: _connection_case(rng, tol, ode.BranchId.HAT2),
+    "connection": lambda rng: _connection_case(rng, ode.BranchId.HAT1),
+    "connection2": lambda rng: _connection_case(rng, ode.BranchId.HAT2),
     "pfaff": _pfaff_case,
     "duplication": _duplication_case,
     "sumform": _sumform_case,
@@ -115,7 +115,7 @@ def run_suite(name: str, seed: int, cases: int, tol: float) -> SuiteResult:
     passed = failed = 0
     max_err = 0.0
     for _ in range(cases):
-        err = runner(rng, tol)
+        err = runner(rng)
         max_err = max(max_err, err)
         if err <= tol:
             passed += 1

@@ -1,4 +1,5 @@
 import json
+import operator
 import subprocess
 import sys
 
@@ -35,10 +36,20 @@ def classical_file(tmp_path):
 
 class TestGridParsing:
     def test_round_trip(self):
-        g = parse_grid("-0.9:0.9:19")
-        pts = g.points()
+        pts = parse_grid("-0.9:0.9:19")
         assert len(pts) == 19
         assert pts[0] == -0.9 and pts[-1] == 0.9
+
+    @pytest.mark.parametrize("start, stop", [(-1.0, 1.0), (0.2, 1.0), (-1.2, 0.9)])
+    def test_end_points_exact(self, start, stop):
+        # start + (count-1)*step misses stop for 286 of these counts on
+        # (-1, 1), e.g. -1:1:50 ends at 0.9999999999999998, and for all of
+        # them on (-1.2, 0.9), where stop - start rounds down
+        for count in range(2, 3001):
+            pts = parse_grid(f"{start!r}:{stop!r}:{count}")
+            assert len(pts) == count
+            assert pts[0] == start and pts[-1] == stop
+            assert all(map(operator.lt, pts, pts[1:]))
 
     def test_malformed(self):
         with pytest.raises(ParseError):
@@ -143,6 +154,14 @@ class TestEvalCommand:
         assert len(rows) == 5
         assert set(rows[0]) == {"r", "hat1"}
 
+    def test_verbose(self, classical_file):
+        args = ("eval", "--params", classical_file, "--grid", "-0.5:0.5:3",
+                "--format", "csv")
+        quiet, verbose = run_cli(*args), run_cli("--verbose", *args)
+        assert quiet.returncode == verbose.returncode == 0
+        assert verbose.stderr == "done\n"
+        assert verbose.stdout == quiet.stdout
+
 
 class TestNonFiniteValues:
     # mu1 = -600 on the lo root: the edge prefactor leaves the float range
@@ -217,6 +236,16 @@ class TestLegendreCommands:
         lines = res.stdout.strip().split("\n")
         assert lines[0] == "r,value"
         assert len(lines) == 20  # header + 19 rows
+
+    def test_universal_grid_ends_on_its_end_point(self):
+        # the last point of 0.2:1:12 used to be 1.0000000000000002, outside
+        # the domain [-1, 1]
+        res = run_cli("legendre", "universal", "--ell", "3", "--mprime", "1",
+                      "--grid", "0.2:1:12", "--format", "csv")
+        assert res.returncode == 0, res.stderr
+        lines = res.stdout.strip().split("\n")
+        assert len(lines) == 13
+        assert lines[-1].split(",")[0] == "1"
 
     def test_universal_params_file(self, tmp_path):
         path = tmp_path / "u.json"
