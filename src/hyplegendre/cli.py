@@ -42,6 +42,8 @@ EXIT_PARSE = 2
 EXIT_INVARIANT = 3
 EXIT_NUMERICAL = 4
 
+_MAX_GRID_POINTS = 1_000_000  # every row is built before any is printed
+
 
 def fmt17(x: float) -> str:
     """17 significant digits: enough to round-trip any double."""
@@ -119,7 +121,8 @@ def load_ode_params(path: str) -> ode.OdeParams:
 
 def parse_grid(text: str) -> list[float]:
     """The count evenly spaced points of a start:stop:count grid; the last
-    one is stop itself, which start + (count-1)*step can miss by an ulp."""
+    one is stop itself, which start + (count-1)*step can miss by an ulp.
+    The step must be finite and count at most _MAX_GRID_POINTS."""
     parts = text.split(":")
     if len(parts) != 3:
         raise ParseError(f"grid '{text}' must look like start:stop:count")
@@ -130,9 +133,11 @@ def parse_grid(text: str) -> list[float]:
         raise ParseError(f"grid '{text}': {exc}") from exc
     if not start < stop:
         raise InvalidParams(f"grid start {start!r} must be below stop {stop!r}")
-    if count < 2:
-        raise InvalidParams("grid count must be at least 2")
+    if not 2 <= count <= _MAX_GRID_POINTS:
+        raise InvalidParams(f"grid count must be from 2 to {_MAX_GRID_POINTS}, got {count}")
     step = (stop - start) / (count - 1)
+    if not math.isfinite(step):  # an infinite end, or stop - start past the float range
+        raise InvalidParams(f"grid '{text}' has no finite step")
     return [start + i * step for i in range(count - 1)] + [stop]
 
 

@@ -65,8 +65,9 @@ class Hyp2F1:
 
     What depends on the triple alone is built on first use and kept in the
     instance __dict__, where equality and hashing, which compare the fields
-    only, never see it: the shifted and Pfaff triples, the connection plan,
-    and the memo of series coefficients c_k = (a)_k (b)_k / ((c)_k k!).
+    only, never see it: the shifted and Pfaff triples, the plan of its
+    Kummer set, and the memo of series coefficients
+    c_k = (a)_k (b)_k / ((c)_k k!).
     The memo is an array('d') that every summation reads and extends in the
     same pass; it holds at most max_terms + 1 entries of the configuration
     that grew it, and it is replaced, never mutated, so callers sharing an
@@ -104,55 +105,117 @@ class Hyp2F1:
         a, b = (self.a, self.b) if self.a <= self.b else (self.b, self.a)
         return Hyp2F1(a, self.c - b, self.c)
 
-    def _connection_plan(self, pole_tol: float) -> "_ConnectionPlan":
-        """The z-independent half of the connection formula, built on first
-        use and kept for the pole_tol it was built with.  Callers racing on
-        one instance may each build a plan; each uses its own.
+    def _connection_plan(self, pole_tol: float) -> "_KummerPlan":
+        """The plan of this triple's Kummer set, built on first use and kept
+        for the pole_tol it was built with.  Callers racing on one instance
+        may each build a plan; each uses its own.
         """
         plan = self.__dict__.get("_plan")
         if plan is None or plan.pole_tol != pole_tol:
-            plan = self.__dict__["_plan"] = _ConnectionPlan(self, pole_tol)
+            # not handed self as w1's triple: a reference cycle would leave
+            # every instance to the cyclic garbage collector
+            plan = self.__dict__["_plan"] = _KummerPlan(self.a, self.b, self.c, pole_tol)
         return plan
 
 
-class _ConnectionPlan:
-    """Triples and coefficients of the linear connection formula (DLMF 15.8.4):
+class _KummerPlan:
+    """Kummer's four solutions of the hypergeometric equation of one triple
+    (a, b; c) on 0 < z < 1, with w = 1 - z (DLMF 15.10.11-14):
 
-        sin(pi cab)/pi * 2F1(a,b;c;z) = G(c) [ near_coef F_near(w)
-                                              - w^cab far_coef F_far(w) ]
+        w1 = F(a,b;c;z)             w2 = z^(1-c) F(a-c+1,b-c+1;2-c;z)
+        w3 = F(a,b;a+b-c+1;w)       w4 = w^(c-a-b) F(c-a,c-b;c-a-b+1;w)
 
-    with w = 1-z, cab = c-a-b, F_near = 2F1(a,b;a+b-c+1;w) and
-    F_far = 2F1(c-a,c-b;cab+1;w).  Reciprocal gammas make a coefficient
-    with a pole vanish cleanly; a coefficient past the float range raises
-    DomainError.  A plain slotted class: a dataclass here would add
-    milliseconds to the package import.
+    and the rows that connect the two sides (DLMF 15.10.21-22 and their
+    inverses), each in the reciprocal-gamma form of DLMF 15.8.4:
+
+        w_k = pi/sin(pi x) * G(c_k) * (alpha_k u - beta_k v)
+
+    over the pair (u, v) = (w3, w4) for k = 1, 2 and (w1, w2) for k = 3, 4,
+    where x is c-a-b or 1-c, c_k is the lower parameter of w_k and alpha_k,
+    beta_k are products of three reciprocal gammas, so a term with a pole in
+    its coefficient drops out cleanly.  The row of w1 is hyp2f1's
+    connection formula.
+
+    Every member triple, power and coefficient is formed from the one float
+    triple, taken with a <= b so that the a<->b symmetry holds bitwise: near
+    an integer x a row cancels to the accuracy of its series only when both
+    come from the same floats.  Triples and rows are built on first use and
+    kept.  One that cannot be built raises each time it is asked for:
+    DegenerateCase for an integer x, DomainError for a coefficient past the
+    float range, PoleError for a lower parameter at a pole.  A plain slotted
+    class: a dataclass here would add milliseconds to the package import.
     """
 
-    __slots__ = ("pole_tol", "near", "far", "near_coef", "far_coef",
-                 "gamma_c", "cab", "pi_over_sin")
+    __slots__ = ("pole_tol", "abc", "powers", "_given_cab", "_triples", "_rows")
 
-    def __init__(self, p: Hyp2F1, pole_tol: float) -> None:
-        # ordered parameters keep the a<->b symmetry bitwise
-        a, b, c = (p.a, p.b, p.c) if p.a <= p.b else (p.b, p.a, p.c)
-        cab = c - a - b
-        if _dist_to_int(cab) <= pole_tol:
-            raise DegenerateCase(
-                f"connection formula degenerate: c-a-b={cab!r} is an integer"
-            )
+    def __init__(self, a: float, b: float, c: float, pole_tol: float,
+                 first: Hyp2F1 | None = None) -> None:
+        self._given_cab = c - a - b  # the sine of hyp2f1's route takes it as given
+        if a > b:
+            a, b = b, a
         self.pole_tol = pole_tol
-        self.near = Hyp2F1(a, b, a + b - c + 1.0)
-        self.far = Hyp2F1(c - a, c - b, cab + 1.0)
-        self.near_coef = rgamma(c - a, pole_tol) * rgamma(c - b, pole_tol) \
-            * rgamma(a + b - c + 1.0, pole_tol)
-        self.far_coef = rgamma(a, pole_tol) * rgamma(b, pole_tol) \
-            * rgamma(cab + 1.0, pole_tol)
-        self.gamma_c = gamma(c, pole_tol)
-        if not (math.isfinite(self.near_coef) and math.isfinite(self.far_coef)
-                and math.isfinite(self.gamma_c)):
-            raise DomainError(f"connection coefficients of {p} leave the float range")
-        self.cab = cab
-        # pi/sin(pi(c-a-b)) from the triple as given
-        self.pi_over_sin = math.pi / math.sin(math.pi * (p.c - p.a - p.b))
+        self.abc = (a, b, c)
+        self.powers = (0.0, 1.0 - c, 0.0, c - a - b)  # w_k = x^powers[k] F(triple k; x)
+        # filled in on first use, each entry once: racing callers may each
+        # build one, all alike; first is the caller's own w1 triple, if any
+        self._triples = [first, None, None, None]
+        self._rows = [None, None, None, None]
+
+    def triple(self, k: int) -> Hyp2F1:
+        t = self._triples[k]
+        if t is None:
+            a, b, c = self.abc
+            # the w-side triples list their upper parameters in the order of
+            # the breve branches, which only the Gauss point z = 1 tells apart
+            if k == 2:
+                t = Hyp2F1(b, a, a + b - c + 1.0)
+            elif k == 3:
+                t = Hyp2F1(c - b, c - a, self.powers[3] + 1.0)
+            elif k == 1:
+                t = Hyp2F1(a - c + 1.0, b - c + 1.0, 2.0 - c)
+            else:
+                t = Hyp2F1(a, b, c)
+            self._triples[k] = t
+        return t
+
+    def row(self, k: int) -> tuple:
+        """(pi/sin(pi x), G(c_k), alpha_k, beta_k, u, v, e) of member k's
+        row: its coefficients, the triples of the pair it is formed over,
+        and the power x^e of the pair's second member."""
+        row = self._rows[k]
+        if row is None:
+            row = self._rows[k] = self._build_row(k)
+        return row
+
+    def _build_row(self, k: int) -> tuple:
+        a, b, c = self.abc
+        cab = self.powers[3]
+        x = cab if k < 2 else self.powers[1]
+        if _dist_to_int(x) <= self.pole_tol:
+            name = "c-a-b" if k < 2 else "1-c"
+            raise DegenerateCase(f"connection formula degenerate: {name}={x!r} is an integer")
+        i = 0 if k > 1 else 2
+        u, v = self.triple(i), self.triple(i + 1)
+        # c_k, then alpha = 1/(G(c_k-a_k) G(c_k-b_k) G(c_u)) and
+        # beta = 1/(G(a_k) G(b_k) G(c_v)) by their upper arguments
+        if k == 0:
+            ck, al1, al2, be1, be2 = c, c - a, c - b, a, b
+        elif k == 1:
+            ck, al1, al2, be1, be2 = 2.0 - c, 1.0 - b, 1.0 - a, a - c + 1.0, b - c + 1.0
+        elif k == 2:
+            ck, al1, al2, be1, be2 = a + b - c + 1.0, b - c + 1.0, a - c + 1.0, a, b
+        else:
+            ck, al1, al2, be1, be2 = cab + 1.0, 1.0 - a, 1.0 - b, c - a, c - b
+        tol = self.pole_tol
+        alpha = rgamma(al1, tol) * rgamma(al2, tol) * rgamma(u.c, tol)
+        beta = rgamma(be1, tol) * rgamma(be2, tol) * rgamma(v.c, tol)
+        gk = gamma(ck, tol)
+        if not (math.isfinite(alpha) and math.isfinite(beta) and math.isfinite(gk)):
+            raise DomainError(
+                f"connection coefficients of ({a}, {b}; {c}) leave the float range")
+        sine_arg = self._given_cab if k < 2 else x
+        return (math.pi / math.sin(math.pi * sine_arg), gk, alpha, beta,
+                u, v, self.powers[i + 1])
 
 
 def pochhammer(x: float, n: int) -> float:
@@ -345,33 +408,77 @@ def _series_magnitude(p: Hyp2F1, z: float) -> float:
     return total
 
 
-def _connection(plan: _ConnectionPlan, z: float, cfg: EvalConfig) -> float:
-    """sin(pi(c-a-b))/pi * 2F1(a,b;c;z) for 0 < z < 1, from the 1-z side."""
+def _connection(row: tuple, z: float, cfg: EvalConfig) -> float:
+    """sin(pi(c-a-b))/pi * 2F1(a,b;c;z) for 0 < z < 1 from the 1-z side:
+    the row of w1 without its pi/sin factor."""
+    _, gamma_c, alpha, beta, near, far, cab = row
     w = 1.0 - z
-    near = plan.near_coef * hyp2f1(plan.near, w, cfg)
-    far = w ** plan.cab * plan.far_coef * hyp2f1(plan.far, w, cfg)
-    return plan.gamma_c * (near - far)
+    return gamma_c * (alpha * hyp2f1(near, w, cfg) - w ** cab * beta * hyp2f1(far, w, cfg))
 
 
-def _connection_jet(
-    plan: _ConnectionPlan, z: float, cfg: EvalConfig
+def _power_jet(
+    h: tuple[float, float, float], x: float, e: float
 ) -> tuple[float, float, float]:
-    """(F, F', F'') at 0.5 < z < 1 from one series per side in w = 1-z:
-    the product rule for w^cab, and a sign flip per order for dw/dz = -1."""
-    w = 1.0 - z  # below 0.5: both sides are plain series
-    n0, n1, n2 = _jet(plan.near, w, cfg, plan.near.terminating_degree)
-    r0, r1, r2 = _jet(plan.far, w, cfg, plan.far.terminating_degree)
-    cab = plan.cab
-    p0 = w ** cab
-    p1 = cab * p0 / w
-    p2 = (cab - 1.0) * p1 / w
-    nc, fc = plan.near_coef, plan.far_coef
-    # F is assembled as in _connection and hyp2f1
-    f = plan.pi_over_sin * (plan.gamma_c * (nc * n0 - p0 * fc * r0))
-    g1 = nc * n1 - fc * (p1 * r0 + p0 * r1)
-    g2 = nc * n2 - fc * (p2 * r0 + 2.0 * p1 * r1 + p0 * r2)
-    scale = plan.pi_over_sin * plan.gamma_c
-    return f, -scale * g1, scale * g2
+    """The jet in x of x^e f from the jet h of f, by the product rule."""
+    h0, h1, h2 = h
+    xe = x ** e
+    return (xe * h0, e * x ** (e - 1.0) * h0 + xe * h1,
+            e * (e - 1.0) * x ** (e - 2.0) * h0 + 2.0 * e * x ** (e - 1.0) * h1 + xe * h2)
+
+
+_UNKNOWN = (None, None, None, None)  # no member of a Kummer set summed yet
+
+
+def _kummer(
+    plan: _KummerPlan, k: int, z: float, w: float, cfg: EvalConfig,
+    known: tuple, jet: bool,
+) -> tuple:
+    """Member k (0 to 3 for w1 to w4) of the Kummer set of plan at one point,
+    as a value or as a jet (F, F', F'') in z, and the point's known members.
+
+    w = 1 - z is given apart, so that a caller can form both from its own
+    variable without a cancellation.  A member is summed on its own
+    variable when that is at most 0.5, when its series terminates, or at
+    the end point 1 (the routes and errors of hyp2f1 and _hyp2f1_jet);
+    otherwise it is its row over the pair on the other side.  Away from
+    z = 0.5 the two members summed on the near side give all four.  `known`
+    holds the members summed at this point so far (None where none is),
+    and is returned as a new tuple when a member is added.
+    """
+    x = w if k > 1 else z
+    if _SERIES_SPLIT < x < 1.0 and plan.triple(k).terminating_degree is None:
+        s, g, alpha, beta, _, _, _ = plan.row(k)
+        i = 0 if k > 1 else 2
+        for m in (i, i + 1):
+            if known[m] is None:
+                known = known[:m] + (_kummer_summed(plan, m, z, w, cfg, jet),) + known[m + 1:]
+        u, v = known[i], known[i + 1]
+        if jet:
+            return (s * (g * (alpha * u[0] - beta * v[0])),
+                    s * (g * (alpha * u[1] - beta * v[1])),
+                    s * (g * (alpha * u[2] - beta * v[2]))), known
+        return s * (g * (alpha * u - beta * v)), known
+    member = known[k]
+    if member is None:
+        member = _kummer_summed(plan, k, z, w, cfg, jet)
+        known = known[:k] + (member,) + known[k + 1:]
+    return member, known
+
+
+def _kummer_summed(
+    plan: _KummerPlan, k: int, z: float, w: float, cfg: EvalConfig, jet: bool
+):
+    """Member k from its own series and power; a jet in w turns into one in
+    z by a sign flip of the first derivative."""
+    x = w if k > 1 else z
+    t, e = plan.triple(k), plan.powers[k]
+    if not jet:
+        f = hyp2f1(t, x, cfg)
+        return f * x ** e if e != 0.0 else f
+    h = _hyp2f1_jet(t, x, cfg)
+    if e != 0.0:
+        h = _power_jet(h, x, e)
+    return (h[0], -h[1], h[2]) if k > 1 else h
 
 
 def hyp2f1(p: Hyp2F1, z: float, cfg: EvalConfig = DEFAULT_CONFIG) -> float:
@@ -390,8 +497,8 @@ def hyp2f1(p: Hyp2F1, z: float, cfg: EvalConfig = DEFAULT_CONFIG) -> float:
     if abs(z) <= _SERIES_SPLIT:
         return _series(p, z, cfg, None)
     if _SERIES_SPLIT < z < 1.0:
-        plan = p._connection_plan(cfg.pole_tol)
-        return plan.pi_over_sin * _connection(plan, z, cfg)
+        row = p._connection_plan(cfg.pole_tol).row(0)
+        return row[0] * _connection(row, z, cfg)
     if -1.0 < z < -_SERIES_SPLIT:
         # 2F1(a,b;c;z) = (1-z)^(-a) 2F1(a, c-b; c; z/(z-1))
         q = p._pfaff
@@ -416,9 +523,9 @@ def _hyp2f1_jet(
     """(F, F', F'') of 2F1(a,b;c;z), one series pass per side.
 
     Covers what a solution branch reaches: terminating series at any finite
-    z, and otherwise the direct series for |z| <= 0.5, the connection
-    formula for 0.5 < z < 1, and z = 1 itself, which z(r) rounds to next to
-    an end point (Gauss's closed form per order, so c-a-b > 2 is needed).
+    z, and otherwise the direct series for |z| <= 0.5, the row of w1 in the
+    Kummer set for 0.5 < z < 1, and z = 1 itself, which z(r) rounds to next
+    to an end point (Gauss's closed form per order, so c-a-b > 2 is needed).
     Any other z raises DomainError.
     """
     if not math.isfinite(z):
@@ -428,7 +535,7 @@ def _hyp2f1_jet(
     if abs(z) <= _SERIES_SPLIT:
         return _jet(p, z, cfg, None)
     if _SERIES_SPLIT < z < 1.0:
-        return _connection_jet(p._connection_plan(cfg.pole_tol), z, cfg)
+        return _kummer(p._connection_plan(cfg.pole_tol), 0, z, 1.0 - z, cfg, _UNKNOWN, True)[0]
     if z == 1.0:
         return (hyp2f1(p, z, cfg), hyp2f1_derivative(p, z, cfg),
                 p.a * p.b / p.c * hyp2f1_derivative(p._shifted, z, cfg))
@@ -450,10 +557,10 @@ def connection_15_8_4(p: Hyp2F1, z: float, cfg: EvalConfig = DEFAULT_CONFIG) -> 
     Verification partner of the direct evaluation; raises DegenerateCase
     when c-a-b is an integer (logarithmic case, out of scope).
     """
-    plan = p._connection_plan(cfg.pole_tol)
+    row = p._connection_plan(cfg.pole_tol).row(0)
     if not (0.0 < z < 1.0):
         raise DomainError(f"connection formula requires 0 < z < 1, got z={z!r}")
-    return _connection(plan, z, cfg)
+    return _connection(row, z, cfg)
 
 
 def inversion_15_8_6(

@@ -49,7 +49,8 @@ class LegendreTriple:
     """Degree k and the two order parameters (m, n).
 
     The 2F1 triples of the two generalized solutions are built on first use
-    and kept in the instance __dict__, out of sight of equality and hashing.
+    and kept in the instance __dict__, out of sight of equality and hashing,
+    as is kuipers_reduction_check's branch for the last interval.
     """
 
     k: float
@@ -289,16 +290,19 @@ def kuipers_reduction_check(
     """
     if not (xi1 < r < xi2):
         raise DomainError(f"r={r!r} outside ({xi1!r}, {xi2!r})")
-    mu1, mu2 = t.n / 2.0, -t.m / 2.0
-    branch = SolutionBranch(
-        mu1=mu1,
-        mu2=mu2,
-        extra_power=0.0,
-        hyp=t._first,
-        map=CoordinateMap(MapVariant.MAP_II, xi1, xi2),
-        branch_id=BranchId.BREVE1,
-    )
-    f, f1, f2 = value_and_derivatives(branch, r, cfg)
+    kept = t.__dict__.get("_kuipers")
+    if kept is None or kept[0] != (xi1, xi2):
+        # the points of one interval share the branch and its Kummer set
+        branch = SolutionBranch(
+            mu1=t.n / 2.0,
+            mu2=-t.m / 2.0,
+            extra_power=0.0,
+            hyp=t._first,
+            map=CoordinateMap(MapVariant.MAP_II, xi1, xi2),
+            branch_id=BranchId.BREVE1,
+        )
+        kept = t.__dict__["_kuipers"] = ((xi1, xi2), branch)
+    f, f1, f2 = value_and_derivatives(kept[1], r, cfg)
     lhs = (
         (r - xi1) * (xi2 - r) * f2
         + (-2.0 * r + xi1 + xi2) * f1

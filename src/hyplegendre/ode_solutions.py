@@ -25,13 +25,16 @@ from .errors import (
     RootMismatch,
 )
 from .hypergeom import (
+    _UNKNOWN,
     DEFAULT_CONFIG,
     DEFAULT_POLE_TOL,
     EvalConfig,
     Hyp2F1,
     _dist_to_int,
-    _hyp2f1_jet,
     _is_nonpositive_integer,
+    _kummer,
+    _KummerPlan,
+    _power_jet,
     gamma,
     hyp2f1,
     rgamma,
@@ -46,8 +49,9 @@ _JSON_KEYS = ("a1", "b1", "a2", "b2", "a3", "b3", "c3", "lambda", "xi1", "xi2")
 class OdeParams:
     """The nine real coefficients, spectral parameter and singular points.
 
-    connection_check keeps the branches it builds in the instance
-    __dict__, out of sight of equality and hashing.
+    build_branch keeps the Kummer set its branches share, and
+    connection_check the branches it builds, in the instance __dict__, out
+    of sight of equality and hashing.
     """
 
     a1: float
@@ -215,6 +219,12 @@ class SolutionBranch:
     """One closed-form solution
 
         F(r) = (r-xi1)^mu1 (xi2-r)^mu2 * z^extra_power * 2F1(a,b;c;z(r)).
+
+    Its factor after the edge prefactor is read from a Kummer set, kept in
+    the instance __dict__ with the member the branch is: build_branch gives
+    the four branches of one exponent pair one shared set, and a branch
+    built by hand is member w1 of the set of its own triple, times its
+    extra power.
     """
 
     mu1: float
@@ -255,18 +265,20 @@ def build_branch(
     """
     s, m_mid, c_hat, c_breve = _branch_data(p, mu1, mu2)
     lo, hi = m_mid - s, m_mid + s
+    # k: the Kummer member the branch is, w1 and w2 in z = z_I(r), w3 and w4
+    # in w = z_II(r), of the set built on hat1's triple
     if branch_id is BranchId.HAT1:
-        a, b, c, extra = lo, hi, c_hat, 0.0
+        a, b, c, extra, k = lo, hi, c_hat, 0.0, 0
         variant = MapVariant.MAP_I
     elif branch_id is BranchId.HAT2:
-        extra = 1.0 - c_hat
+        extra, k = 1.0 - c_hat, 1
         a, b, c = lo - c_hat + 1.0, hi - c_hat + 1.0, 2.0 - c_hat
         variant = MapVariant.MAP_I
     elif branch_id is BranchId.BREVE1:
-        a, b, c, extra = hi, lo, c_breve, 0.0
+        a, b, c, extra, k = hi, lo, c_breve, 0.0, 2
         variant = MapVariant.MAP_II
     else:
-        extra = 1.0 - c_breve
+        extra, k = 1.0 - c_breve, 3
         a, b, c = lo - c_breve + 1.0, hi - c_breve + 1.0, 2.0 - c_breve
         variant = MapVariant.MAP_II
     if branch_id.is_second_kind and abs(extra) <= DEFAULT_POLE_TOL:
@@ -277,7 +289,7 @@ def build_branch(
         hyp = Hyp2F1(a, b, c)
     except PoleError as exc:
         raise DegenerateC(f"{branch_id.value}: {exc}") from exc
-    return SolutionBranch(
+    branch = SolutionBranch(
         mu1=mu1,
         mu2=mu2,
         extra_power=extra,
@@ -285,6 +297,83 @@ def build_branch(
         map=CoordinateMap(variant, p.xi1, p.xi2),
         branch_id=branch_id,
     )
+    branch.__dict__["_member"] = (_shared_set(p, mu1, mu2, lo, hi, c_hat), k, 0.0)
+    return branch
+
+
+class _KummerSet:
+    """The branches of one exponent pair on one interval: the edge factor
+    (r-xi1)^mu1 (xi2-r)^mu2 and Kummer's four solutions of one triple, member
+    k of its plan at z = zmap.z(r) and w = 1 - z, both formed from r.
+
+    A one-slot memo per kind, values and jets, keeps what the last point r
+    found, with the config it was found under, so the branches of one row
+    share the edge factor and two series.  A memo is replaced, never
+    mutated: threads evaluating other points see whole memos only.  A plain
+    slotted class, as _KummerPlan.
+    """
+
+    __slots__ = ("abc", "first", "mu1", "mu2", "zmap", "dz_dr", "_plan", "_values", "_jets")
+
+    def __init__(self, a: float, b: float, c: float, mu1: float, mu2: float,
+                 zmap: CoordinateMap, first: Hyp2F1 | None = None) -> None:
+        self.abc = (a, b, c)
+        self.first = first
+        self.mu1, self.mu2 = mu1, mu2
+        self.zmap = zmap
+        self.dz_dr = zmap.dz_dr
+        self._plan = self._values = self._jets = None
+
+    def member(self, k: int, r: float, cfg: EvalConfig, jet: bool) -> tuple:
+        """(edge factor, member k) at r, as values or as jets: the edge
+        factor's in r, the member's in z."""
+        memo = self._jets if jet else self._values
+        if memo is not None and memo[0] == r and memo[1] is cfg:
+            _, _, z, w, edge, known = memo
+        else:
+            xi1, xi2 = self.zmap.xi1, self.zmap.xi2
+            mu1, mu2 = self.mu1, self.mu2
+            left = r - xi1
+            right = xi2 - r
+            edge = left ** mu1 * right ** mu2
+            if jet:
+                logd = mu1 / left - mu2 / right
+                logd2 = -mu1 / left ** 2 - mu2 / right ** 2
+                edge = (edge, edge * logd, edge * (logd * logd + logd2))
+            d = xi2 - xi1
+            z, w = left / d, right / d
+            if self.zmap.variant is MapVariant.MAP_II:
+                z, w = w, z
+            known = _UNKNOWN
+        plan = self._plan
+        if plan is None or plan.pole_tol != cfg.pole_tol:
+            plan = self._plan = _KummerPlan(*self.abc, cfg.pole_tol, self.first)
+        value, found = _kummer(plan, k, z, w, cfg, known, jet)
+        if found is not known:
+            if jet:
+                self._jets = (r, cfg, z, w, edge, found)
+            else:
+                self._values = (r, cfg, z, w, edge, found)
+        return edge, value
+
+
+def _shared_set(p: OdeParams, mu1: float, mu2: float,
+                a: float, b: float, c: float) -> _KummerSet:
+    """The Kummer set of hat1's triple, kept on p for the last (mu1, mu2)."""
+    kept = p.__dict__.get("_kummer")
+    if kept is None or kept[0] != (mu1, mu2):
+        zmap = CoordinateMap(MapVariant.MAP_I, p.xi1, p.xi2)
+        kept = p.__dict__["_kummer"] = ((mu1, mu2), _KummerSet(a, b, c, mu1, mu2, zmap))
+    return kept[1]
+
+
+def _member_of(s: SolutionBranch) -> tuple[_KummerSet, int, float]:
+    """(set, member, extra power the member does not carry) of a branch."""
+    found = s.__dict__.get("_member")
+    if found is None:
+        kset = _KummerSet(s.hyp.a, s.hyp.b, s.hyp.c, s.mu1, s.mu2, s.map, s.hyp)
+        found = s.__dict__["_member"] = (kset, 0, s.extra_power)
+    return found
 
 
 def _f_part(s: SolutionBranch, r: float, cfg: EvalConfig) -> float:
@@ -302,44 +391,29 @@ def evaluate(s: SolutionBranch, r: float, cfg: EvalConfig = DEFAULT_CONFIG) -> f
         raise DomainError(
             f"r={r!r} outside the open interval ({s.map.xi1!r}, {s.map.xi2!r})"
         )
-    pref = (r - s.map.xi1) ** s.mu1 * (s.map.xi2 - r) ** s.mu2
-    return pref * _f_part(s, r, cfg)
+    kset, k, e = _member_of(s)
+    edge, f = kset.member(k, r, cfg, False)
+    if e != 0.0:
+        f *= kset.zmap.z(r) ** e
+    return edge * f
 
 
 def value_and_derivatives(
     s: SolutionBranch, r: float, cfg: EvalConfig = DEFAULT_CONFIG
 ) -> tuple[float, float, float]:
-    """(F, F', F'') at r: the hypergeometric factor and its two derivatives
-    come from one series pass, the rest from the product rule."""
+    """(F, F', F'') at r: the branch's Kummer member as a jet in z, from the
+    one series pass per member the jets of a row share, then the chain and
+    product rules."""
     if not (s.map.xi1 < r < s.map.xi2):
         raise DomainError(
             f"r={r!r} outside the open interval ({s.map.xi1!r}, {s.map.xi2!r})"
         )
-    left = r - s.map.xi1
-    right = s.map.xi2 - r
-    pref = left ** s.mu1 * right ** s.mu2
-    logd = s.mu1 / left - s.mu2 / right
-    logd2 = -s.mu1 / left ** 2 - s.mu2 / right ** 2
-    p0 = pref
-    p1 = pref * logd
-    p2 = pref * (logd * logd + logd2)
-
-    z = s.map.z(r)
-    u = s.map.dz_dr
-    h0, h1, h2 = _hyp2f1_jet(s.hyp, z, cfg)
-
-    e = s.extra_power
-    if e == 0.0:
-        g0, g1, g2 = h0, u * h1, u * u * h2
-    else:
-        ze = z ** e
-        g0 = ze * h0
-        g1 = u * (e * z ** (e - 1.0) * h0 + ze * h1)
-        g2 = u * u * (
-            e * (e - 1.0) * z ** (e - 2.0) * h0
-            + 2.0 * e * z ** (e - 1.0) * h1
-            + ze * h2
-        )
+    kset, k, e = _member_of(s)
+    (p0, p1, p2), h = kset.member(k, r, cfg, True)
+    if e != 0.0:
+        h = _power_jet(h, kset.zmap.z(r), e)
+    u = kset.dz_dr
+    g0, g1, g2 = h[0], u * h[1], u * u * h[2]
     return (p0 * g0, p1 * g0 + p0 * g1, p2 * g0 + 2.0 * p1 * g1 + p0 * g2)
 
 

@@ -2,10 +2,11 @@ import json
 import operator
 import subprocess
 import sys
+import time
 
 import pytest
 
-from hyplegendre.cli import fmt17, parse_grid
+from hyplegendre.cli import _MAX_GRID_POINTS, fmt17, parse_grid
 from hyplegendre.errors import InvalidParams, ParseError
 
 
@@ -62,6 +63,28 @@ class TestGridParsing:
             parse_grid("1:0:5")
         with pytest.raises(InvalidParams):
             parse_grid("0:1:1")
+
+    @pytest.mark.parametrize("grid", ["-inf:1:3", "0:inf:3", "-1e308:1e308:3"])
+    def test_non_finite_grid_exits_3(self, grid, classical_file):
+        # these gave a first point of nan and exit 4 (DomainError: r=nan)
+        with pytest.raises(InvalidParams):
+            parse_grid(grid)
+        for args in (("legendre", "universal", "--ell", "3", "--mprime", "1"),
+                     ("eval", "--params", classical_file)):
+            res = run_cli(*args, f"--grid={grid}")
+            assert res.returncode == 3, res.stderr
+            assert "InvalidParams" in res.stderr
+
+    def test_count_capped_before_any_point_is_built(self):
+        assert len(parse_grid(f"-1:1:{_MAX_GRID_POINTS}")) == _MAX_GRID_POINTS
+        with pytest.raises(InvalidParams):
+            parse_grid(f"-1:1:{_MAX_GRID_POINTS + 1}")
+        # this grid used to grow without bound before printing anything
+        start = time.monotonic()
+        res = run_cli("legendre", "universal", "--ell", "3", "--mprime", "1",
+                      "--grid", "-1:1:100000000000")
+        assert res.returncode == 3, res.stderr
+        assert time.monotonic() - start < 10.0
 
 
 class TestFormatting:

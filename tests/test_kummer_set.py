@@ -1,0 +1,324 @@
+"""The Kummer set the four branches of one exponent pair share: members
+against mpmath, the one-triple rule, and the invariants of the shared
+point memo (call order, error types, threads)."""
+
+import math
+import random
+import sys
+import threading
+
+import pytest
+
+from hyplegendre import (
+    DEFAULT_CONFIG,
+    BranchId,
+    DomainError,
+    Error,
+    OdeParams,
+    build_branch,
+    connection_check,
+    evaluate,
+    gamma,
+    hyp2f1,
+    indicial_exponents,
+    residual,
+    rgamma,
+)
+from hyplegendre import ode_solutions as ode
+from hyplegendre.hypergeom import _UNKNOWN, _hyp2f1_jet, _kummer, _KummerPlan, _power_jet
+from hyplegendre.ode_solutions import value_and_derivatives
+from hyplegendre.rng import SplitMix64, draw_nondegenerate
+
+mpmath = pytest.importorskip("mpmath")
+
+REF_DPS = 40
+# relative error of a branch value against the equation's own solution;
+# a row near an integer c-a-b or 1-c cancels terms ~10^4 times its size
+VALUE_BOUND = 1e-11
+RESIDUAL_BOUND = 1e-11  # normalized residual, as `residual` reports it
+
+# the dense_grid box of bench/workloads.py: real exponents for every draw
+DENSE_BOX = {
+    "a1": (-3.0, 1.0), "b1": (-1.0, 1.0),
+    "a2": (-0.2, 0.2), "b2": (-0.8, -0.4),
+    "a3": (-0.8, 0.0), "b3": (-0.2, 0.2), "c3": (-0.8, -0.4),
+    "lam": (0.5, 7.0), "xi1": (-2.0, -0.3), "xi2": (0.3, 2.0),
+}
+DENSE_EDGE = 0.02
+
+
+def dense_draws(seed, sets):
+    rnd = random.Random(seed)
+    for _ in range(sets):
+        p = OdeParams(**{k: rnd.uniform(lo, hi) for k, (lo, hi) in DENSE_BOX.items()})
+        exps = indicial_exponents(p)
+        yield p, exps.mu1.second, exps.mu2.second, rnd
+
+
+def exact_branches(p, mu1, mu2, r):
+    """The four branch values at r at 40 digits, every exponent and
+    parameter formed from p, mu1 and mu2 as the equation defines them."""
+    with mpmath.workdps(REF_DPS):
+        f = {k: mpmath.mpf(getattr(p, k)) for k in ("a1", "b1", "a3", "lam", "xi1", "xi2")}
+        mu1, mu2, r = mpmath.mpf(mu1), mpmath.mpf(mu2), mpmath.mpf(r)
+        d = f["xi2"] - f["xi1"]
+        s = mpmath.sqrt(f["lam"] - f["a3"] + ((f["a1"] + 1) / 2) ** 2)
+        mid = mu1 + mu2 - (f["a1"] + 1) / 2
+        lo, hi = mid - s, mid + s
+        c_hat = 2 * mu1 + (f["a1"] * f["xi1"] + f["b1"]) / d
+        c_breve = 2 * mu2 - (f["a1"] * f["xi2"] + f["b1"]) / d
+        z, w = (r - f["xi1"]) / d, (f["xi2"] - r) / d
+        edge = (r - f["xi1"]) ** mu1 * (f["xi2"] - r) ** mu2
+        h = mpmath.hyp2f1
+        return [
+            edge * h(lo, hi, c_hat, z),
+            edge * z ** (1 - c_hat) * h(lo - c_hat + 1, hi - c_hat + 1, 2 - c_hat, z),
+            edge * h(hi, lo, c_breve, w),
+            edge * w ** (1 - c_breve) * h(lo - c_breve + 1, hi - c_breve + 1, 2 - c_breve, w),
+        ]
+
+
+def own_value(br, r):
+    """The branch alone from its own triple: the route every branch took
+    before the four shared a set, and the one connection_check takes."""
+    if not (br.map.xi1 < r < br.map.xi2):
+        raise DomainError(f"r={r!r} outside the interval")
+    pref = (r - br.map.xi1) ** br.mu1 * (br.map.xi2 - r) ** br.mu2
+    return pref * ode._f_part(br, r, DEFAULT_CONFIG)
+
+
+def own_jet(br, r):
+    if not (br.map.xi1 < r < br.map.xi2):
+        raise DomainError(f"r={r!r} outside the interval")
+    left, right = r - br.map.xi1, br.map.xi2 - r
+    pref = left ** br.mu1 * right ** br.mu2
+    logd = br.mu1 / left - br.mu2 / right
+    logd2 = -br.mu1 / left ** 2 - br.mu2 / right ** 2
+    p1, p2 = pref * logd, pref * (logd * logd + logd2)
+    z, u = br.map.z(r), br.map.dz_dr
+    h = _hyp2f1_jet(br.hyp, z)
+    if br.extra_power != 0.0:
+        h = _power_jet(h, z, br.extra_power)
+    g0, g1, g2 = h[0], u * h[1], u * u * h[2]
+    return (pref * g0, p1 * g0 + pref * g1, p2 * g0 + 2.0 * p1 * g1 + pref * g2)
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (Error, ArithmeticError) as exc:
+        return type(exc)
+
+
+def build_all(p, mu1, mu2):
+    return [build_branch(p, mu1, mu2, bid) for bid in BranchId]
+
+
+class TestOneTriple:
+    # a dense_grid draw whose c-a-b is -2.0008: the rows of w1 and w2
+    # multiply their series' error by ~400
+    TRIPLE = (0.6590889633262962, 3.768159673965991, 2.4264731836357236)
+    Z = 0.5036927500516595
+    PARAMS = OdeParams(
+        a1=-2.9147496631548493, b1=-0.9538522887753254, a2=-0.02555664970098162,
+        b2=-0.7394945559090089, a3=-0.5280457804907768, b3=-0.18578431746293375,
+        c3=-0.7184135621684105, lam=0.9719678223107249,
+        xi1=-0.8045296628432446, xi2=1.0097262837517607)
+
+    def members_exact(self, w):
+        with mpmath.workdps(REF_DPS):
+            a, b, c, z, w = map(mpmath.mpf, (*self.TRIPLE, self.Z, w))
+            h = mpmath.hyp2f1
+            return [h(a, b, c, z), z ** (1 - c) * h(a - c + 1, b - c + 1, 2 - c, z),
+                    h(a, b, a + b - c + 1, w),
+                    w ** (c - a - b) * h(c - a, c - b, c - a - b + 1, w)]
+
+    def test_members_from_one_triple(self):
+        w = 1.0 - self.Z
+        plan = _KummerPlan(*self.TRIPLE, DEFAULT_CONFIG.pole_tol)
+        want = self.members_exact(w)
+        known = _UNKNOWN
+        for k in range(4):
+            got, known = _kummer(plan, k, self.Z, w, DEFAULT_CONFIG, known, False)
+            assert abs(got - want[k]) <= VALUE_BOUND * abs(want[k]), k
+
+    def test_sibling_triples_miss_the_bound(self):
+        # the rows of w1 and w2 over the series of the breve branches' own,
+        # separately rounded triples: what one float triple avoids
+        exps = indicial_exponents(self.PARAMS)
+        hat1, _, breve1, breve2 = build_all(self.PARAMS, exps.mu1.second, exps.mu2.second)
+        assert (hat1.hyp.a, hat1.hyp.b, hat1.hyp.c) == self.TRIPLE
+        w = 1.0 - self.Z
+        u = hyp2f1(breve1.hyp, w)
+        v = hyp2f1(breve2.hyp, w) * w ** breve2.extra_power
+        plan = _KummerPlan(*self.TRIPLE, DEFAULT_CONFIG.pole_tol)
+        want = self.members_exact(w)
+        for k in (0, 1):
+            s, g, alpha, beta = plan.row(k)[:4]
+            mixed = s * (g * (alpha * u - beta * v))
+            assert abs(mixed - want[k]) > VALUE_BOUND * abs(want[k]), k
+
+
+def test_dense_box_against_mpmath():
+    # 2 seeds x 16 draws x 48 points of the dense_grid box: 1,536 rows
+    points = 0
+    for seed in (11, 12):
+        for p, mu1, mu2, rnd in dense_draws(seed, 16):
+            branches = build_all(p, mu1, mu2)
+            lo, hi = p.xi1 + DENSE_EDGE * p.width, p.xi2 - DENSE_EDGE * p.width
+            for _ in range(48):
+                r = rnd.uniform(lo, hi)
+                want = exact_branches(p, mu1, mu2, r)
+                for br, ref in zip(branches, want):
+                    got = evaluate(br, r)
+                    assert abs(got - ref) <= VALUE_BOUND * abs(ref), (p, br.branch_id, r)
+                    assert residual(br, p, r) <= RESIDUAL_BOUND, (p, br.branch_id, r)
+                points += 1
+    assert points >= 1500
+
+
+def test_values_next_to_each_end():
+    # w = 1 - z formed from r itself: the branch that reaches z -> 1 keeps
+    # its digits where 1 - z would keep none (z = 1 itself, a few ulps
+    # closer, keeps Gauss's route and its DomainError)
+    for p, mu1, mu2, _ in dense_draws(21, 12):
+        branches = build_all(p, mu1, mu2)
+        for t in (1e-13, 1e-9):
+            for r in (p.xi1 + t * p.width, p.xi2 - t * p.width):
+                want = exact_branches(p, mu1, mu2, r)
+                for br, ref in zip(branches, want):
+                    got = evaluate(br, r)
+                    assert abs(got - ref) <= VALUE_BOUND * abs(ref), (p, br.branch_id, r)
+
+
+def test_connection_check_reads_each_branch_alone():
+    # the identity's two sides come from the branches' own triples, not
+    # from the shared set, whose rows are this identity
+    p, exps = draw_nondegenerate(SplitMix64(15))
+    mu1, mu2 = exps.mu1.second, exps.mu2.second
+    hat1, _, breve1, breve2 = build_all(p, mu1, mu2)
+    a, b, c, c_breve = hat1.hyp.a, hat1.hyp.b, hat1.hyp.c, breve1.hyp.c
+    alone = lambda br, r: ode._f_part(br, r, DEFAULT_CONFIG)
+    for t in (0.2, 0.5, 0.8):
+        r = p.xi1 + t * p.width
+        lhs, rhs = connection_check(p, mu1, mu2, r)
+        assert lhs == math.sin(math.pi * (1.0 - c_breve)) / math.pi * alone(hat1, r)
+        assert rhs == gamma(c) * (
+            rgamma(c - a) * rgamma(c - b) * rgamma(c_breve) * alone(breve1, r)
+            - rgamma(a) * rgamma(b) * rgamma(2.0 - c_breve) * alone(breve2, r))
+        evaluate(breve1, r)
+        assert connection_check(p, mu1, mu2, r) == (lhs, rhs)
+
+
+class TestSharedMemo:
+    @staticmethod
+    def cases():
+        rng = SplitMix64(41)
+        for _ in range(6):
+            p, exps = draw_nondegenerate(rng)
+            yield p, exps.mu1.second, exps.mu2.second
+        for p, mu1, mu2, _ in dense_draws(7, 4):
+            yield p, mu1, mu2
+
+    @staticmethod
+    def points(p):
+        mid = p.xi1 + 0.5 * p.width
+        return [p.xi1 + t * p.width for t in (0.1, 0.3, 0.45, 0.55, 0.8, 0.97)] + [mid]
+
+    def test_bitwise_alone_or_with_siblings_in_any_order(self):
+        for p, mu1, mu2 in self.cases():
+            points = self.points(p)
+            alone = {}
+            for k, bid in enumerate(BranchId):
+                for r in points:
+                    # a fresh pack: nothing of the siblings is summed
+                    q = OdeParams.from_dict(p.to_dict())
+                    br = build_branch(q, mu1, mu2, bid)
+                    alone[k, r] = (evaluate(br, r), value_and_derivatives(br, r))
+            orders = (list(range(4)), [3, 2, 1, 0], [2, 0, 3, 1])
+            for order in orders:
+                branches = build_all(p, mu1, mu2)
+                for r in points:
+                    for k in order:
+                        got = value_and_derivatives(branches[k], r)
+                        assert got == alone[k, r][1], (p, k, r)
+                    for k in order[::-1]:
+                        assert evaluate(branches[k], r) == alone[k, r][0], (p, k, r)
+
+    def test_threads_evaluating_other_points(self):
+        p, mu1, mu2 = next(iter(self.cases()))
+        points = [p.xi1 + p.width * (0.02 + 0.96 * i / 40) for i in range(41)]
+        serial = {}
+        for k, br in enumerate(build_all(OdeParams.from_dict(p.to_dict()), mu1, mu2)):
+            for r in points:
+                serial[k, r] = (evaluate(br, r), value_and_derivatives(br, r))
+        shared = build_all(p, mu1, mu2)
+        wrong = []
+
+        def work(step):
+            for rep in range(3):
+                for i in range(len(points)):
+                    r = points[(i * step + rep) % len(points)]
+                    for k, br in enumerate(shared):
+                        if (evaluate(br, r), value_and_derivatives(br, r)) != serial[k, r]:
+                            wrong.append((step, k, r))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(step,)) for step in (1, 3, 7, 11)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []
+
+
+def sweep_params():
+    """Classical integer parameters, c = 1, integer c-a-b, and draws."""
+    for a1, b1, lam in ((-2.0, 0.0, 6.0), (-2.0, 0.0, 2.0), (-1.0, 0.0, 2.0),
+                        (-1.0, 0.5, 0.75), (0.0, 0.5, 0.75), (-2.0, 0.5, 12.0),
+                        (-1.0, -1.0, 2.0), (0.0, -1.0, 0.0)):
+        for c3 in (0.0, -0.75):
+            for xi1, xi2 in ((-1.0, 1.0), (0.0, 2.0)):
+                yield OdeParams(a1=a1, b1=b1, a2=0.0, b2=0.0, a3=0.0, b3=0.0,
+                                c3=c3, lam=lam, xi1=xi1, xi2=xi2)
+    rng = SplitMix64(43)
+    for _ in range(8):
+        yield draw_nondegenerate(rng)[0]
+
+
+def test_error_types_match_the_branch_alone():
+    seen = set()
+    for p in sweep_params():
+        exps = indicial_exponents(p)
+        if exps.mu1.is_complex or exps.mu2.is_complex:
+            continue
+        for mu1 in exps.mu1.as_tuple():
+            for mu2 in exps.mu2.as_tuple():
+                branches = []
+                for bid in BranchId:
+                    try:
+                        branches.append(build_branch(p, mu1, mu2, bid))
+                    except Error as exc:
+                        seen.add(type(exc).__name__)
+                points = [math.nextafter(p.xi1, math.inf), p.xi1 + 1e-9,
+                          (p.xi1 + p.xi2) / 2.0, math.nextafter(p.xi2, -math.inf),
+                          p.xi2 - 1e-9, p.xi1 - 0.5] + [
+                    p.xi1 + t * p.width for t in (0.01, 0.3, 0.55, 0.8, 0.99)]
+                for r in points:
+                    for br in branches:
+                        for shared, alone in ((evaluate, own_value),
+                                              (value_and_derivatives, own_jet)):
+                            got, want = outcome(shared, br, r), outcome(alone, br, r)
+                            if isinstance(want, type):
+                                assert got is want, (p, mu1, mu2, br.branch_id, r)
+                                seen.add(want.__name__)
+                            else:
+                                assert not isinstance(got, type), (p, br.branch_id, r, got)
+    # the sweep reaches every error class a branch can meet
+    assert {"DegenerateC", "DegenerateCase", "DomainError",
+            "ZeroDivisionError", "PoleError"} <= seen
