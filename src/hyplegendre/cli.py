@@ -90,7 +90,7 @@ def _finite(rows: list[tuple]) -> list[tuple]:
     return rows
 
 
-def _load_json_fields(path: str, keys: tuple[str, ...], int_keys: tuple[str, ...] = ()) -> dict:
+def _load_json_fields(path: str, keys: tuple[str, ...]) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
@@ -110,8 +110,6 @@ def _load_json_fields(path: str, keys: tuple[str, ...], int_keys: tuple[str, ...
         value = data[key]
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ParseError(f"'{path}': field '{key}' must be a number")
-        if key in int_keys and int(value) != value:
-            raise ParseError(f"'{path}': field '{key}' must be an integer")
     return data
 
 
@@ -336,8 +334,7 @@ def universal(params_path, ell, mprime, a_coef, c_coef, m_coef,
     """Universal polynomial family values on a grid."""
     points = parse_grid(grid_text)
     if params_path is not None:
-        u = lf.UniversalParams.from_dict(_load_json_fields(
-            params_path, lf._UNIVERSAL_KEYS, int_keys=("n_index",)))
+        u = lf.UniversalParams.from_dict(_load_json_fields(params_path, lf._UNIVERSAL_KEYS))
     else:
         if ell is None or mprime is None:
             raise ParseError("give either --params or both --ell and --mprime")

@@ -42,6 +42,8 @@ from .ode_solutions import (
 _CONSISTENCY_TOL = 1e-9
 _SUM_ERR_FACTOR = 16.0 * 2.0 ** -52  # rounding error per unit of sum |term|
 _SUM_TOL = 1e-8
+_MAX_N_INDEX = 1000  # the recurrence is O(n_index); its bound is tested up to here
+_MAX_MPRIME = 1000.0  # lgamma's rounding costs K 5e-13 here, 3e-11 at 1e4
 
 
 @dataclass(frozen=True)
@@ -94,10 +96,10 @@ class UniversalParams:
     """Parameter pack of the universal polynomial family.
 
     The fields are linked: b = 0, mprime = sqrt(a + c + m^2),
-    lam = ell(ell+1) - c and ell = mprime + n_index with n_index a
-    nonnegative integer.  The constructor rejects inconsistent packs.  The
-    coefficients of the sum and closed forms are built on first use and
-    kept in the instance __dict__, out of sight of equality and hashing.
+    lam = ell(ell+1) - c and ell = mprime + n_index, n_index an integer from
+    0 to _MAX_N_INDEX.  The constructor rejects inconsistent or non-finite
+    packs.  The sum form's constant and steps and the closed form's constant
+    and triple are built on first use and kept in the instance __dict__.
     """
 
     ell: float
@@ -110,10 +112,13 @@ class UniversalParams:
     n_index: int
 
     def __post_init__(self) -> None:
+        for name in ("ell", "mprime", "a", "b", "c", "m", "lam"):
+            if not math.isfinite(getattr(self, name)):
+                raise InvalidParams(f"field '{name}' must be finite")
         if self.b != 0.0:
             raise InvalidParams("universal family requires b = 0")
-        if self.n_index < 0:
-            raise InvalidParams("n_index must be a nonnegative integer")
+        if not (isinstance(self.n_index, int) and 0 <= self.n_index <= _MAX_N_INDEX):
+            raise InvalidParams(f"n_index must be an integer from 0 to {_MAX_N_INDEX}")
         if self.mprime < 0.0:
             raise InvalidParams("mprime must be the nonnegative square root")
         if abs(self.mprime ** 2 - (self.a + self.c + self.m ** 2)) > _CONSISTENCY_TOL:
@@ -139,9 +144,10 @@ class UniversalParams:
         mprime; lambda is always derived.
         """
         n_float = ell - mprime
-        if n_float < -_CONSISTENCY_TOL or _dist_to_int(n_float) > _CONSISTENCY_TOL:
+        if (not -_CONSISTENCY_TOL <= n_float <= _MAX_N_INDEX + 0.5  # nan, inf fail
+                or _dist_to_int(n_float) > _CONSISTENCY_TOL):
             raise InvalidParams(
-                f"ell - mprime = {n_float!r} must be a nonnegative integer"
+                f"ell - mprime = {n_float!r} must be an integer from 0 to {_MAX_N_INDEX}"
             )
         if m is None:
             m = mprime
@@ -164,23 +170,21 @@ class UniversalParams:
         return dict(zip(_UNIVERSAL_KEYS, vals))
 
     @cached_property
-    def _sum_form(self) -> tuple[list[tuple[float, int]], float]:
-        """The (coefficient, power) pairs of the polynomial factor of the sum
-        form, and its normalization."""
-        n, ell = self.n_index, self.ell
-        try:  # math.factorial past 170 does not convert to float
-            coeffs = [
-                ((-1.0) ** nu * gamma(2.0 * ell - 2.0 * nu + 1.0)
-                 / (2.0 ** ell * math.factorial(nu) * math.factorial(n - 2 * nu)
-                    * gamma(ell - nu + 1.0)), n - 2 * nu)
-                for nu in range(n // 2 + 1)
-            ]
-            norm = math.sqrt((2.0 * ell + 1.0) * math.factorial(n)
-                             / (2.0 * gamma(ell + self.mprime + 1.0)))
-        except OverflowError as exc:
-            raise NoConvergence(
-                f"sum-form coefficients at n_index={n} leave the float range") from exc
-        return coeffs, norm
+    def _sum_form(self) -> tuple[float, list[tuple[float, float]]]:
+        """K*norm, in log space, and the steps (a_k, b_k) of the recurrence
+        C_(k+1) = a_k r C_k - b_k C_(k-1) of the Gegenbauer polynomial
+        C_n^lam, lam = mprime + 1/2; the sum form's polynomial factor is
+        K C_n^lam(r) with K = 2^mprime Gamma(lam)/sqrt(pi) (duplication)."""
+        n, mp = self.n_index, self.mprime
+        log_const = (mp * math.log(2.0) + math.lgamma(mp + 0.5) - 0.5 * math.log(math.pi)
+                     + 0.5 * (math.log(self.ell + 0.5) + math.lgamma(n + 1.0)
+                              - math.lgamma(self.ell + mp + 1.0)))
+        if not -708.0 <= log_const <= 709.0 or mp > _MAX_MPRIME:  # exp(log_const) normal
+            raise NoConvergence(f"sum-form constant at mprime={mp!r}, n_index={n} "
+                                "leaves the float range or loses its digits")
+        steps = [(2.0 * (k + mp + 0.5) / (k + 1.0), (k + 2.0 * mp) / (k + 1.0))
+                 for k in range(n)]
+        return math.exp(log_const), steps
 
     @cached_property
     def _closed_form(self) -> tuple[float, Hyp2F1]:
@@ -206,6 +210,7 @@ class UniversalParams:
 
     @classmethod
     def from_dict(cls, data: dict) -> "UniversalParams":
+        n = data["n_index"]
         return cls(
             ell=float(data["ell"]),
             mprime=float(data["mprime"]),
@@ -214,7 +219,7 @@ class UniversalParams:
             c=float(data["c"]),
             m=float(data["m"]),
             lam=float(data["lambda"]),
-            n_index=int(data["n_index"]),
+            n_index=int(n) if n % 1 == 0 else n,  # 2.7, nan: rejected, not cut
         )
 
 
@@ -316,71 +321,62 @@ def kuipers_reduction_check(
     return abs(lhs) / (1.0 + abs(f) + abs(f1) + abs(f2))
 
 
-def _check_cancellation(form: str, u: UniversalParams, r: float,
-                        value: float, err: float) -> None:
-    if not err <= _SUM_TOL * (1.0 + abs(value)):  # nan fails too
-        raise NoConvergence(
-            f"universal {form} at ell={u.ell!r}, r={r!r} lost its digits to "
-            f"cancellation (error estimate {err:.3g})"
-        )
+def _out_of_range(u: UniversalParams, r: float) -> NoConvergence:
+    return NoConvergence(f"universal sum form at ell={u.ell!r}, r={r!r} leaves the float range")
 
 
 def universal_sum(u: UniversalParams, r: float) -> float:
-    """The universal polynomial family by direct summation.
+    """The universal family, norm K (1-r^2)^(mprime/2) C_n^lam(r).
 
-    The alternating terms cancel more as the degree grows, so the error is
-    estimated as 16 eps |prefactor| sum |c_nu r^e|; NoConvergence is raised
-    unless it is at most 1e-8 (1 + |F|).  It is also raised where the
-    coefficients leave the float range.
+    As a_k = 1 + b_k, the recurrence runs on d_k = C_k - C_(k-1) at x = |r|,
+    d_(k+1) = a_k (x-1) C_k + b_k d_k: x - 1 is exact, so rounding does not
+    grow like 1/sqrt(1-x^2) towards the ends.  Within 2e-12 (1 + |F|) of
+    mpmath for n_index <= 1000, mprime <= 5, |r| <= 1; NoConvergence where
+    the constant or the value leaves the float range.
     """
     if not (-1.0 <= r <= 1.0):
         raise DomainError(f"r={r!r} outside [-1, 1]")
-    coeffs, norm = u._sum_form
-    poly = size = 0.0
-    for coef, e in coeffs:
-        term = coef * r ** e
-        poly += term
-        size += abs(term)
-    pref = norm * (1.0 - r * r) ** (u.mprime / 2.0)
-    value = pref * poly
-    _check_cancellation("sum", u, r, value, _SUM_ERR_FACTOR * abs(pref) * size)
+    const, steps = u._sum_form
+    t = abs(r) - 1.0
+    c0 = d = 1.0
+    for a, b in steps:
+        d = a * t * c0 + b * d
+        c0 += d
+    if r < 0.0 and len(steps) % 2:  # C_n(-x) = (-1)^n C_n(x)
+        c0 = -c0
+    value = const * (1.0 - r * r) ** (u.mprime / 2.0) * c0
+    if not math.isfinite(value):
+        raise _out_of_range(u, r)
     return value
 
 
 def universal_sum_derivatives(u: UniversalParams, r: float) -> tuple[float, float, float]:
-    """(F, F', F'') of the sum form at an interior point, term by term.
-
-    Each of the three is a sum over the terms of the sum form, differentiated
-    by the product rule; universal_sum's cancellation check is applied to
-    each, with the sum of the |term| of that order.
-    """
+    """(F, F', F'') of the sum form at an interior point: F is universal_sum,
+    C' and C'' come from the recurrence differentiated in the same pass as C,
+    the weight's from the product rule.  Within 1e-11 (1 + |F^(k)|) of
+    mpmath.diff for n_index <= 200, mprime <= 5, |r| <= 0.999."""
     if not (-1.0 < r < 1.0):
         raise DomainError(f"r={r!r} outside (-1, 1)")
-    coeffs, norm = u._sum_form
+    const, steps = u._sum_form
+    # the plain form: run on differences, as in universal_sum, the lanes lose
+    # their exact parity zeros at r = 0, an error of eps n^2 |F| in an F'' of 0
+    c0, c1, c2, p0, p1, p2 = 1.0, 0.0, 0.0, 0.0, 0.0, 0.0
+    for a, b in steps:
+        p0, p1, p2, c0, c1, c2 = (c0, c1, c2, a * r * c0 - b * p0,
+                                  a * (c0 + r * c1) - b * p1,
+                                  a * (2.0 * c1 + r * c2) - b * p2)
     mp = u.mprime
     one = 1.0 - r * r
     w0 = one ** (mp / 2.0)
     w1 = -mp * r * one ** (mp / 2.0 - 1.0)
     w2 = mp * one ** (mp / 2.0 - 2.0) * ((mp - 1.0) * r * r - 1.0)
-    s0 = s1 = s2 = size0 = size1 = size2 = 0.0
-    for coef, e in coeffs:
-        t0 = coef * r ** e
-        t1 = coef * e * r ** (e - 1) if e >= 1 else 0.0
-        t2 = coef * e * (e - 1) * r ** (e - 2) if e >= 2 else 0.0
-        s0 += t0
-        s1 += t1
-        s2 += t2
-        size0 += abs(w0 * t0)
-        size1 += abs(w1 * t0 + w0 * t1)
-        size2 += abs(w2 * t0 + 2.0 * w1 * t1 + w0 * t2)
     out = (
-        norm * w0 * s0,
-        norm * (w1 * s0 + w0 * s1),
-        norm * (w2 * s0 + 2.0 * w1 * s1 + w0 * s2),
+        universal_sum(u, r),
+        const * (w1 * c0 + w0 * c1),
+        const * (w2 * c0 + 2.0 * w1 * c1 + w0 * c2),
     )
-    for value, size in zip(out, (size0, size1, size2)):
-        _check_cancellation("sum derivative", u, r, value,
-                            _SUM_ERR_FACTOR * abs(norm) * size)
+    if not all(map(math.isfinite, out)):
+        raise _out_of_range(u, r)
     return out
 
 
@@ -392,8 +388,8 @@ def universal_hypergeometric(
         C * (1-r^2)^(mprime/2) * 2F1((1+ell+mprime)/2, -n/2; 1/2; r^2),
 
     defined for even n only; the odd case is served by universal_sum.  The
-    terminating series cancels as the degree grows, so NoConvergence is
-    raised as in universal_sum, from 16 eps |prefactor| sum |c_k r^(2k)|.
+    terminating series cancels as the degree grows: NoConvergence unless
+    16 eps |prefactor| sum |c_k r^(2k)| <= 1e-8 (1 + |F|), and past n_index ~170.
     """
     if u.n_index % 2 != 0:
         raise DomainError(
@@ -406,7 +402,11 @@ def universal_hypergeometric(
     pref = const * (1.0 - x) ** (u.mprime / 2.0)
     value = pref * hyp2f1(hyp, x, cfg)
     err = _SUM_ERR_FACTOR * abs(pref) * _series_magnitude(hyp, x)
-    _check_cancellation("closed form", u, r, value, err)
+    if not err <= _SUM_TOL * (1.0 + abs(value)):  # nan fails too
+        raise NoConvergence(
+            f"universal closed form at ell={u.ell!r}, r={r!r} lost its digits to "
+            f"cancellation (error estimate {err:.3g})"
+        )
     return value
 
 

@@ -2,7 +2,8 @@
 
 Each oracle deliberately avoids the library's own code paths: the series
 oracle is a fixed-length direct sum, the Legendre oracle is the three-term
-recurrence, and derivatives come from central differences.
+recurrence, the Gegenbauer oracle is its plain three-term recurrence at
+the caller's precision, and derivatives come from central differences.
 """
 
 from __future__ import annotations
@@ -33,6 +34,19 @@ def legendre_recurrence(k: int, x: float) -> float:
     for j in range(1, k):
         prev, cur = cur, ((2 * j + 1) * x * cur - j * prev) / (j + 1)
     return cur
+
+
+def gegenbauer_table(n: int, lam, x) -> list:
+    """[C_0^lam(x), ..., C_n^lam(x)] by the three-term recurrence (DLMF
+    18.9.1), in the arithmetic of x and lam: mpmath numbers give a
+    high-precision oracle."""
+    table = [1 + 0 * x]
+    prev = 0 * x
+    for k in range(n):
+        prev, cur = table[-1], (2 * (k + lam) * x * table[-1]
+                                - (k + 2 * lam - 1) * prev) / (k + 1)
+        table.append(cur)
+    return table
 
 
 def central_diff(f, x: float, h: float) -> float:

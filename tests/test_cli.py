@@ -213,13 +213,6 @@ class TestNonFiniteValues:
         assert "Traceback" not in res.stderr
         assert res.stdout == ""
 
-    def test_universal_digit_loss_is_an_error(self):
-        res = run_cli("legendre", "universal", "--ell", "80", "--mprime", "1",
-                      "--grid", "-0.9:0.9:5")
-        assert res.returncode == 4
-        assert "NoConvergence" in res.stderr
-        assert res.stdout == ""
-
 
 class TestResidualCommand:
     def test_max_row(self, classical_file):
@@ -269,6 +262,50 @@ class TestLegendreCommands:
         lines = res.stdout.strip().split("\n")
         assert len(lines) == 13
         assert lines[-1].split(",")[0] == "1"
+
+    @pytest.mark.parametrize("ell", ["80", "201"])
+    def test_universal_high_degree_matches_mpmath(self, ell):
+        # degree 80 exited 4 (NoConvergence: the alternating sum lost its
+        # digits); each value is now within 2e-12 (1 + |F|) of minus the
+        # normalized mpmath.legenp (zeroprec lets it return its zero at r = 0)
+        mpmath = pytest.importorskip("mpmath")
+        res = run_cli("legendre", "universal", "--ell", ell, "--mprime", "1",
+                      "--grid", "-0.9:0.9:5", "--format", "csv")
+        assert res.returncode == 0, res.stderr
+        rows = [line.split(",") for line in res.stdout.strip().split("\n")[1:]]
+        assert len(rows) == 5
+        n = int(ell)
+        for r, value in rows:
+            with mpmath.workdps(30):
+                want = float(-mpmath.sqrt((2 * n + 1) * mpmath.factorial(n - 1)
+                                          / (2 * mpmath.factorial(n + 1)))
+                             * mpmath.legenp(n, 1, float(r), zeroprec=200))
+            assert abs(float(value) - want) <= 2e-12 * (1.0 + abs(want))
+
+    @pytest.mark.parametrize("ell, mprime", [
+        ("nan", "1"), ("3", "nan"), ("inf", "1"), ("1e300", "1")])
+    def test_universal_non_finite_or_capped_degrees_exit_3(self, ell, mprime):
+        # nan ended in an untyped ValueError traceback (exit 1), inf in exit
+        # 4 with OverflowError; 1e300 must not start a 1e300-step recurrence
+        start = time.monotonic()
+        res = run_cli("legendre", "universal", "--ell", ell, "--mprime", mprime,
+                      "--grid", "-0.5:0.5:3")
+        assert res.returncode == 3, res.stderr
+        assert res.stderr.startswith("error: InvalidParams")
+        assert time.monotonic() - start < 1.0
+
+    @pytest.mark.parametrize("n_index", ["2.7", "NaN", "Infinity", "1001"])
+    def test_universal_params_file_bad_n_index_exit_3(self, tmp_path, n_index):
+        # 2.7 was a parse error, NaN an untyped ValueError traceback and
+        # Infinity an OverflowError
+        path = tmp_path / "u.json"
+        path.write_text(
+            '{"ell": 3.0, "mprime": 1.0, "a": 0.0, "b": 0.0, "c": 0.0, '
+            f'"m": 1.0, "lambda": 12.0, "n_index": {n_index}}}')
+        res = run_cli("legendre", "universal", "--params", str(path),
+                      "--grid", "-0.5:0.5:5")
+        assert res.returncode == 3, res.stderr
+        assert res.stderr.startswith("error: InvalidParams")
 
     def test_universal_params_file(self, tmp_path):
         path = tmp_path / "u.json"

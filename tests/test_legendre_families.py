@@ -27,7 +27,7 @@ from hyplegendre import (
 from hyplegendre.legendre_families import universal_sum_derivatives
 from hyplegendre.ode_solutions import root_residual
 
-from oracles import legendre_recurrence
+from oracles import gegenbauer_table, legendre_recurrence
 
 
 def classical_params(k: float) -> OdeParams:
@@ -164,6 +164,36 @@ class TestUniversalParams:
         assert d["lambda"] == u.lam
         assert UniversalParams.from_dict(d) == u
 
+    @pytest.mark.parametrize("ell, mprime", [
+        (math.nan, 1.0), (3.0, math.nan), (math.inf, 1.0), (3.0, -math.inf),
+        (math.inf, math.inf), (1e300, 1.0), (1001.5, 0.5)])
+    def test_non_finite_or_capped_degrees_rejected(self, ell, mprime):
+        # nan ended in an untyped ValueError, inf in an OverflowError, and
+        # 1e300 asked for a recurrence of 1e300 steps
+        with pytest.raises(InvalidParams):
+            UniversalParams.from_degrees(ell=ell, mprime=mprime)
+
+    @pytest.mark.parametrize("name", ["ell", "mprime", "a", "c", "m", "lambda"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_fields_rejected(self, name, bad):
+        d = UniversalParams.from_degrees(ell=3.0, mprime=1.0).to_dict()
+        d[name] = bad
+        with pytest.raises(InvalidParams):
+            UniversalParams.from_dict(d)
+
+    def test_n_index_must_be_an_integer_within_the_cap(self):
+        d = UniversalParams.from_degrees(ell=3.0, mprime=1.0).to_dict()
+        for bad in (2.7, math.nan, math.inf, 1001, -1):
+            with pytest.raises(InvalidParams):
+                UniversalParams.from_dict(dict(d, n_index=bad))
+        # from_dict truncated 2.7 to 2; an integral float is still taken
+        assert UniversalParams.from_dict(dict(d, n_index=2.0)).n_index == 2
+        with pytest.raises(InvalidParams):
+            UniversalParams(ell=3.0, mprime=1.0, a=0.0, b=0.0, c=0.0, m=1.0,
+                            lam=12.0, n_index=2.0)
+        top = UniversalParams.from_degrees(ell=1000.5, mprime=0.5)
+        assert top.n_index == 1000
+
 
 class TestUniversalSum:
     def test_single_term_value(self):
@@ -194,21 +224,32 @@ class TestUniversalSum:
             universal_sum(u, 1.2)
 
     def test_cancellation_raises(self):
-        # the alternating terms cancel more as the degree grows: from about
-        # degree 40 the error estimate exceeds the bound (finite but wrong
-        # values, or inf and nan past ell ~ 71, before the check)
+        # the alternating sum lost its digits here and raised NoConvergence
+        # from degree 40; the recurrence keeps them: within the stated
+        # 2e-12 (1 + |F|) of a 50-digit oracle
+        mpmath = pytest.importorskip("mpmath")
         for ell in (40.0, 60.0, 80.0):
             u = UniversalParams.from_degrees(ell=ell, mprime=1.0)
             for r in (-0.8, 0.5, 0.8):
-                with pytest.raises(NoConvergence):
-                    universal_sum(u, r)
+                want = _universal_rec_mp(mpmath, u, r)
+                assert abs(universal_sum(u, r) - want) <= 2e-12 * (1.0 + abs(want))
 
     def test_coefficients_past_the_float_range_typed(self):
-        # n_index = 180: math.factorial(180) does not convert to float
+        # n_index = 180: math.factorial(180) does not convert to float.  The
+        # sum form's constant is built in log space and stays accurate; the
+        # closed form's is not, and still raises
+        mpmath = pytest.importorskip("mpmath")
         u = UniversalParams.from_degrees(ell=181.0, mprime=1.0)
-        for fn in (universal_sum, universal_sum_derivatives, universal_hypergeometric):
-            with pytest.raises(NoConvergence):
-                fn(u, 0.5)
+        want = _universal_rec_mp(mpmath, u, 0.5)
+        assert abs(universal_sum(u, 0.5) - want) <= 2e-12 * (1.0 + abs(want))
+        got = universal_sum_derivatives(u, 0.5)
+        with mpmath.workdps(40):
+            jet = mpmath.diffs(lambda x: _universal_rec_at(mpmath, u, x), mpmath.mpf(0.5), 2)
+            want = [float(w) for w in jet]
+        for g, w in zip(got, want):
+            assert abs(g - w) <= 1e-11 * (1.0 + abs(w))
+        with pytest.raises(NoConvergence):
+            universal_hypergeometric(u, 0.5)
 
     def test_moderate_degrees_accepted_and_accurate(self):
         # n_index <= 16 and |r| <= 0.95 pass the check, and what passes is
@@ -221,6 +262,27 @@ class TestUniversalSum:
                     got = universal_sum(u, r)
                     want = _universal_sum_mp(mpmath, u, r)
                     assert abs(got - want) <= 1e-8 * (1.0 + abs(want))
+
+
+def _universal_rec_at(mpmath, u, x):
+    """The sum form as norm K (1-x^2)^(mprime/2) C_n^(mprime+1/2)(x), with
+    K = 2^mprime Gamma(mprime+1/2)/sqrt(pi) and C from its recurrence, at the
+    working precision of the caller."""
+    mp = mpmath.mpf(u.mprime)
+    return (_universal_const_mp(mpmath, u) * (1 - x * x) ** (mp / 2)
+            * gegenbauer_table(u.n_index, mp + 0.5, x)[-1])
+
+
+def _universal_const_mp(mpmath, u):
+    mp, ell = mpmath.mpf(u.mprime), mpmath.mpf(u.ell)
+    return (2 ** mp * mpmath.gamma(mp + 0.5) / mpmath.sqrt(mpmath.pi)
+            * mpmath.sqrt((2 * ell + 1) * mpmath.factorial(u.n_index)
+                          / (2 * mpmath.gamma(ell + mp + 1))))
+
+
+def _universal_rec_mp(mpmath, u, r):
+    with mpmath.workdps(50):
+        return float(_universal_rec_at(mpmath, u, mpmath.mpf(r)))
 
 
 def _universal_sum_mp(mpmath, u, r):
@@ -245,12 +307,16 @@ def _universal_sum_at(mpmath, u, x):
 
 class TestUniversalSumDerivatives:
     def test_cancellation_raises(self):
-        # at ell 61, r = 0.8 the unchecked sums gave F = 388 for 0.918
+        # at ell 61, r = 0.8 the unchecked sums gave F = 388 for 0.918, and
+        # the checked ones raised NoConvergence; the recurrence gives 0.918
+        # and a solution of the embedded equation
+        mpmath = pytest.importorskip("mpmath")
         u = UniversalParams.from_degrees(ell=61.0, mprime=1.0)
-        with pytest.raises(NoConvergence):
-            universal_sum_derivatives(u, 0.8)
-        with pytest.raises(NoConvergence):
-            universal_ode_residual(u, 0.8)
+        f = universal_sum_derivatives(u, 0.8)[0]
+        want = _universal_rec_mp(mpmath, u, 0.8)
+        assert want == pytest.approx(0.918, abs=5e-4)
+        assert abs(f - want) <= 2e-12 * (1.0 + abs(want))
+        assert universal_ode_residual(u, 0.8) <= 1e-9
 
     def test_moderate_degrees_accepted(self):
         for n in range(17):
@@ -273,6 +339,106 @@ class TestUniversalSumDerivatives:
                                             mpmath.mpf(r), k) for k in range(3)]
                     for g, w in zip(got, want):
                         assert abs(g - w) <= 1e-8 * (1.0 + abs(w))
+
+
+class TestUniversalRecurrence:
+    """universal_sum and universal_sum_derivatives against independent
+    oracles, each with the bound it is held to."""
+
+    MPRIMES = (0.0, 0.5, 1.0, 2.3, 5.0)
+
+    def test_mpmath_sweep(self):
+        # n_index 0-1000 (every 9th and the cap), both ends and next to
+        # them: within 2e-12 (1 + |F|) of a 50-digit recurrence
+        mpmath = pytest.importorskip("mpmath")
+        degrees = list(range(0, 1001, 9)) + [1000]
+        for mprime in self.MPRIMES:
+            packs = {n: UniversalParams.from_degrees(ell=mprime + n, mprime=mprime)
+                     for n in degrees}
+            with mpmath.workdps(50):
+                consts = {n: _universal_const_mp(mpmath, u) for n, u in packs.items()}
+            for r in (-1.0, -0.999, -0.93, -0.5, -0.1, 0.0, 0.3, 0.77, 0.999, 1.0):
+                with mpmath.workdps(50):
+                    x = mpmath.mpf(r)
+                    table = gegenbauer_table(degrees[-1], mpmath.mpf(mprime) + 0.5, x)
+                    weight = (1 - x * x) ** (mprime / 2)
+                    want = {n: float(c * weight * table[n]) for n, c in consts.items()}
+                for n, u in packs.items():
+                    got = universal_sum(u, r)
+                    assert abs(got - want[n]) <= 2e-12 * (1.0 + abs(want[n])), (mprime, n, r)
+
+    def test_derivatives_against_mpmath_diff(self):
+        # n_index <= 200 and |r| <= 0.999: within 1e-11 (1 + |F^(k)|)
+        mpmath = pytest.importorskip("mpmath")
+        for mprime in self.MPRIMES:
+            for n in (0, 1, 2, 7, 16, 61, 100, 151, 200):
+                u = UniversalParams.from_degrees(ell=mprime + n, mprime=mprime)
+                for r in (-0.999, -0.9, -0.3, 0.0, 0.45, 0.8, 0.99, 0.999):
+                    got = universal_sum_derivatives(u, r)
+                    with mpmath.workdps(40):
+                        jet = mpmath.diffs(lambda x: _universal_rec_at(mpmath, u, x),
+                                           mpmath.mpf(r), 2)
+                        want = [float(w) for w in jet]
+                    for k, (g, w) in enumerate(zip(got, want)):
+                        assert abs(g - w) <= 1e-11 * (1.0 + abs(w)), (mprime, n, r, k)
+
+    def test_scipy_eval_gegenbauer(self):
+        # scipy's own recurrence drifts by up to ~1e-11 at n 1000 next to
+        # the ends; for n_index <= 200 and |r| <= 0.99 both agree to
+        # 1e-12 (1 + |F|)
+        special = pytest.importorskip("scipy.special")
+        mpmath = pytest.importorskip("mpmath")
+        for mprime in self.MPRIMES:
+            for n in (0, 1, 3, 10, 33, 100, 200):
+                u = UniversalParams.from_degrees(ell=mprime + n, mprime=mprime)
+                with mpmath.workdps(30):
+                    const = float(_universal_const_mp(mpmath, u))
+                for r in (-0.99, -0.7, -0.2, 0.0, 0.25, 0.6, 0.95, 0.99):
+                    want = (const * (1.0 - r * r) ** (mprime / 2.0)
+                            * special.eval_gegenbauer(n, mprime + 0.5, r))
+                    assert abs(universal_sum(u, r) - want) <= 1e-12 * (1.0 + abs(want))
+
+    def test_legendre_recurrence_at_order_zero(self):
+        # mprime = 0 is sqrt((2n+1)/2) P_n, against the float Bonnet
+        # recurrence: within 1e-13 (1 + |F|) for n <= 100, |r| <= 0.95
+        for n in range(101):
+            u = UniversalParams.from_degrees(ell=float(n), mprime=0.0)
+            for i in range(21):
+                r = -0.95 + i * 0.095
+                want = math.sqrt((2 * n + 1) / 2.0) * legendre_recurrence(n, r)
+                assert abs(universal_sum(u, r) - want) <= 1e-13 * (1.0 + abs(want))
+
+    def test_mpmath_legenp_at_integer_orders(self):
+        # integer mprime: (-1)^mprime times the normalized associated
+        # Legendre function, within 2e-12 (1 + |F|)
+        mpmath = pytest.importorskip("mpmath")
+        for mprime in (1, 2, 3, 5):
+            for ell in (mprime, mprime + 1, 12, 80, 201):
+                u = UniversalParams.from_degrees(ell=float(ell), mprime=float(mprime))
+                for r in (-0.97, -0.4, 0.1, 0.9):
+                    with mpmath.workdps(30):
+                        want = float((-1) ** mprime * mpmath.sqrt(
+                            (2 * ell + 1) * mpmath.factorial(ell - mprime)
+                            / (2 * mpmath.factorial(ell + mprime)))
+                            * mpmath.legenp(ell, mprime, r))
+                    assert abs(universal_sum(u, r) - want) <= 2e-12 * (1.0 + abs(want))
+
+    def test_beyond_the_float_range_typed(self):
+        # C_n^lam overflows at (mprime 300, n_index 1000, r 0.9); the
+        # constant underflows at (1000, 1000); past mprime 1000 lgamma's
+        # rounding would cost the constant its digits.  Each raises, and
+        # neither inf nor 0 comes back
+        overflow = UniversalParams.from_degrees(ell=1300.0, mprime=300.0)
+        underflow = UniversalParams.from_degrees(ell=2000.0, mprime=1000.0)
+        wide = UniversalParams.from_degrees(ell=1003.0, mprime=1001.0)
+        for u, r in ((overflow, 0.9), (underflow, 0.5), (wide, 0.0)):
+            for fn in (universal_sum, universal_sum_derivatives):
+                with pytest.raises(NoConvergence):
+                    fn(u, r)
+        # the same pack at 0.5 stays in range, and accurate
+        mpmath = pytest.importorskip("mpmath")
+        want = _universal_rec_mp(mpmath, overflow, 0.5)
+        assert abs(universal_sum(overflow, 0.5) - want) <= 2e-12 * (1.0 + abs(want))
 
 
 class TestUniversalHypergeometric:
