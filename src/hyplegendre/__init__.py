@@ -24,8 +24,6 @@ from .errors import (
     RootMismatch,
 )
 from .hypergeom import (
-    DEFAULT_CONFIG,
-    EvalConfig,
     Hyp2F1,
     connection_15_8_4,
     gamma,

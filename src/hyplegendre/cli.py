@@ -110,6 +110,10 @@ def _load_json_fields(path: str, keys: tuple[str, ...]) -> dict:
         value = data[key]
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ParseError(f"'{path}': field '{key}' must be a number")
+        try:
+            float(value)  # a JSON integer has no size limit
+        except OverflowError as exc:
+            raise InvalidParams(f"'{path}': field '{key}' is past the float range") from exc
     return data
 
 

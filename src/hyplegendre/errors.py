@@ -14,7 +14,8 @@ class PoleError(Error):
 
 
 class NoConvergence(Error):
-    """A series did not meet the requested tolerance within max_terms."""
+    """A series did not meet its tolerance within its term budget, or left
+    the float range."""
 
 
 class DegenerateCase(Error):

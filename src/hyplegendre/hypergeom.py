@@ -1,9 +1,10 @@
 """Gauss hypergeometric core: 2F1 series evaluation, gamma, Pochhammer,
 and the transformation identities the solution machinery relies on.
 
-All arithmetic is IEEE double precision.  Evaluation is controlled by an
-EvalConfig (truncation tolerance, term budget, pole detection tolerance);
-the module-level DEFAULT_CONFIG is used when none is given.
+All arithmetic is IEEE double precision.  Three constants govern every
+evaluation: a series stops once a term falls below _REL_TOL relative to
+its running sum, raises NoConvergence after _MAX_TERMS terms, and a real
+within DEFAULT_POLE_TOL of a non-positive integer is a pole.
 """
 
 from __future__ import annotations
@@ -13,9 +14,11 @@ from array import array
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import DegenerateCase, DomainError, InvalidParams, NoConvergence, PoleError
+from .errors import DegenerateCase, DomainError, NoConvergence, PoleError
 
 DEFAULT_POLE_TOL = 1e-10
+_REL_TOL = 1e-15
+_MAX_TERMS = 500
 
 _SERIES_SPLIT = 0.5  # direct summation for |z| <= split, transforms beyond
 _C0 = array("d", [1.0])  # the memo before any evaluation: c_0 alone
@@ -27,31 +30,6 @@ def _dist_to_int(x: float) -> float:
 
 def _is_nonpositive_integer(x: float, tol: float) -> bool:
     return x < 0.5 and _dist_to_int(x) <= tol
-
-
-@dataclass(frozen=True)
-class EvalConfig:
-    """Knobs for series evaluation.
-
-    rel_tol: stop once a term drops below rel_tol relative to the running sum.
-    max_terms: hard budget before NoConvergence is raised.
-    pole_tol: distance below which a real is treated as a non-positive integer.
-    """
-
-    rel_tol: float = 1e-15
-    max_terms: int = 500
-    pole_tol: float = DEFAULT_POLE_TOL
-
-    def __post_init__(self) -> None:
-        if not (self.rel_tol > 0.0):
-            raise InvalidParams("rel_tol must be positive")
-        if self.max_terms < 1:
-            raise InvalidParams("max_terms must be at least 1")
-        if not (self.pole_tol > 0.0):
-            raise InvalidParams("pole_tol must be positive")
-
-
-DEFAULT_CONFIG = EvalConfig()
 
 
 @dataclass(frozen=True)
@@ -69,9 +47,9 @@ class Hyp2F1:
     Kummer set, and the memo of series coefficients
     c_k = (a)_k (b)_k / ((c)_k k!).
     The memo is an array('d') that every summation reads and extends in the
-    same pass; it holds at most max_terms + 1 entries of the configuration
-    that grew it, and it is replaced, never mutated, so callers sharing an
-    instance see either the old or the new one whole.
+    same pass; it holds at most _MAX_TERMS + 1 entries, and it is replaced,
+    never mutated, so callers sharing an instance see either the old or the
+    new one whole.
     """
 
     a: float
@@ -105,17 +83,12 @@ class Hyp2F1:
         a, b = (self.a, self.b) if self.a <= self.b else (self.b, self.a)
         return Hyp2F1(a, self.c - b, self.c)
 
-    def _connection_plan(self, pole_tol: float) -> "_KummerPlan":
-        """The plan of this triple's Kummer set, built on first use and kept
-        for the pole_tol it was built with.  Callers racing on one instance
-        may each build a plan; each uses its own.
-        """
-        plan = self.__dict__.get("_plan")
-        if plan is None or plan.pole_tol != pole_tol:
-            # not handed self as w1's triple: a reference cycle would leave
-            # every instance to the cyclic garbage collector
-            plan = self.__dict__["_plan"] = _KummerPlan(self.a, self.b, self.c, pole_tol)
-        return plan
+    @cached_property
+    def _plan(self) -> "_KummerPlan":
+        """The plan of this triple's Kummer set."""
+        # not handed self as w1's triple: a reference cycle would leave
+        # every instance to the cyclic garbage collector
+        return _KummerPlan(self.a, self.b, self.c)
 
 
 class _KummerPlan:
@@ -146,14 +119,12 @@ class _KummerPlan:
     class: a dataclass here would add milliseconds to the package import.
     """
 
-    __slots__ = ("pole_tol", "abc", "powers", "_given_cab", "_triples", "_rows")
+    __slots__ = ("abc", "powers", "_given_cab", "_triples", "_rows")
 
-    def __init__(self, a: float, b: float, c: float, pole_tol: float,
-                 first: Hyp2F1 | None = None) -> None:
+    def __init__(self, a: float, b: float, c: float, first: Hyp2F1 | None = None) -> None:
         self._given_cab = c - a - b  # the sine of hyp2f1's route takes it as given
         if a > b:
             a, b = b, a
-        self.pole_tol = pole_tol
         self.abc = (a, b, c)
         self.powers = (0.0, 1.0 - c, 0.0, c - a - b)  # w_k = x^powers[k] F(triple k; x)
         # filled in on first use, each entry once: racing callers may each
@@ -191,7 +162,7 @@ class _KummerPlan:
         a, b, c = self.abc
         cab = self.powers[3]
         x = cab if k < 2 else self.powers[1]
-        if _dist_to_int(x) <= self.pole_tol:
+        if _dist_to_int(x) <= DEFAULT_POLE_TOL:
             name = "c-a-b" if k < 2 else "1-c"
             raise DegenerateCase(f"connection formula degenerate: {name}={x!r} is an integer")
         i = 0 if k > 1 else 2
@@ -206,10 +177,9 @@ class _KummerPlan:
             ck, al1, al2, be1, be2 = a + b - c + 1.0, b - c + 1.0, a - c + 1.0, a, b
         else:
             ck, al1, al2, be1, be2 = cab + 1.0, 1.0 - a, 1.0 - b, c - a, c - b
-        tol = self.pole_tol
-        alpha = rgamma(al1, tol) * rgamma(al2, tol) * rgamma(u.c, tol)
-        beta = rgamma(be1, tol) * rgamma(be2, tol) * rgamma(v.c, tol)
-        gk = gamma(ck, tol)
+        alpha = rgamma(al1) * rgamma(al2) * rgamma(u.c)
+        beta = rgamma(be1) * rgamma(be2) * rgamma(v.c)
+        gk = gamma(ck)
         if not (math.isfinite(alpha) and math.isfinite(beta) and math.isfinite(gk)):
             raise DomainError(
                 f"connection coefficients of ({a}, {b}; {c}) leave the float range")
@@ -231,71 +201,55 @@ def pochhammer(x: float, n: int) -> float:
     return acc
 
 
-def gamma(x: float, pole_tol: float = DEFAULT_POLE_TOL) -> float:
+def gamma(x: float) -> float:
     """Gamma function for real x: math.gamma behind a pole check.
 
-    Raises PoleError when x is within pole_tol of a non-positive integer.
-    Where Gamma overflows (x past ~171.6, or within ~1e-308 of 0) the
-    result is inf with the sign of x.
+    Raises PoleError when x is within DEFAULT_POLE_TOL of a non-positive
+    integer.  Where Gamma overflows (x past ~171.6; next to 0 is a pole)
+    the result is +inf.
     """
-    if _is_nonpositive_integer(x, pole_tol):
+    if _is_nonpositive_integer(x, DEFAULT_POLE_TOL):
         raise PoleError(f"gamma pole at x={x!r}")
     try:
         return math.gamma(x)
     except OverflowError:
-        return math.copysign(math.inf, x)
+        return math.inf
 
 
-def rgamma(x: float, pole_tol: float = DEFAULT_POLE_TOL) -> float:
+def rgamma(x: float) -> float:
     """Reciprocal gamma 1/Gamma(x); 0 at the poles. Never raises: where
     Gamma underflows to 0 (x below ~-171) the result is inf with its sign."""
-    if _is_nonpositive_integer(x, pole_tol):
+    if _is_nonpositive_integer(x, DEFAULT_POLE_TOL):
         return 0.0
-    g = gamma(x, pole_tol)
+    g = gamma(x)
     return 1.0 / g if g != 0.0 else math.copysign(math.inf, g)
 
 
-def _steps(p: Hyp2F1, cfg: EvalConfig, nterms: int | None) -> tuple[int, bool]:
-    """(steps, at_pole): the recurrence steps a summation may take, and
-    whether they stop short of the budget at the pole in c, i.e. at the
-    first k >= 0 with |c + k| <= pole_tol."""
-    budget = nterms if nterms is not None else cfg.max_terms
-    c, tol = p.c, cfg.pole_tol
-    if c <= tol:
-        k = max(0.0, math.ceil(-c - tol) - 1.0)  # no earlier k can qualify
-        while k < budget and c + k <= tol:
-            if c + k >= -tol:
-                return int(k), True
-            k += 1.0
-    return budget, False
+def _diverged(p: Hyp2F1, z: float, finite: bool) -> NoConvergence:
+    why = (f"did not reach rel_tol={_REL_TOL} in {_MAX_TERMS} terms" if finite
+           else "leaves the float range")
+    return NoConvergence(f"2F1 series {why} (a={p.a}, b={p.b}, c={p.c}, z={z})")
 
 
-def _exhausted(p: Hyp2F1, z: float, cfg: EvalConfig, steps: int, at_pole: bool) -> Exception:
-    if at_pole:
-        return PoleError(f"series hit the pole in c={p.c!r} at term {steps + 1}")
-    return NoConvergence(
-        f"2F1 series did not reach rel_tol={cfg.rel_tol} in {cfg.max_terms} terms "
-        f"(a={p.a}, b={p.b}, c={p.c}, z={z})"
-    )
-
-
-def _publish(p: Hyp2F1, coefs: list[float], cfg: EvalConfig) -> None:
+def _publish(p: Hyp2F1, coefs: list[float]) -> None:
     # one assignment of a new array: a published memo is never mutated
-    p.__dict__["_coefs"] = array("d", coefs[:cfg.max_terms + 1])
+    p.__dict__["_coefs"] = array("d", coefs[:_MAX_TERMS + 1])
 
 
-def _series(p: Hyp2F1, z: float, cfg: EvalConfig, nterms: int | None) -> float:
+def _series(p: Hyp2F1, z: float, nterms: int | None) -> float:
     """Direct summation of the defining series, the sum of c_k z^k.
 
     With nterms given the sum is over exactly that many recurrence steps
     (terminating case); otherwise terms are added until one falls below
-    rel_tol relative to the largest partial sum seen.  The c_k are read
-    from the memo of p; those past its end are computed in the same pass
-    and published with the result.
+    _REL_TOL relative to the largest partial sum seen, or NoConvergence
+    after _MAX_TERMS.  A sum past the float range raises NoConvergence.
+    The c_k are read from the memo of p; those past its end are computed in
+    the same pass and published with the result.
     """
-    steps, at_pole = _steps(p, cfg, nterms)
+    steps = _MAX_TERMS if nterms is None else nterms
     coefs = p.__dict__.get("_coefs", _C0)
-    rel = cfg.rel_tol
+    rel = _REL_TOL
+    converged = False  # the stopping test, which a terminating sum skips
     acc = scale = zk = 1.0
     for ck in coefs[1:steps + 1]:
         zk *= z
@@ -306,9 +260,10 @@ def _series(p: Hyp2F1, z: float, cfg: EvalConfig, nterms: int | None) -> float:
         if acc > scale or -acc > scale:
             scale = abs(acc)
         if nterms is None and -rel * scale <= t <= rel * scale:
-            return acc
+            converged = True
+            break
     known = len(coefs) - 1
-    if known < steps:
+    if not converged and known < steps:
         grown = coefs.tolist()
         a, b, c = p.a, p.b, p.c
         ck = grown[-1]
@@ -323,27 +278,27 @@ def _series(p: Hyp2F1, z: float, cfg: EvalConfig, nterms: int | None) -> float:
             if acc > scale or -acc > scale:
                 scale = abs(acc)
             if nterms is None and -rel * scale <= t <= rel * scale:
-                _publish(p, grown, cfg)
-                return acc
-        _publish(p, grown, cfg)
-    if nterms is None or at_pole:
-        raise _exhausted(p, z, cfg, steps, at_pole)
+                converged = True
+                break
+        _publish(p, grown)
+    finite = math.isfinite(acc)
+    if not finite or nterms is None and not converged:
+        raise _diverged(p, z, finite)
     return acc
 
 
-def _jet(
-    p: Hyp2F1, z: float, cfg: EvalConfig, nterms: int | None
-) -> tuple[float, float, float]:
+def _jet(p: Hyp2F1, z: float, nterms: int | None) -> tuple[float, float, float]:
     """(F, F', F'') of the defining series from one pass over its
     coefficients: the sums of c_k z^k, k c_k z^(k-1) and k(k-1) c_k z^(k-2).
 
     The powers of z are carried by multiplication, so z = 0 gives the exact
-    values.  Memo, truncation, pole checks and the term budget are those of
-    _series, with the stopping test applied to all three sums.
+    values.  Memo, truncation, term budget and errors are those of _series,
+    with the stopping test applied to all three sums.
     """
-    steps, at_pole = _steps(p, cfg, nterms)
+    steps = _MAX_TERMS if nterms is None else nterms
     coefs = p.__dict__.get("_coefs", _C0)
-    rel = cfg.rel_tol
+    rel = _REL_TOL
+    converged = False
     f0, f1, f2 = 1.0, 0.0, 0.0
     s0, s1, s2 = 1.0, 0.0, 0.0
     # z^k, z^(k-1), z^(k-2) for the next k; t2 vanishes at k = 1
@@ -363,11 +318,12 @@ def _jet(
             s2 = abs(f2)
         if nterms is None and -rel * s2 <= t2 <= rel * s2 \
                 and -rel * s1 <= t1 <= rel * s1 and -rel * s0 <= t0 <= rel * s0:
-            return f0, f1, f2
+            converged = True
+            break
         z0, z1, z2 = z0 * z, z0, z1
         k += 1.0
     known = len(coefs) - 1
-    if known < steps:
+    if not converged and known < steps:
         grown = coefs.tolist()
         a, b, c = p.a, p.b, p.c
         ck = grown[-1]
@@ -387,13 +343,14 @@ def _jet(
                 s2 = abs(f2)
             if nterms is None and -rel * s2 <= t2 <= rel * s2 \
                     and -rel * s1 <= t1 <= rel * s1 and -rel * s0 <= t0 <= rel * s0:
-                _publish(p, grown, cfg)
-                return f0, f1, f2
+                converged = True
+                break
             z0, z1, z2 = z0 * z, z0, z1
             k += 1.0
-        _publish(p, grown, cfg)
-    if nterms is None or at_pole:
-        raise _exhausted(p, z, cfg, steps, at_pole)
+        _publish(p, grown)
+    finite = math.isfinite(f0) and math.isfinite(f1) and math.isfinite(f2)
+    if not finite or nterms is None and not converged:
+        raise _diverged(p, z, finite)
     return f0, f1, f2
 
 
@@ -408,12 +365,12 @@ def _series_magnitude(p: Hyp2F1, z: float) -> float:
     return total
 
 
-def _connection(row: tuple, z: float, cfg: EvalConfig) -> float:
+def _connection(row: tuple, z: float) -> float:
     """sin(pi(c-a-b))/pi * 2F1(a,b;c;z) for 0 < z < 1 from the 1-z side:
     the row of w1 without its pi/sin factor."""
     _, gamma_c, alpha, beta, near, far, cab = row
     w = 1.0 - z
-    return gamma_c * (alpha * hyp2f1(near, w, cfg) - w ** cab * beta * hyp2f1(far, w, cfg))
+    return gamma_c * (alpha * hyp2f1(near, w) - w ** cab * beta * hyp2f1(far, w))
 
 
 def _power_jet(
@@ -430,8 +387,7 @@ _UNKNOWN = (None, None, None, None)  # no member of a Kummer set summed yet
 
 
 def _kummer(
-    plan: _KummerPlan, k: int, z: float, w: float, cfg: EvalConfig,
-    known: tuple, jet: bool,
+    plan: _KummerPlan, k: int, z: float, w: float, known: tuple, jet: bool
 ) -> tuple:
     """Member k (0 to 3 for w1 to w4) of the Kummer set of plan at one point,
     as a value or as a jet (F, F', F'') in z, and the point's known members.
@@ -451,7 +407,7 @@ def _kummer(
         i = 0 if k > 1 else 2
         for m in (i, i + 1):
             if known[m] is None:
-                known = known[:m] + (_kummer_summed(plan, m, z, w, cfg, jet),) + known[m + 1:]
+                known = known[:m] + (_kummer_summed(plan, m, z, w, jet),) + known[m + 1:]
         u, v = known[i], known[i + 1]
         if jet:
             return (s * (g * (alpha * u[0] - beta * v[0])),
@@ -460,28 +416,26 @@ def _kummer(
         return s * (g * (alpha * u - beta * v)), known
     member = known[k]
     if member is None:
-        member = _kummer_summed(plan, k, z, w, cfg, jet)
+        member = _kummer_summed(plan, k, z, w, jet)
         known = known[:k] + (member,) + known[k + 1:]
     return member, known
 
 
-def _kummer_summed(
-    plan: _KummerPlan, k: int, z: float, w: float, cfg: EvalConfig, jet: bool
-):
+def _kummer_summed(plan: _KummerPlan, k: int, z: float, w: float, jet: bool):
     """Member k from its own series and power; a jet in w turns into one in
     z by a sign flip of the first derivative."""
     x = w if k > 1 else z
     t, e = plan.triple(k), plan.powers[k]
     if not jet:
-        f = hyp2f1(t, x, cfg)
+        f = hyp2f1(t, x)
         return f * x ** e if e != 0.0 else f
-    h = _hyp2f1_jet(t, x, cfg)
+    h = _hyp2f1_jet(t, x)
     if e != 0.0:
         h = _power_jet(h, x, e)
     return (h[0], -h[1], h[2]) if k > 1 else h
 
 
-def hyp2f1(p: Hyp2F1, z: float, cfg: EvalConfig = DEFAULT_CONFIG) -> float:
+def hyp2f1(p: Hyp2F1, z: float) -> float:
     """Evaluate 2F1(a,b;c;z) for real parameters and argument.
 
     Terminating series are summed exactly (any finite z).  Otherwise the
@@ -493,33 +447,30 @@ def hyp2f1(p: Hyp2F1, z: float, cfg: EvalConfig = DEFAULT_CONFIG) -> float:
         raise DomainError(f"argument must be finite, got z={z!r}")
     if p.terminating_degree is not None:
         # exactly d+1 terms: the leading 1 plus d recurrence steps
-        return _series(p, z, cfg, p.terminating_degree)
+        return _series(p, z, p.terminating_degree)
     if abs(z) <= _SERIES_SPLIT:
-        return _series(p, z, cfg, None)
+        return _series(p, z, None)
     if _SERIES_SPLIT < z < 1.0:
-        row = p._connection_plan(cfg.pole_tol).row(0)
-        return row[0] * _connection(row, z, cfg)
+        row = p._plan.row(0)
+        return row[0] * _connection(row, z)
     if -1.0 < z < -_SERIES_SPLIT:
         # 2F1(a,b;c;z) = (1-z)^(-a) 2F1(a, c-b; c; z/(z-1))
         q = p._pfaff
-        return (1.0 - z) ** (-q.a) * _series(q, z / (z - 1.0), cfg, None)
+        return (1.0 - z) ** (-q.a) * _series(q, z / (z - 1.0), None)
     if z == 1.0:
         cab = p.c - p.a - p.b
         if cab > 0.0:
-            return gamma(p.c, cfg.pole_tol) * gamma(cab, cfg.pole_tol) \
-                * rgamma(p.c - p.a, cfg.pole_tol) * rgamma(p.c - p.b, cfg.pole_tol)
+            return gamma(p.c) * gamma(cab) * rgamma(p.c - p.a) * rgamma(p.c - p.b)
         raise DomainError(f"z=1 requires c-a-b > 0, got {cab!r}")
     raise DomainError(f"argument z={z!r} outside the non-terminating domain")
 
 
-def hyp2f1_derivative(p: Hyp2F1, z: float, cfg: EvalConfig = DEFAULT_CONFIG) -> float:
+def hyp2f1_derivative(p: Hyp2F1, z: float) -> float:
     """d/dz 2F1(a,b;c;z) via the parameter-shift rule (ab/c shifted triple)."""
-    return p.a * p.b / p.c * hyp2f1(p._shifted, z, cfg)
+    return p.a * p.b / p.c * hyp2f1(p._shifted, z)
 
 
-def _hyp2f1_jet(
-    p: Hyp2F1, z: float, cfg: EvalConfig = DEFAULT_CONFIG
-) -> tuple[float, float, float]:
+def _hyp2f1_jet(p: Hyp2F1, z: float) -> tuple[float, float, float]:
     """(F, F', F'') of 2F1(a,b;c;z), one series pass per side.
 
     Covers what a solution branch reaches: terminating series at any finite
@@ -531,14 +482,14 @@ def _hyp2f1_jet(
     if not math.isfinite(z):
         raise DomainError(f"argument must be finite, got z={z!r}")
     if p.terminating_degree is not None:
-        return _jet(p, z, cfg, p.terminating_degree)
+        return _jet(p, z, p.terminating_degree)
     if abs(z) <= _SERIES_SPLIT:
-        return _jet(p, z, cfg, None)
+        return _jet(p, z, None)
     if _SERIES_SPLIT < z < 1.0:
-        return _kummer(p._connection_plan(cfg.pole_tol), 0, z, 1.0 - z, cfg, _UNKNOWN, True)[0]
+        return _kummer(p._plan, 0, z, 1.0 - z, _UNKNOWN, True)[0]
     if z == 1.0:
-        return (hyp2f1(p, z, cfg), hyp2f1_derivative(p, z, cfg),
-                p.a * p.b / p.c * hyp2f1_derivative(p._shifted, z, cfg))
+        return (hyp2f1(p, z), hyp2f1_derivative(p, z),
+                p.a * p.b / p.c * hyp2f1_derivative(p._shifted, z))
     raise DomainError(f"derivatives need -0.5 <= z <= 1, got z={z!r}")
 
 
@@ -551,21 +502,19 @@ def pfaff_transform(p: Hyp2F1) -> tuple[Hyp2F1, float]:
     return Hyp2F1(p.c - p.a, p.c - p.b, p.c), p.c - p.a - p.b
 
 
-def connection_15_8_4(p: Hyp2F1, z: float, cfg: EvalConfig = DEFAULT_CONFIG) -> float:
+def connection_15_8_4(p: Hyp2F1, z: float) -> float:
     """sin(pi(c-a-b))/pi * 2F1(a,b;c;z) computed purely from the 1-z side.
 
     Verification partner of the direct evaluation; raises DegenerateCase
     when c-a-b is an integer (logarithmic case, out of scope).
     """
-    row = p._connection_plan(cfg.pole_tol).row(0)
+    row = p._plan.row(0)
     if not (0.0 < z < 1.0):
         raise DomainError(f"connection formula requires 0 < z < 1, got z={z!r}")
-    return _connection(row, z, cfg)
+    return _connection(row, z)
 
 
-def inversion_15_8_6(
-    m: int, b: float, c: float, z: float, cfg: EvalConfig = DEFAULT_CONFIG
-) -> float:
+def inversion_15_8_6(m: int, b: float, c: float, z: float) -> float:
     """Right-hand side of the argument-inversion identity
 
         (-1)^m (c)_m/(b)_m 2F1(-m,b;c;z) = z^m 2F1(-m,1-c-m;1-b-m;1/z).
@@ -578,17 +527,15 @@ def inversion_15_8_6(
     if z == 0.0:
         raise DomainError("inversion identity requires z != 0")
     for j in range(m):
-        if abs(b + j) <= cfg.pole_tol:
+        if abs(b + j) <= DEFAULT_POLE_TOL:
             raise PoleError(f"prefactor Pochhammer (b)_m vanishes: b={b!r}, m={m}")
     if m == 0:
         return 1.0
     inner = Hyp2F1(-float(m), 1.0 - c - m, 1.0 - b - m)
-    return z ** m * hyp2f1(inner, 1.0 / z, cfg)
+    return z ** m * hyp2f1(inner, 1.0 / z)
 
 
-def quadratic_15_8_20(
-    a: float, c: float, z: float, cfg: EvalConfig = DEFAULT_CONFIG
-) -> float:
+def quadratic_15_8_20(a: float, c: float, z: float) -> float:
     """Right-hand side of the quadratic transformation
 
         2F1(a,1-a;c;z) = (1-z)^(c-1) 2F1((c-a)/2,(a+c-1)/2;c;4z(1-z)).
@@ -604,4 +551,4 @@ def quadratic_15_8_20(
         raise DomainError(
             f"transformed argument 4z(1-z)={w!r} outside the convergence region"
         )
-    return (1.0 - z) ** (c - 1.0) * hyp2f1(inner, w, cfg)
+    return (1.0 - z) ** (c - 1.0) * hyp2f1(inner, w)

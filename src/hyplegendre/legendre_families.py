@@ -20,8 +20,6 @@ from .errors import (
     PoleError,
 )
 from .hypergeom import (
-    DEFAULT_CONFIG,
-    EvalConfig,
     Hyp2F1,
     _dist_to_int,
     _series_magnitude,
@@ -257,7 +255,6 @@ def generalized_solutions(
     mu2: float,
     p: OdeParams,
     r: float,
-    cfg: EvalConfig = DEFAULT_CONFIG,
 ) -> tuple[float, float]:
     """The two generalized-family solutions at r:
 
@@ -272,18 +269,12 @@ def generalized_solutions(
     zb = (p.xi2 - r) / p.width
     h1, h2 = t._first, t._second
     left = _edge_power(r - p.xi1, mu1)
-    f1 = left * _edge_power(p.xi2 - r, mu2) * hyp2f1(h1, zb, cfg)
-    f2 = left * _edge_power(p.xi2 - r, mu2 + t.m) * hyp2f1(h2, zb, cfg)
+    f1 = left * _edge_power(p.xi2 - r, mu2) * hyp2f1(h1, zb)
+    f2 = left * _edge_power(p.xi2 - r, mu2 + t.m) * hyp2f1(h2, zb)
     return f1, f2
 
 
-def kuipers_reduction_check(
-    t: LegendreTriple,
-    xi1: float,
-    xi2: float,
-    r: float,
-    cfg: EvalConfig = DEFAULT_CONFIG,
-) -> float:
+def kuipers_reduction_check(t: LegendreTriple, xi1: float, xi2: float, r: float) -> float:
     """Normalized residual of the reduced two-order equation
 
         (r-xi1)(xi2-r) F'' + (-2r+xi1+xi2) F'
@@ -307,7 +298,7 @@ def kuipers_reduction_check(
             branch_id=BranchId.BREVE1,
         )
         kept = t.__dict__["_kuipers"] = ((xi1, xi2), branch)
-    f, f1, f2 = value_and_derivatives(kept[1], r, cfg)
+    f, f1, f2 = value_and_derivatives(kept[1], r)
     lhs = (
         (r - xi1) * (xi2 - r) * f2
         + (-2.0 * r + xi1 + xi2) * f1
@@ -380,9 +371,7 @@ def universal_sum_derivatives(u: UniversalParams, r: float) -> tuple[float, floa
     return out
 
 
-def universal_hypergeometric(
-    u: UniversalParams, r: float, cfg: EvalConfig = DEFAULT_CONFIG
-) -> float:
+def universal_hypergeometric(u: UniversalParams, r: float) -> float:
     """Closed form of the universal family,
 
         C * (1-r^2)^(mprime/2) * 2F1((1+ell+mprime)/2, -n/2; 1/2; r^2),
@@ -400,7 +389,7 @@ def universal_hypergeometric(
     const, hyp = u._closed_form
     x = r * r
     pref = const * (1.0 - x) ** (u.mprime / 2.0)
-    value = pref * hyp2f1(hyp, x, cfg)
+    value = pref * hyp2f1(hyp, x)
     err = _SUM_ERR_FACTOR * abs(pref) * _series_magnitude(hyp, x)
     if not err <= _SUM_TOL * (1.0 + abs(value)):  # nan fails too
         raise NoConvergence(
@@ -439,12 +428,7 @@ def universal_ode_residual(
     return abs(lhs) / (1.0 + abs(f) + abs(f1) + abs(f2))
 
 
-def quadratic_path_check(
-    u: UniversalParams,
-    p: OdeParams,
-    r: float,
-    cfg: EvalConfig = DEFAULT_CONFIG,
-) -> tuple[float, float]:
+def quadratic_path_check(u: UniversalParams, p: OdeParams, r: float) -> tuple[float, float]:
     """Both ends of the quadratic-transformation route to the closed form.
 
     The first value follows the even-argument rewrite
@@ -482,9 +466,9 @@ def quadratic_path_check(
         / denom
         * (r - p.xi1) ** mu1
         * (p.xi2 - r) ** mu2
-        * hyp2f1(hyp, arg, cfg)
+        * hyp2f1(hyp, arg)
     )
-    rhs = universal_hypergeometric(u, r, cfg)
+    rhs = universal_hypergeometric(u, r)
     if lhs == 0.0 or rhs == 0.0:
         raise DegenerateCase(f"a side vanishes at r={r!r}; pick another sample")
     return lhs, rhs

@@ -26,9 +26,7 @@ from .errors import (
 )
 from .hypergeom import (
     _UNKNOWN,
-    DEFAULT_CONFIG,
     DEFAULT_POLE_TOL,
-    EvalConfig,
     Hyp2F1,
     _dist_to_int,
     _is_nonpositive_integer,
@@ -307,29 +305,27 @@ class _KummerSet:
     k of its plan at z = zmap.z(r) and w = 1 - z, both formed from r.
 
     A one-slot memo per kind, values and jets, keeps what the last point r
-    found, with the config it was found under, so the branches of one row
-    share the edge factor and two series.  A memo is replaced, never
-    mutated: threads evaluating other points see whole memos only.  A plain
-    slotted class, as _KummerPlan.
+    found, so the branches of one row share the edge factor and two series.
+    A memo is replaced, never mutated: threads evaluating other points see
+    whole memos only.  A plain slotted class, as _KummerPlan.
     """
 
-    __slots__ = ("abc", "first", "mu1", "mu2", "zmap", "dz_dr", "_plan", "_values", "_jets")
+    __slots__ = ("mu1", "mu2", "zmap", "dz_dr", "_plan", "_values", "_jets")
 
     def __init__(self, a: float, b: float, c: float, mu1: float, mu2: float,
                  zmap: CoordinateMap, first: Hyp2F1 | None = None) -> None:
-        self.abc = (a, b, c)
-        self.first = first
         self.mu1, self.mu2 = mu1, mu2
         self.zmap = zmap
         self.dz_dr = zmap.dz_dr
-        self._plan = self._values = self._jets = None
+        self._plan = _KummerPlan(a, b, c, first)
+        self._values = self._jets = None
 
-    def member(self, k: int, r: float, cfg: EvalConfig, jet: bool) -> tuple:
+    def member(self, k: int, r: float, jet: bool) -> tuple:
         """(edge factor, member k) at r, as values or as jets: the edge
         factor's in r, the member's in z."""
         memo = self._jets if jet else self._values
-        if memo is not None and memo[0] == r and memo[1] is cfg:
-            _, _, z, w, edge, known = memo
+        if memo is not None and memo[0] == r:
+            _, z, w, edge, known = memo
         else:
             xi1, xi2 = self.zmap.xi1, self.zmap.xi2
             mu1, mu2 = self.mu1, self.mu2
@@ -345,15 +341,12 @@ class _KummerSet:
             if self.zmap.variant is MapVariant.MAP_II:
                 z, w = w, z
             known = _UNKNOWN
-        plan = self._plan
-        if plan is None or plan.pole_tol != cfg.pole_tol:
-            plan = self._plan = _KummerPlan(*self.abc, cfg.pole_tol, self.first)
-        value, found = _kummer(plan, k, z, w, cfg, known, jet)
+        value, found = _kummer(self._plan, k, z, w, known, jet)
         if found is not known:
             if jet:
-                self._jets = (r, cfg, z, w, edge, found)
+                self._jets = (r, z, w, edge, found)
             else:
-                self._values = (r, cfg, z, w, edge, found)
+                self._values = (r, z, w, edge, found)
         return edge, value
 
 
@@ -376,31 +369,29 @@ def _member_of(s: SolutionBranch) -> tuple[_KummerSet, int, float]:
     return found
 
 
-def _f_part(s: SolutionBranch, r: float, cfg: EvalConfig) -> float:
+def _f_part(s: SolutionBranch, r: float) -> float:
     """z^extra_power * 2F1(...; z(r)), the branch without the edge prefactor."""
     z = s.map.z(r)
-    f = hyp2f1(s.hyp, z, cfg)
+    f = hyp2f1(s.hyp, z)
     if s.extra_power != 0.0:
         f *= z ** s.extra_power
     return f
 
 
-def evaluate(s: SolutionBranch, r: float, cfg: EvalConfig = DEFAULT_CONFIG) -> float:
+def evaluate(s: SolutionBranch, r: float) -> float:
     """Branch value at an interior point."""
     if not (s.map.xi1 < r < s.map.xi2):
         raise DomainError(
             f"r={r!r} outside the open interval ({s.map.xi1!r}, {s.map.xi2!r})"
         )
     kset, k, e = _member_of(s)
-    edge, f = kset.member(k, r, cfg, False)
+    edge, f = kset.member(k, r, False)
     if e != 0.0:
         f *= kset.zmap.z(r) ** e
     return edge * f
 
 
-def value_and_derivatives(
-    s: SolutionBranch, r: float, cfg: EvalConfig = DEFAULT_CONFIG
-) -> tuple[float, float, float]:
+def value_and_derivatives(s: SolutionBranch, r: float) -> tuple[float, float, float]:
     """(F, F', F'') at r: the branch's Kummer member as a jet in z, from the
     one series pass per member the jets of a row share, then the chain and
     product rules."""
@@ -409,7 +400,7 @@ def value_and_derivatives(
             f"r={r!r} outside the open interval ({s.map.xi1!r}, {s.map.xi2!r})"
         )
     kset, k, e = _member_of(s)
-    (p0, p1, p2), h = kset.member(k, r, cfg, True)
+    (p0, p1, p2), h = kset.member(k, r, True)
     if e != 0.0:
         h = _power_jet(h, kset.zmap.z(r), e)
     u = kset.dz_dr
@@ -427,18 +418,13 @@ def apply_operator(
     return w * f2 + (p.a1 * r + p.b1) * f1 + potential * f
 
 
-def residual(
-    s: SolutionBranch,
-    p: OdeParams,
-    r: float,
-    cfg: EvalConfig = DEFAULT_CONFIG,
-) -> float:
+def residual(s: SolutionBranch, p: OdeParams, r: float) -> float:
     """|L[F](r)| normalized by 1 + |F| + |F'| + |F''|.
 
     The derivative magnitudes in the denominator keep the measure scale-free
     near zeros of F.
     """
-    f, f1, f2 = value_and_derivatives(s, r, cfg)
+    f, f1, f2 = value_and_derivatives(s, r)
     lhs = apply_operator(p, r, f, f1, f2)
     return abs(lhs) / (1.0 + abs(f) + abs(f1) + abs(f2))
 
@@ -448,7 +434,6 @@ def connection_check(
     mu1: float,
     mu2: float,
     r: float,
-    cfg: EvalConfig = DEFAULT_CONFIG,
     hat: BranchId = BranchId.HAT1,
 ) -> tuple[float, float]:
     """Both sides of the connection identity of a hat branch, evaluated
@@ -469,17 +454,14 @@ def connection_check(
     hat_branch, breve1, breve2 = _connection_branches(p, mu1, mu2, hat)
     a, b, c = hat_branch.hyp.a, hat_branch.hyp.b, hat_branch.hyp.c
     c_breve = breve1.hyp.c
-    tol = cfg.pole_tol
-    if _dist_to_int(1.0 - c_breve) <= tol:
+    if _dist_to_int(1.0 - c_breve) <= DEFAULT_POLE_TOL:
         raise DegenerateCase(f"sine argument 1-c_breve={1.0 - c_breve!r} is an integer")
-    if _is_nonpositive_integer(c, tol):
+    if _is_nonpositive_integer(c, DEFAULT_POLE_TOL):
         raise DegenerateCase(f"gamma pole in connection coefficient at {c!r}")
-    lhs = math.sin(math.pi * (1.0 - c_breve)) / math.pi * _f_part(hat_branch, r, cfg)
-    term1 = rgamma(c - a, tol) * rgamma(c - b, tol) * rgamma(c_breve, tol) \
-        * _f_part(breve1, r, cfg)
-    term2 = rgamma(a, tol) * rgamma(b, tol) * rgamma(2.0 - c_breve, tol) \
-        * _f_part(breve2, r, cfg)
-    return lhs, gamma(c, tol) * (term1 - term2)
+    lhs = math.sin(math.pi * (1.0 - c_breve)) / math.pi * _f_part(hat_branch, r)
+    term1 = rgamma(c - a) * rgamma(c - b) * rgamma(c_breve) * _f_part(breve1, r)
+    term2 = rgamma(a) * rgamma(b) * rgamma(2.0 - c_breve) * _f_part(breve2, r)
+    return lhs, gamma(c) * (term1 - term2)
 
 
 def _connection_branches(

@@ -213,6 +213,21 @@ class TestNonFiniteValues:
         assert "Traceback" not in res.stderr
         assert res.stdout == ""
 
+    @pytest.mark.parametrize("command, data, key", [
+        (("exponents",), CLASSICAL, "a1"),
+        (("legendre", "universal", "--grid", "-0.5:0.5:5"),
+         {"ell": 3.0, "mprime": 1.0, "a": 0.0, "b": 0.0, "c": 0.0, "m": 1.0,
+          "lambda": 12.0, "n_index": 2}, "ell"),
+    ])
+    def test_params_file_integer_past_the_float_range_exit_3(self, tmp_path, command,
+                                                             data, key):
+        # was an untyped OverflowError from float() in from_dict, exit 4
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({**data, key: 10 ** 400}))
+        res = run_cli(*command, "--params", str(path))
+        assert res.returncode == 3, res.stderr
+        assert res.stderr.startswith("error: InvalidParams") and f"'{key}'" in res.stderr
+
 
 class TestResidualCommand:
     def test_max_row(self, classical_file):

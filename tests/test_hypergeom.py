@@ -5,12 +5,9 @@ import threading
 import pytest
 
 from hyplegendre import (
-    DEFAULT_CONFIG,
     DegenerateCase,
     DomainError,
-    EvalConfig,
     Hyp2F1,
-    InvalidParams,
     NoConvergence,
     PoleError,
     connection_15_8_4,
@@ -23,6 +20,7 @@ from hyplegendre import (
     quadratic_15_8_20,
     rgamma,
 )
+from hyplegendre.hypergeom import _MAX_TERMS, DEFAULT_POLE_TOL
 from hyplegendre.rng import SplitMix64
 
 from oracles import central_diff, direct_2f1, rising
@@ -82,8 +80,12 @@ class TestGamma:
         assert abs(gamma(142.3) - want) / want <= 1e-15
 
     def test_overflow_has_the_sign_of_x(self):
+        # math.gamma overflows past 171.6 and next to 0, where the pole
+        # check comes first: an overflow is always +inf
         assert gamma(171.7) == math.inf
-        assert gamma(-1e-320, pole_tol=1e-330) == -math.inf
+        for x in (1e-320, -1e-320):
+            with pytest.raises(PoleError):
+                gamma(x)
 
     def test_poles(self):
         for x in (0.0, -1.0, -5.0, -2.0 + 1e-12):
@@ -127,11 +129,21 @@ class TestHyp2F1Type:
         p = Hyp2F1(-1.0, 1.5, -2.0)
         assert p.terminating_degree == 1
 
-    def test_config_validation(self):
-        with pytest.raises(InvalidParams):
-            EvalConfig(rel_tol=0.0)
-        with pytest.raises(InvalidParams):
-            EvalConfig(max_terms=0)
+    def test_no_series_reaches_a_pole_in_c(self):
+        # every c within DEFAULT_POLE_TOL of -n is rejected, or its series
+        # stops before term n, so the summation never meets the pole
+        for n in range(6):
+            for frac in (-0.999, -0.1, 0.0, 0.1, 0.999):
+                c = -n + frac * DEFAULT_POLE_TOL
+                for d in range(8):
+                    for a, b in ((-float(d), 0.7), (0.5, -d + 1e-11), (0.5, 0.7)):
+                        try:
+                            p = Hyp2F1(a, b, c)
+                        except PoleError:
+                            continue
+                        assert p.terminating_degree is not None
+                        assert p.terminating_degree < n, (a, b, c)
+                        assert math.isfinite(hyp2f1(p, 0.3))
 
 
 class TestHyp2F1Eval:
@@ -153,13 +165,12 @@ class TestHyp2F1Eval:
 
     def test_direct_sum_agreement(self):
         rng = SplitMix64(7)
-        cfg = EvalConfig(rel_tol=1e-15, max_terms=500, pole_tol=1e-10)
         for _ in range(200):
             a = rng.uniform(-4.0, 4.0)
             b = rng.uniform(-4.0, 4.0)
             c = rng.uniform(0.2, 5.0)
             z = rng.uniform(-0.3, 0.3)
-            got = hyp2f1(Hyp2F1(a, b, c), z, cfg)
+            got = hyp2f1(Hyp2F1(a, b, c), z)
             want = direct_2f1(a, b, c, z)
             assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
 
@@ -173,10 +184,13 @@ class TestHyp2F1Eval:
             assert hyp2f1(Hyp2F1(a, b, c), z) == hyp2f1(Hyp2F1(b, a, c), z)
 
     def test_terminating_exact_and_stable(self):
+        # a polynomial is summed whole far outside the disc of convergence,
+        # and a warm memo gives the same bits as a fresh one
         p = Hyp2F1(-3.0, 2.2, 1.4)
-        tight = EvalConfig(rel_tol=1e-15, max_terms=4, pole_tol=1e-10)
-        loose = EvalConfig(rel_tol=1e-15, max_terms=500, pole_tol=1e-10)
-        assert hyp2f1(p, 7.3, tight) == hyp2f1(p, 7.3, loose)
+        got = hyp2f1(p, 7.3)
+        want = direct_2f1(-3.0, 2.2, 1.4, 7.3, terms=4)
+        assert abs(got - want) <= 1e-13 * abs(want)
+        assert hyp2f1(p, 7.3) == got == hyp2f1(Hyp2F1(-3.0, 2.2, 1.4), 7.3)
 
     def test_dispatch_region_against_oracle(self):
         # 0.5 < z < 1 goes through the connection formula; the fixed-length
@@ -207,9 +221,17 @@ class TestHyp2F1Eval:
             hyp2f1(Hyp2F1(0.3, 0.4, 0.5), -1.5)
 
     def test_no_convergence(self):
-        cfg = EvalConfig(rel_tol=1e-15, max_terms=5, pole_tol=1e-10)
-        with pytest.raises(NoConvergence):
-            hyp2f1(Hyp2F1(0.5, 0.7, 1.1), 0.45, cfg)
+        # large upper parameters need more than the 500-term budget at 0.5
+        with pytest.raises(NoConvergence, match="did not reach"):
+            hyp2f1(Hyp2F1(150.3, 150.7, 1.1), 0.5)
+
+    def test_overflow_raises(self):
+        # the partial sums pass the float range; inf then meets the
+        # relative stopping test, so only a finiteness check catches it
+        with pytest.raises(NoConvergence, match="leaves the float range"):
+            hyp2f1(Hyp2F1(400.3, 400.7, 0.5), 0.5)
+        with pytest.raises(NoConvergence, match="leaves the float range"):
+            hyp2f1(Hyp2F1(-300.0, 400.5, 0.5), 2.0)  # terminating
 
     def test_degenerate_dispatch(self):
         # integer c-a-b blocks the connection path for non-terminating series
@@ -316,18 +338,6 @@ class TestConnectionPlan:
         assert {p: "x"}[q] == "x"
         assert p != Hyp2F1(0.4, 0.7, 2.0)
 
-    def test_plan_never_crosses_pole_tol(self):
-        # c-a = -2 + 1e-8 is a pole of rgamma under pole_tol=1e-6 only, so
-        # the two tolerances give different coefficients
-        a, b, c = 3.9 - 1e-8, 0.7, 1.9
-        loose = EvalConfig(pole_tol=1e-6)
-        fresh = [hyp2f1(Hyp2F1(a, b, c), 0.8, cfg) for cfg in (DEFAULT_CONFIG, loose)]
-        assert fresh[0] != fresh[1]
-        for order in ((DEFAULT_CONFIG, loose), (loose, DEFAULT_CONFIG)):
-            p = Hyp2F1(a, b, c)
-            got = {cfg.pole_tol: hyp2f1(p, 0.8, cfg) for cfg in order}
-            assert [got[cfg.pole_tol] for cfg in (DEFAULT_CONFIG, loose)] == fresh
-
     def test_shared_with_connection_identity(self):
         # one plan serves hyp2f1 and connection_15_8_4 alike
         a, b, c = 0.4, 0.7, 1.9
@@ -374,41 +384,28 @@ class TestSeriesMemo:
                     assert hyp2f1(p, z) == fresh[z], (abc, z)
                     assert hyp2f1(p, z) == fresh[z], (abc, z)
 
-    def test_pole_met_at_the_same_term_past_a_warm_memo(self):
-        # c = -2 + 1e-8 is a pole under pole_tol = 1e-6 only: the default
-        # tolerance sums through it and leaves c_3 and beyond in the memo
-        abc = (0.5, 0.7, -2.0 + 1e-8)
-        loose = EvalConfig(pole_tol=1e-6)
-        with pytest.raises(PoleError, match="at term 3$"):
-            hyp2f1(Hyp2F1(*abc), 0.3, loose)
-        p = Hyp2F1(*abc)
-        hyp2f1(p, 0.3)
-        assert len(vars(p)["_coefs"]) > 4
-        with pytest.raises(PoleError, match="at term 3$"):
-            hyp2f1(p, 0.3, loose)
-
     def test_term_budget_holds_past_a_warm_memo(self):
-        tight = EvalConfig(max_terms=5)
+        # the series converges at 0.45 and leaves its c_k in the memo; at
+        # 0.5 it reads them, grows on and still stops at the budget
+        abc = (150.3, 150.7, 1.1)
         with pytest.raises(NoConvergence) as fresh:
-            hyp2f1(Hyp2F1(0.5, 0.7, 1.1), 0.45, tight)
-        p = Hyp2F1(0.5, 0.7, 1.1)
+            hyp2f1(Hyp2F1(*abc), 0.5)
+        p = Hyp2F1(*abc)
         hyp2f1(p, 0.45)
-        assert len(vars(p)["_coefs"]) > 6
+        assert 1 < len(vars(p)["_coefs"]) < _MAX_TERMS + 1
         with pytest.raises(NoConvergence) as warm:
-            hyp2f1(p, 0.45, tight)
+            hyp2f1(p, 0.5)
         assert str(warm.value) == str(fresh.value)
 
     def test_memo_never_exceeds_the_budget(self):
-        p = Hyp2F1(0.5, 0.7, 1.1)
+        p = Hyp2F1(150.3, 150.7, 1.1)
         with pytest.raises(NoConvergence):
-            hyp2f1(p, 0.45, EvalConfig(max_terms=5))
-        assert len(vars(p)["_coefs"]) == 6
-        hyp2f1(p, 0.5)
-        assert len(vars(p)["_coefs"]) <= DEFAULT_CONFIG.max_terms + 1
+            hyp2f1(p, 0.5)
+        assert len(vars(p)["_coefs"]) == _MAX_TERMS + 1
         # a terminating series longer than the budget is still summed whole
         q = Hyp2F1(-700.0, 0.5, 1.5)
         value = hyp2f1(q, 1e-3)
-        assert len(vars(q)["_coefs"]) == DEFAULT_CONFIG.max_terms + 1
+        assert len(vars(q)["_coefs"]) == _MAX_TERMS + 1
         assert hyp2f1(q, 1e-3) == value
         want = direct_2f1(-700.0, 0.5, 1.5, 1e-3, terms=701)
         assert abs(value - want) <= 1e-14 * abs(want)

@@ -10,7 +10,6 @@ import threading
 import pytest
 
 from hyplegendre import (
-    DEFAULT_CONFIG,
     BranchId,
     DomainError,
     Error,
@@ -84,7 +83,7 @@ def own_value(br, r):
     if not (br.map.xi1 < r < br.map.xi2):
         raise DomainError(f"r={r!r} outside the interval")
     pref = (r - br.map.xi1) ** br.mu1 * (br.map.xi2 - r) ** br.mu2
-    return pref * ode._f_part(br, r, DEFAULT_CONFIG)
+    return pref * ode._f_part(br, r)
 
 
 def own_jet(br, r):
@@ -135,11 +134,11 @@ class TestOneTriple:
 
     def test_members_from_one_triple(self):
         w = 1.0 - self.Z
-        plan = _KummerPlan(*self.TRIPLE, DEFAULT_CONFIG.pole_tol)
+        plan = _KummerPlan(*self.TRIPLE)
         want = self.members_exact(w)
         known = _UNKNOWN
         for k in range(4):
-            got, known = _kummer(plan, k, self.Z, w, DEFAULT_CONFIG, known, False)
+            got, known = _kummer(plan, k, self.Z, w, known, False)
             assert abs(got - want[k]) <= VALUE_BOUND * abs(want[k]), k
 
     def test_sibling_triples_miss_the_bound(self):
@@ -151,7 +150,7 @@ class TestOneTriple:
         w = 1.0 - self.Z
         u = hyp2f1(breve1.hyp, w)
         v = hyp2f1(breve2.hyp, w) * w ** breve2.extra_power
-        plan = _KummerPlan(*self.TRIPLE, DEFAULT_CONFIG.pole_tol)
+        plan = _KummerPlan(*self.TRIPLE)
         want = self.members_exact(w)
         for k in (0, 1):
             s, g, alpha, beta = plan.row(k)[:4]
@@ -198,7 +197,7 @@ def test_connection_check_reads_each_branch_alone():
     mu1, mu2 = exps.mu1.second, exps.mu2.second
     hat1, _, breve1, breve2 = build_all(p, mu1, mu2)
     a, b, c, c_breve = hat1.hyp.a, hat1.hyp.b, hat1.hyp.c, breve1.hyp.c
-    alone = lambda br, r: ode._f_part(br, r, DEFAULT_CONFIG)
+    alone = ode._f_part
     for t in (0.2, 0.5, 0.8):
         r = p.xi1 + t * p.width
         lhs, rhs = connection_check(p, mu1, mu2, r)
