@@ -29,10 +29,8 @@ from .hypergeom import (
     gamma,
     hyp2f1,
     hyp2f1_derivative,
-    inversion_15_8_6,
     pfaff_transform,
     pochhammer,
-    quadratic_15_8_20,
     rgamma,
 )
 from .legendre_families import (
@@ -41,7 +39,6 @@ from .legendre_families import (
     generalized_solutions,
     kuipers_reduction_check,
     map_to_triple,
-    quadratic_path_check,
     universal_hypergeometric,
     universal_ode_embedding,
     universal_ode_residual,

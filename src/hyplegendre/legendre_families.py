@@ -1,7 +1,6 @@
 """The two named specializations of the general equation: the two-order
 generalized Legendre family on an arbitrary interval, and the universal
-polynomial family with its explicit sum, hypergeometric closed form, and
-quadratic-transformation cross-check.
+polynomial family with its explicit sum and hypergeometric closed form.
 """
 
 from __future__ import annotations
@@ -13,7 +12,6 @@ from functools import cached_property
 from .errors import (
     ComplexExponent,
     DegenerateC,
-    DegenerateCase,
     DomainError,
     InvalidParams,
     NoConvergence,
@@ -427,48 +425,3 @@ def universal_ode_residual(
     lhs = apply_operator(p, r, f, f1, f2)
     return abs(lhs) / (1.0 + abs(f) + abs(f1) + abs(f2))
 
-
-def quadratic_path_check(u: UniversalParams, p: OdeParams, r: float) -> tuple[float, float]:
-    """Both ends of the quadratic-transformation route to the closed form.
-
-    The first value follows the even-argument rewrite
-
-        zh^(Q-1) * (1/2)_h / (-(ell+mprime)/2)_h
-          * (r-xi1)^(-mprime/2) (xi2-r)^(mprime/2)
-          * 2F1(-n/2, (1+ell+mprime)/2; 1/2; ((xi1+xi2-2r)/(xi1-xi2))^2)
-
-    with zh = (r-xi1)/(xi2-xi1), Q = 2 mu2 - (a1 xi2 + b1)/(xi2-xi1) and the
-    balanced exponents mu1 = -mprime/2, mu2 = mprime/2; the second is the
-    direct closed form.  The two are proportional with an r-independent
-    ratio; callers assert ratio constancy across sample points.
-    """
-    if abs(p.xi1 + 1.0) > 1e-12 or abs(p.xi2 - 1.0) > 1e-12 or p.b1 != 0.0:
-        raise InvalidParams("quadratic path requires b1 = 0, xi1 = -1, xi2 = 1")
-    n = u.n_index
-    if n % 2 != 0:
-        raise DomainError("quadratic path requires an even degree offset")
-    if not (p.xi1 < r < p.xi2):
-        raise DomainError(f"r={r!r} outside ({p.xi1!r}, {p.xi2!r})")
-    half = n // 2
-    mu1, mu2 = -u.mprime / 2.0, u.mprime / 2.0
-    q = 2.0 * mu2 - (p.a1 * p.xi2 + p.b1) / p.width
-    denom = pochhammer(-(u.ell + u.mprime) / 2.0, half)
-    if denom == 0.0:
-        raise DegenerateCase(
-            "the rebalancing Pochhammer factor vanishes for these degrees"
-        )
-    zh = (r - p.xi1) / p.width
-    arg = ((p.xi1 + p.xi2 - 2.0 * r) / (p.xi1 - p.xi2)) ** 2
-    hyp = Hyp2F1(-float(half), (1.0 + u.ell + u.mprime) / 2.0, 0.5)
-    lhs = (
-        zh ** (q - 1.0)
-        * pochhammer(0.5, half)
-        / denom
-        * (r - p.xi1) ** mu1
-        * (p.xi2 - r) ** mu2
-        * hyp2f1(hyp, arg)
-    )
-    rhs = universal_hypergeometric(u, r)
-    if lhs == 0.0 or rhs == 0.0:
-        raise DegenerateCase(f"a side vanishes at r={r!r}; pick another sample")
-    return lhs, rhs

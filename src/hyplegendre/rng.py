@@ -86,15 +86,10 @@ def _pair_safe(p: OdeParams, mu1: float, mu2: float) -> bool:
     )
 
 
-def draw_nondegenerate(
-    rng: SplitMix64, all_root_choices: bool = False
-) -> tuple[OdeParams, IndicialExponents]:
-    """Rejection-sample parameters whose branches are all buildable and
-    evaluable across the whole interval (connection dispatch included).
-
-    With all_root_choices the safety margins are enforced for every
-    combination of indicial roots, not just the default upper pair.
-    """
+def draw_nondegenerate(rng: SplitMix64) -> tuple[OdeParams, IndicialExponents]:
+    """Rejection-sample parameters whose branches on the upper root pair
+    are all buildable and evaluable across the whole interval (connection
+    dispatch included)."""
     while True:
         p = draw_ode_params(rng)
         exps = indicial_exponents(p)
@@ -106,13 +101,5 @@ def draw_nondegenerate(
             continue
         if max(map(abs, exps.mu1.as_tuple() + exps.mu2.as_tuple())) > _MU_BOUND:
             continue
-        if all_root_choices:
-            pairs = [
-                (m1, m2)
-                for m1 in exps.mu1.as_tuple()
-                for m2 in exps.mu2.as_tuple()
-            ]
-        else:
-            pairs = [(exps.mu1.second, exps.mu2.second)]
-        if all(_pair_safe(p, m1, m2) for m1, m2 in pairs):
+        if _pair_safe(p, exps.mu1.second, exps.mu2.second):
             return p, exps

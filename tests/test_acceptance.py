@@ -19,10 +19,7 @@ from hyplegendre import (
     gamma,
     generalized_solutions,
     hyp2f1,
-    inversion_15_8_6,
     pfaff_transform,
-    quadratic_15_8_20,
-    quadratic_path_check,
     residual,
     universal_hypergeometric,
     universal_ode_embedding,
@@ -32,6 +29,7 @@ from hyplegendre import (
 from hyplegendre.ode_solutions import indicial_exponents, root_residual
 from hyplegendre.rng import SplitMix64, draw_nondegenerate, draw_ode_params
 
+from identities import inversion_15_8_6, quadratic_15_8_20, quadratic_path
 from oracles import chebyshev_points, direct_2f1, legendre_recurrence, rising
 
 SQRT_PI = 1.7724538509055160273
@@ -161,11 +159,8 @@ def test_criterion_7_quadratic_path_proportionality():
     worst = 0.0
     for mprime, n in ((1.0, 2.0), (0.5, 4.0), (2.0, 2.0)):
         u = UniversalParams.from_degrees(ell=mprime + n, mprime=mprime)
-        p = universal_ode_embedding(u)
-        ratios = []
-        for r in (0.15, 0.35, 0.55, -0.45):
-            lhs, rhs = quadratic_path_check(u, p, r)
-            ratios.append(lhs / rhs)
+        ratios = [quadratic_path(u, r) / universal_hypergeometric(u, r)
+                  for r in (0.15, 0.35, 0.55, -0.45)]
         spread = max(abs(x - ratios[0]) / abs(ratios[0]) for x in ratios[1:])
         worst = max(worst, spread)
     _report("criterion 7 (quadratic-path ratio constant, 3 even cases)",

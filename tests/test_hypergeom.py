@@ -14,15 +14,14 @@ from hyplegendre import (
     gamma,
     hyp2f1,
     hyp2f1_derivative,
-    inversion_15_8_6,
     pfaff_transform,
     pochhammer,
-    quadratic_15_8_20,
     rgamma,
 )
 from hyplegendre.hypergeom import _MAX_TERMS, DEFAULT_POLE_TOL
 from hyplegendre.rng import SplitMix64
 
+from identities import inversion_15_8_6, quadratic_15_8_20
 from oracles import central_diff, direct_2f1, rising
 
 SQRT_PI = 1.7724538509055160273  # high-precision constant, 20 digits
@@ -405,8 +404,11 @@ class TestSeriesMemo:
         # a terminating series longer than the budget is still summed whole
         q = Hyp2F1(-700.0, 0.5, 1.5)
         value = hyp2f1(q, 1e-3)
-        assert len(vars(q)["_coefs"]) == _MAX_TERMS + 1
+        memo = vars(q)["_coefs"]
+        assert len(memo) == q.terminating_degree + 1
+        # a warm call finds every coefficient, so nothing is republished
         assert hyp2f1(q, 1e-3) == value
+        assert vars(q)["_coefs"] is memo
         want = direct_2f1(-700.0, 0.5, 1.5, 1e-3, terms=701)
         assert abs(value - want) <= 1e-14 * abs(want)
 
@@ -475,12 +477,6 @@ class TestInversion:
         rhs = inversion_15_8_6(m, b, c, z)
         assert abs(lhs - rhs) <= 1e-11 * (1.0 + abs(lhs))
 
-    def test_errors(self):
-        with pytest.raises(DomainError):
-            inversion_15_8_6(1, 2.0, 0.5, 0.0)
-        with pytest.raises(PoleError):
-            inversion_15_8_6(2, -1.0, 0.5, 0.3)
-
 
 class TestQuadratic:
     def test_trivial_at_zero(self):
@@ -498,12 +494,6 @@ class TestQuadratic:
             lhs = hyp2f1(Hyp2F1(a, 1.0 - a, c), z)
             rhs = quadratic_15_8_20(a, c, z)
             assert abs(lhs - rhs) <= 1e-12 * (1.0 + abs(lhs))
-
-    def test_boundary_rejected(self):
-        with pytest.raises(DomainError):
-            quadratic_15_8_20(0.3, 1.4, 0.5)
-        with pytest.raises(DomainError):
-            quadratic_15_8_20(0.3, 1.4, 1.2)
 
 
 def test_scipy_cross_check():

@@ -17,8 +17,6 @@ from hyplegendre import (
     indicial_exponents,
     kuipers_reduction_check,
     map_to_triple,
-    quadratic_15_8_20,
-    quadratic_path_check,
     universal_hypergeometric,
     universal_ode_embedding,
     universal_ode_residual,
@@ -27,6 +25,7 @@ from hyplegendre import (
 from hyplegendre.legendre_families import universal_sum_derivatives
 from hyplegendre.ode_solutions import root_residual
 
+from identities import quadratic_15_8_20, quadratic_path
 from oracles import gegenbauer_table, legendre_recurrence
 
 
@@ -546,9 +545,8 @@ class TestUniversalEmbedding:
 class TestQuadraticPath:
     def test_zero_offset_constant_ratio(self):
         u = UniversalParams.from_degrees(ell=1.0, mprime=1.0)
-        p = universal_ode_embedding(u)
         ratios = [
-            quadratic_path_check(u, p, r)[0] / quadratic_path_check(u, p, r)[1]
+            quadratic_path(u, r) / universal_hypergeometric(u, r)
             for r in (0.2, 0.5, -0.4)
         ]
         for rat in ratios[1:]:
@@ -556,11 +554,10 @@ class TestQuadraticPath:
 
     def test_even_offset_constant_ratio(self):
         u = UniversalParams.from_degrees(ell=3.0, mprime=1.0)
-        p = universal_ode_embedding(u)
-        ratios = []
-        for r in (0.2, 0.4, 0.6):
-            lhs, rhs = quadratic_path_check(u, p, r)
-            ratios.append(lhs / rhs)
+        ratios = [
+            quadratic_path(u, r) / universal_hypergeometric(u, r)
+            for r in (0.2, 0.4, 0.6)
+        ]
         for rat in ratios[1:]:
             assert abs(rat - ratios[0]) <= 1e-9 * abs(ratios[0])
 
@@ -577,16 +574,3 @@ class TestQuadraticPath:
         direct = hyp2f1(Hyp2F1(0.5 + s, 0.5 - s, c_breve), zb)
         transformed = quadratic_15_8_20(0.5 + s, c_breve, zb)
         assert abs(direct - transformed) <= 1e-10 * (1.0 + abs(direct))
-
-    def test_odd_offset_rejected(self):
-        u = UniversalParams.from_degrees(ell=2.0, mprime=1.0)
-        p = universal_ode_embedding(u)
-        with pytest.raises(DomainError):
-            quadratic_path_check(u, p, 0.3)
-
-    def test_wrong_interval_rejected(self):
-        u = UniversalParams.from_degrees(ell=3.0, mprime=1.0)
-        p = OdeParams(a1=-2.0, b1=0.0, a2=0.0, b2=0.0, a3=0.0, b3=0.0,
-                      c3=-1.0, lam=u.lam, xi1=-1.0, xi2=2.0)
-        with pytest.raises(InvalidParams):
-            quadratic_path_check(u, p, 0.3)
