@@ -2,9 +2,10 @@
 and the transformation identities the solution machinery relies on.
 
 All arithmetic is IEEE double precision.  Three constants govern every
-evaluation: a series stops once a term falls below _REL_TOL relative to
-its running sum, raises NoConvergence after _MAX_TERMS terms, and a real
-within DEFAULT_POLE_TOL of a non-positive integer is a pole.
+evaluation: a series is summed to the first term at most _REL_TOL times
+the sum of the terms' magnitudes so far (found once per bucket of |z|, see
+_cut), raises NoConvergence when that takes more than _MAX_TERMS terms,
+and a real within DEFAULT_POLE_TOL of a non-positive integer is a pole.
 """
 
 from __future__ import annotations
@@ -22,6 +23,14 @@ _MAX_TERMS = 500
 
 _SERIES_SPLIT = 0.5  # direct summation for |z| <= split, transforms beyond
 _C0 = array("d", [1.0])  # the memo before any evaluation: c_0 alone
+# the cut table's buckets: bucket i holds i/128 <= |x| < (i+1)/128 and is cut
+# at its outer edge, which the last one, |x| = 0.5 alone, clamps to 0.5
+_CUTS_PER_UNIT = 128
+_CUT_EDGES = tuple(min((i + 1) / _CUTS_PER_UNIT, _SERIES_SPLIT)
+                   for i in range(int(_SERIES_SPLIT * _CUTS_PER_UNIT) + 1))
+# a cut table before any scan; copies of an array('h'), unlike lists, are
+# cheap to make and leave the cyclic garbage collector nothing to track
+_NO_CUTS = array("h", bytes(2 * len(_CUT_EDGES)))
 
 
 def _dist_to_int(x: float) -> float:
@@ -44,12 +53,13 @@ class Hyp2F1:
     What depends on the triple alone is built on first use and kept in the
     instance __dict__, where equality and hashing, which compare the fields
     only, never see it: the shifted and Pfaff triples, the plan of its
-    Kummer set, and the memo of series coefficients
-    c_k = (a)_k (b)_k / ((c)_k k!).
-    The memo is an array('d') that every summation reads and extends in the
-    same pass; it holds at most _MAX_TERMS + 1 entries, or degree + 1 for
-    a terminating series, and it is replaced, never mutated, so callers
-    sharing an instance see either the old or the new one whole.
+    Kummer set, the memo of series coefficients
+    c_k = (a)_k (b)_k / ((c)_k k!), and the cut tables of _cut.
+    The memo is an array('d') that every summation reads, and that the scan
+    filling a cut entry (or a terminating sum) extends; it holds at most
+    _MAX_TERMS + 1 entries, or degree + 1 for a terminating series, and it
+    is replaced, never mutated, so callers sharing an instance see either
+    the old or the new one whole.
     """
 
     a: float
@@ -221,7 +231,10 @@ def rgamma(x: float) -> float:
     Gamma underflows to 0 (x below ~-171) the result is inf with its sign."""
     if _is_nonpositive_integer(x, DEFAULT_POLE_TOL):
         return 0.0
-    g = gamma(x)
+    try:
+        g = math.gamma(x)  # gamma's own pole check would run a second time
+    except OverflowError:
+        g = math.inf
     return 1.0 / g if g != 0.0 else math.copysign(math.inf, g)
 
 
@@ -231,127 +244,160 @@ def _diverged(p: Hyp2F1, z: float, finite: bool) -> NoConvergence:
     return NoConvergence(f"2F1 series {why} (a={p.a}, b={p.b}, c={p.c}, z={z})")
 
 
-def _publish(p: Hyp2F1, coefs: list[float]) -> None:
-    # one assignment of a new array: a published memo is never mutated; a
-    # sum of at most `steps` recurrence steps grows it to steps + 1 entries
-    p.__dict__["_coefs"] = array("d", coefs)
+def _publish(p: Hyp2F1, coefs: list[float]) -> array:
+    # one assignment of a new array, and only one that is longer: a
+    # published memo is never mutated
+    memo = p.__dict__.get("_coefs", _C0)
+    if len(coefs) > len(memo):
+        memo = p.__dict__["_coefs"] = array("d", coefs)
+    return memo
+
+
+def _memo(p: Hyp2F1, n: int) -> array:
+    """The coefficient memo of p with at least c_0 to c_n in it."""
+    memo = p.__dict__.get("_coefs", _C0)
+    if len(memo) > n:
+        return memo
+    grown = memo.tolist()
+    a, b, c = p.a, p.b, p.c
+    ck = grown[-1]
+    for k in range(len(grown) - 1, n):
+        ck *= (a + k) * (b + k) / ((c + k) * (k + 1.0))
+        grown.append(ck)
+    return _publish(p, grown)
+
+
+def _scan(p: Hyp2F1, x: float, jet: bool) -> tuple[int, list[float]]:
+    """(k, coefs) for the first k at which |c_k x^k| is at most _REL_TOL
+    times the sum of |c_j x^j| over j <= k, for a jet the same holding of
+    the terms of F' and F'' too.  k is 0 when the budget of _MAX_TERMS runs
+    out first, and -1 when a sum leaves the float range.  coefs lists the
+    memo of p and the c_k the scan computed past its end by the recurrence.
+    """
+    a, b, c = p.a, p.b, p.c
+    rel = _REL_TOL
+    coefs = p.__dict__.get("_coefs", _C0).tolist()
+    known = len(coefs)
+    ck, j = 1.0, 0.0  # j = k - 1, a float: it saves an int->float per use
+    s0, s1, s2 = 1.0, 0.0, 0.0
+    x0, x1, x2 = x, 1.0, 0.0  # x^k, x^(k-1), x^(k-2)
+    # one loop per kind: a test of `jet` per term costs a sixth of the scan
+    if jet:
+        for k in range(1, _MAX_TERMS + 1):
+            if k < known:
+                ck = coefs[k]
+            else:
+                ck *= (a + j) * (b + j) / ((c + j) * (j + 1.0))
+                coefs.append(ck)
+            j += 1.0
+            m = abs(ck)
+            t0, t1, t2 = m * x0, j * m * x1, j * (j - 1.0) * m * x2
+            s0 += t0
+            s1 += t1
+            s2 += t2
+            if t2 <= rel * s2 and t1 <= rel * s1 and t0 <= rel * s0:
+                break
+            x0, x1, x2 = x0 * x, x0, x1
+        else:
+            k = 0
+    else:
+        for k in range(1, _MAX_TERMS + 1):
+            if k < known:
+                ck = coefs[k]
+            else:
+                ck *= (a + j) * (b + j) / ((c + j) * (j + 1.0))
+                coefs.append(ck)
+            j += 1.0
+            t0 = abs(ck) * x0
+            s0 += t0
+            if t0 <= rel * s0:
+                break
+            x0 *= x
+        else:
+            k = 0
+    return (k if s0 + s1 + s2 < math.inf else -1), coefs
+
+
+def _cut(p: Hyp2F1, x: float, jet: bool) -> tuple[int, array | list[float]]:
+    """(n, coefs) for a non-terminating sum at |x| <= 0.5: the number of
+    recurrence steps it takes, and c_0 to at least c_n.
+
+    The count is kept per 1/_CUTS_PER_UNIT-wide bucket of |x| in a cut
+    table on p, one for values and one for jets, found once by _scan at the
+    bucket's outer edge: a term test that fails at |x| fails at the larger
+    edge too, so the edge's count serves every point of the bucket.  An
+    entry is 0 until then, and -1 for a bucket whose edge runs out of the
+    budget or the float range, whose points each take their own count.  An
+    entry is written once, always with the same value; the scan that finds
+    it publishes the coefficients it read.
+    """
+    i = int(abs(x) * _CUTS_PER_UNIT)
+    key = "_jet_cuts" if jet else "_cuts"
+    cuts = p.__dict__.get(key)
+    if cuts is None:
+        cuts = p.__dict__.setdefault(key, _NO_CUTS[:])
+    n = cuts[i]
+    if n > 0:
+        coefs = p.__dict__.get("_coefs", _C0)
+        return n, (coefs if len(coefs) > n else _memo(p, n))
+    if n == 0:
+        n, coefs = _scan(p, _CUT_EDGES[i], jet)
+        cuts[i] = n if n > 0 else -1
+    if n <= 0:
+        n, coefs = _scan(p, abs(x), jet)
+    _publish(p, coefs)
+    if n <= 0:
+        raise _diverged(p, x, n == 0)
+    return n, coefs
 
 
 def _series(p: Hyp2F1, z: float, nterms: int | None) -> float:
-    """Direct summation of the defining series, the sum of c_k z^k.
+    """Direct summation of the defining series, the sum of c_k z^k for
+    k = 0 to n, forward.
 
-    With nterms given the sum is over exactly that many recurrence steps
-    (terminating case); otherwise terms are added until one falls below
-    _REL_TOL relative to the largest partial sum seen, or NoConvergence
-    after _MAX_TERMS.  A sum past the float range raises NoConvergence.
-    The c_k are read from the memo of p; those past its end are computed in
-    the same pass and published with the result.
+    n is nterms when given (a terminating series), and otherwise the count
+    of the cut table for |z| <= 0.5, so no term is tested.  A sum past the
+    float range raises NoConvergence; so does a series that does not reach
+    _REL_TOL within _MAX_TERMS terms.  The c_k are read from the memo of p.
     """
-    steps = _MAX_TERMS if nterms is None else nterms
-    coefs = p.__dict__.get("_coefs", _C0)
-    rel = _REL_TOL
-    converged = False  # the stopping test, which a terminating sum skips
-    acc = scale = zk = 1.0
-    for ck in coefs[1:steps + 1]:
+    n, coefs = _cut(p, z, False) if nterms is None else (nterms, _memo(p, nterms))
+    acc = zk = 1.0
+    for ck in coefs[1:n + 1]:
         zk *= z
-        t = ck * zk
-        acc += t
-        # scale = max(scale, |acc|) and |t| <= rel*scale, spelled out:
-        # builtin calls dominate this loop otherwise
-        if acc > scale or -acc > scale:
-            scale = abs(acc)
-        if nterms is None and -rel * scale <= t <= rel * scale:
-            converged = True
-            break
-    known = len(coefs) - 1
-    if not converged and known < steps:
-        grown = coefs.tolist()
-        a, b, c = p.a, p.b, p.c
-        ck = grown[-1]
-        k = float(known)  # a float counter saves an int->float conversion per use
-        for _ in range(steps - known):
-            ck *= (a + k) * (b + k) / ((c + k) * (k + 1.0))
-            grown.append(ck)
-            k += 1.0
-            zk *= z
-            t = ck * zk
-            acc += t
-            if acc > scale or -acc > scale:
-                scale = abs(acc)
-            if nterms is None and -rel * scale <= t <= rel * scale:
-                converged = True
-                break
-        _publish(p, grown)
-    finite = math.isfinite(acc)
-    if not finite or nterms is None and not converged:
-        raise _diverged(p, z, finite)
+        acc += ck * zk
+    if not math.isfinite(acc):
+        raise _diverged(p, z, False)
     return acc
 
 
 def _jet(p: Hyp2F1, z: float, nterms: int | None) -> tuple[float, float, float]:
-    """(F, F', F'') of the defining series from one pass over its
-    coefficients: the sums of c_k z^k, k c_k z^(k-1) and k(k-1) c_k z^(k-2).
+    """(F, F', F'') of the defining series over the terms of _series: the
+    sums of c_k z^k, k c_k z^(k-1) and k(k-1) c_k z^(k-2).
 
-    The powers of z are carried by multiplication, so z = 0 gives the exact
-    values.  Memo, truncation, term budget and errors are those of _series,
-    with the stopping test applied to all three sums.
+    A non-terminating series runs Horner's scheme on three lanes from
+    c_n down; a terminating one sums the three forward, carrying the powers
+    of z by multiplication.  z = 0 gives the exact values either way.
     """
-    steps = _MAX_TERMS if nterms is None else nterms
-    coefs = p.__dict__.get("_coefs", _C0)
-    rel = _REL_TOL
-    converged = False
-    f0, f1, f2 = 1.0, 0.0, 0.0
-    s0, s1, s2 = 1.0, 0.0, 0.0
-    # z^k, z^(k-1), z^(k-2) for the next k; t2 vanishes at k = 1
-    z0, z1, z2 = z, 1.0, 0.0
-    k = 1.0
-    for ck in coefs[1:steps + 1]:
-        t0, t1, t2 = ck * z0, k * ck * z1, k * (k - 1.0) * ck * z2
-        f0 += t0
-        f1 += t1
-        f2 += t2
-        # the scales and tests of _series, spelled out the same way
-        if f0 > s0 or -f0 > s0:
-            s0 = abs(f0)
-        if f1 > s1 or -f1 > s1:
-            s1 = abs(f1)
-        if f2 > s2 or -f2 > s2:
-            s2 = abs(f2)
-        if nterms is None and -rel * s2 <= t2 <= rel * s2 \
-                and -rel * s1 <= t1 <= rel * s1 and -rel * s0 <= t0 <= rel * s0:
-            converged = True
-            break
-        z0, z1, z2 = z0 * z, z0, z1
-        k += 1.0
-    known = len(coefs) - 1
-    if not converged and known < steps:
-        grown = coefs.tolist()
-        a, b, c = p.a, p.b, p.c
-        ck = grown[-1]
-        for _ in range(steps - known):
-            j = k - 1.0
-            ck *= (a + j) * (b + j) / ((c + j) * k)
-            grown.append(ck)
-            t0, t1, t2 = ck * z0, k * ck * z1, k * j * ck * z2
-            f0 += t0
-            f1 += t1
-            f2 += t2
-            if f0 > s0 or -f0 > s0:
-                s0 = abs(f0)
-            if f1 > s1 or -f1 > s1:
-                s1 = abs(f1)
-            if f2 > s2 or -f2 > s2:
-                s2 = abs(f2)
-            if nterms is None and -rel * s2 <= t2 <= rel * s2 \
-                    and -rel * s1 <= t1 <= rel * s1 and -rel * s0 <= t0 <= rel * s0:
-                converged = True
-                break
+    if nterms is None:
+        n, coefs = _cut(p, z, True)
+        f0, f1, f2 = coefs[n], 0.0, 0.0
+        for ck in coefs[n - 1::-1]:
+            f2 = f2 * z + f1
+            f1 = f1 * z + f0
+            f0 = f0 * z + ck
+        f2 *= 2.0
+    else:
+        f0, f1, f2 = 1.0, 0.0, 0.0
+        z0, z1, z2 = z, 1.0, 0.0  # z^k, z^(k-1), z^(k-2) for the next k
+        k = 1.0
+        for ck in _memo(p, nterms)[1:nterms + 1]:
+            f0 += ck * z0
+            f1 += k * ck * z1
+            f2 += k * (k - 1.0) * ck * z2
             z0, z1, z2 = z0 * z, z0, z1
             k += 1.0
-        _publish(p, grown)
-    finite = math.isfinite(f0) and math.isfinite(f1) and math.isfinite(f2)
-    if not finite or nterms is None and not converged:
-        raise _diverged(p, z, finite)
+    if not (math.isfinite(f0) and math.isfinite(f1) and math.isfinite(f2)):
+        raise _diverged(p, z, False)
     return f0, f1, f2
 
 
@@ -391,7 +437,17 @@ def _kummer(
     plan: _KummerPlan, k: int, z: float, w: float, known: tuple, jet: bool
 ) -> tuple:
     """Member k (0 to 3 for w1 to w4) of the Kummer set of plan at one point,
-    as a value or as a jet (F, F', F'') in z, and the point's known members.
+    as a value or as a jet (F, F', F'') in z, and the point's known members
+    (those of _kummer_known)."""
+    known = _kummer_known(plan, k, z, w, known, jet)
+    return _kummer_member(plan, k, z, w, known, jet), known
+
+
+def _kummer_known(
+    plan: _KummerPlan, k: int, z: float, w: float, known: tuple, jet: bool
+) -> tuple:
+    """The members of the Kummer set of plan summed at one point once member
+    k is known there: k itself, or the pair its row is formed over.
 
     w = 1 - z is given apart, so that a caller can form both from its own
     variable without a cancellation.  A member is summed on its own
@@ -399,41 +455,54 @@ def _kummer(
     the end point 1 (the routes and errors of hyp2f1 and _hyp2f1_jet);
     otherwise it is its row over the pair on the other side.  Away from
     z = 0.5 the two members summed on the near side give all four.  `known`
-    holds the members summed at this point so far (None where none is),
-    and is returned as a new tuple when a member is added.
+    holds for each member summed at this point so far its value, or for a
+    jet the jet of its series on its own variable (z for w1, w2, w for w3,
+    w4), without the member's power; None for the others.  A new tuple is
+    returned when a member is added.
     """
     x = w if k > 1 else z
+    wanted = (k,)
     if _SERIES_SPLIT < x < 1.0 and plan.triple(k).terminating_degree is None:
-        s, g, alpha, beta, _, _, _ = plan.row(k)
-        i = 0 if k > 1 else 2
-        for m in (i, i + 1):
-            if known[m] is None:
-                known = known[:m] + (_kummer_summed(plan, m, z, w, jet),) + known[m + 1:]
-        u, v = known[i], known[i + 1]
-        if jet:
-            return (s * (g * (alpha * u[0] - beta * v[0])),
-                    s * (g * (alpha * u[1] - beta * v[1])),
-                    s * (g * (alpha * u[2] - beta * v[2]))), known
-        return s * (g * (alpha * u - beta * v)), known
-    member = known[k]
-    if member is None:
-        member = _kummer_summed(plan, k, z, w, jet)
-        known = known[:k] + (member,) + known[k + 1:]
-    return member, known
+        plan.row(k)  # a degenerate row raises before any series is summed
+        wanted = (0, 1) if k > 1 else (2, 3)
+    for m in wanted:
+        if known[m] is None:
+            t, x, e = plan.triple(m), (w if m > 1 else z), plan.powers[m]
+            if jet:
+                f = _hyp2f1_jet(t, x)
+            else:
+                f = hyp2f1(t, x)
+                if e != 0.0:
+                    f *= x ** e
+            known = known[:m] + (f,) + known[m + 1:]
+    return known
 
 
-def _kummer_summed(plan: _KummerPlan, k: int, z: float, w: float, jet: bool):
-    """Member k from its own series and power; a jet in w turns into one in
-    z by a sign flip of the first derivative."""
-    x = w if k > 1 else z
-    t, e = plan.triple(k), plan.powers[k]
-    if not jet:
-        f = hyp2f1(t, x)
-        return f * x ** e if e != 0.0 else f
-    h = _hyp2f1_jet(t, x)
+def _kummer_member(plan: _KummerPlan, k: int, z: float, w: float, known: tuple, jet: bool):
+    """Member k from what _kummer_known left: the member itself where it
+    was summed, otherwise its row over the pair on the other side."""
+    if known[k] is not None:
+        return _kummer_jet(plan, k, z, w, known[k]) if jet else known[k]
+    s, g, alpha, beta, _, _, _ = plan.row(k)
+    i = 0 if k > 1 else 2
+    u, v = known[i], known[i + 1]
+    if jet:
+        u, v = _kummer_jet(plan, i, z, w, u), _kummer_jet(plan, i + 1, z, w, v)
+        return (s * (g * (alpha * u[0] - beta * v[0])),
+                s * (g * (alpha * u[1] - beta * v[1])),
+                s * (g * (alpha * u[2] - beta * v[2])))
+    return s * (g * (alpha * u - beta * v))
+
+
+def _kummer_jet(plan: _KummerPlan, m: int, z: float, w: float, h: tuple) -> tuple:
+    """Member m as a jet in z from the jet h of its series: times the
+    member's power, a jet in w turned into one in z by a sign flip of the
+    first derivative."""
+    x = w if m > 1 else z
+    e = plan.powers[m]
     if e != 0.0:
         h = _power_jet(h, x, e)
-    return (h[0], -h[1], h[2]) if k > 1 else h
+    return (h[0], -h[1], h[2]) if m > 1 else h
 
 
 def hyp2f1(p: Hyp2F1, z: float) -> float:

@@ -30,9 +30,9 @@ from .hypergeom import (
     Hyp2F1,
     _dist_to_int,
     _is_nonpositive_integer,
-    _kummer,
+    _kummer_known,
+    _kummer_member,
     _KummerPlan,
-    _power_jet,
     gamma,
     hyp2f1,
     rgamma,
@@ -48,8 +48,8 @@ class OdeParams:
     """The nine real coefficients, spectral parameter and singular points.
 
     build_branch keeps the Kummer set its branches share, and
-    connection_check the branches it builds, in the instance __dict__, out
-    of sight of equality and hashing.
+    connection_check the branches it builds and its constants, in the
+    instance __dict__, out of sight of equality and hashing.
     """
 
     a1: float
@@ -295,7 +295,7 @@ def build_branch(
         map=CoordinateMap(variant, p.xi1, p.xi2),
         branch_id=branch_id,
     )
-    branch.__dict__["_member"] = (_shared_set(p, mu1, mu2, lo, hi, c_hat), k, 0.0)
+    branch.__dict__["_member"] = (_shared_set(p, mu1, mu2, lo, hi, c_hat, c_breve), k)
     return branch
 
 
@@ -305,28 +305,49 @@ class _KummerSet:
     k of its plan at z = zmap.z(r) and w = 1 - z, both formed from r.
 
     A one-slot memo per kind, values and jets, keeps what the last point r
-    found, so the branches of one row share the edge factor and two series.
-    A memo is replaced, never mutated: threads evaluating other points see
+    found, so the branches of one row share the edge factor and two series;
+    the jet memo also keeps, for each member summed there, its jet in r
+    times the edge factor, and the branches of a row combine those.  A
+    memo is replaced, never mutated: threads evaluating other points see
     whole memos only.  A plain slotted class, as _KummerPlan.
+
+    `extra` is the power z^extra of a branch built by hand, which every
+    member of its set carries.  In the jets the powers of z and w join the
+    edge factor's at the ends where they vanish: `joined[m]` holds, for
+    member m, the powers of z and w it carries and the exponents of (r-xi1)
+    and (xi2-r) they add up to with the edge factor's.  w4's exponent takes
+    w_power when given, 1 - c_breve as the breve2 branch forms it: exact
+    where the set's c-a-b carries the rounding of a + b.
     """
 
-    __slots__ = ("mu1", "mu2", "zmap", "dz_dr", "_plan", "_values", "_jets")
+    __slots__ = ("mu1", "mu2", "zmap", "dz_dr", "extra", "joined", "_plan", "_values",
+                 "_jets")
 
     def __init__(self, a: float, b: float, c: float, mu1: float, mu2: float,
-                 zmap: CoordinateMap, first: Hyp2F1 | None = None) -> None:
+                 zmap: CoordinateMap, first: Hyp2F1 | None = None, extra: float = 0.0,
+                 w_power: float | None = None) -> None:
         self.mu1, self.mu2 = mu1, mu2
         self.zmap = zmap
         self.dz_dr = zmap.dz_dr
+        self.extra = extra
         self._plan = _KummerPlan(a, b, c, first)
+        joined = []
+        for m, e in enumerate(self._plan.powers):
+            pz, pw = (extra + e, 0.0) if m < 2 else (extra, e)
+            ez, ew = pz, (pw if m < 3 or w_power is None else w_power)
+            if zmap.variant is MapVariant.MAP_II:  # z vanishes at xi2, w at xi1
+                ez, ew = ew, ez
+            joined.append((pz, pw, mu1 + ez, mu2 + ew))
+        self.joined = tuple(joined)
         self._values = self._jets = None
 
-    def member(self, k: int, r: float, jet: bool) -> tuple:
-        """(edge factor, member k) at r, as values or as jets: the edge
-        factor's in r, the member's in z."""
+    def _point(self, k: int, r: float, jet: bool) -> tuple:
+        """The memo of the point r once member k is known there: (r, z, w,
+        edge factor, the known members of _kummer_known) and, for jets, the
+        jet in r of the edge factor times each member summed there (None
+        for the others)."""
         memo = self._jets if jet else self._values
-        if memo is not None and memo[0] == r:
-            _, z, w, edge, known = memo
-        else:
+        if memo is None or memo[0] != r:
             xi1, xi2 = self.zmap.xi1, self.zmap.xi2
             mu1, mu2 = self.mu1, self.mu2
             left = r - xi1
@@ -340,32 +361,88 @@ class _KummerSet:
             z, w = left / d, right / d
             if self.zmap.variant is MapVariant.MAP_II:
                 z, w = w, z
-            known = _UNKNOWN
-        value, found = _kummer(self._plan, k, z, w, known, jet)
-        if found is not known:
-            if jet:
-                self._jets = (r, z, w, edge, found)
-            else:
-                self._values = (r, z, w, edge, found)
-        return edge, value
+            memo = (r, z, w, edge, _UNKNOWN, _UNKNOWN)
+        _, z, w, edge, known, jets = memo
+        found = _kummer_known(self._plan, k, z, w, known, jet)
+        if found is known:
+            return memo
+        if jet:
+            for m in range(4):
+                if jets[m] is None and found[m] is not None:
+                    jets = jets[:m] + (self._jet_of(m, r, z, w, edge, found[m]),) + jets[m + 1:]
+            memo = self._jets = (r, z, w, edge, found, jets)
+        else:
+            memo = self._values = (r, z, w, edge, found, jets)
+        return memo
+
+    def value(self, k: int, r: float) -> float:
+        """The edge factor times member k at r, times z^extra."""
+        _, z, w, edge, known, _ = self._point(k, r, False)
+        f = _kummer_member(self._plan, k, z, w, known, False)
+        if self.extra != 0.0:
+            f *= z ** self.extra
+        return edge * f
+
+    def jet(self, k: int, r: float) -> tuple[float, float, float]:
+        """The jet in r of the edge factor times member k at r, times
+        z^extra: that of the member summed there, or its row over the jets
+        of the pair on the other side."""
+        jets = self._point(k, r, True)[5]
+        if jets[k] is not None:
+            return jets[k]
+        s, g, alpha, beta, _, _, _ = self._plan.row(k)
+        i = 0 if k > 1 else 2
+        u, v = jets[i], jets[i + 1]
+        cu, cv = s * (g * alpha), s * (g * beta)
+        return (cu * u[0] - cv * v[0], cu * u[1] - cv * v[1], cu * u[2] - cv * v[2])
+
+    def _jet_of(self, m: int, r: float, z: float, w: float, edge: tuple,
+                h: tuple) -> tuple[float, float, float]:
+        """The jet in r of the edge factor times member m, from the jet h of
+        its series on its own variable: chain and product rules.  The powers
+        of z and w the member carries join the edge factor's at the ends
+        where they vanish, (r-xi1)^(mu1+e) or (xi2-r)^(mu2+e), and are
+        differentiated as one power, so where the exponents add up to an
+        integer no 1/(end-r)^2 terms cancel next to that end."""
+        if m > 1:  # a jet in w = 1 - z
+            h = (h[0], -h[1], h[2])
+        pz, pw, m1, m2 = self.joined[m]
+        if pz == 0.0 and pw == 0.0:
+            p0, p1, p2 = edge
+        else:
+            p0 = edge[0]
+            if pz != 0.0:
+                p0 *= z ** pz
+            if pw != 0.0:
+                p0 *= w ** pw
+            left, right = r - self.zmap.xi1, self.zmap.xi2 - r
+            dl, dr = m1 / left, m2 / right
+            # p'' = p (m1(m1-1)/left^2 - 2 m1 m2/(left right) + m2(m2-1)/right^2)
+            p1 = p0 * (dl - dr)
+            p2 = p0 * ((m1 - 1.0) * dl / left - 2.0 * dl * dr + (m2 - 1.0) * dr / right)
+        u = self.dz_dr
+        g0, g1, g2 = h[0], u * h[1], u * u * h[2]
+        return (p0 * g0, p1 * g0 + p0 * g1, p2 * g0 + 2.0 * p1 * g1 + p0 * g2)
 
 
 def _shared_set(p: OdeParams, mu1: float, mu2: float,
-                a: float, b: float, c: float) -> _KummerSet:
+                a: float, b: float, c: float, c_breve: float) -> _KummerSet:
     """The Kummer set of hat1's triple, kept on p for the last (mu1, mu2)."""
     kept = p.__dict__.get("_kummer")
     if kept is None or kept[0] != (mu1, mu2):
         zmap = CoordinateMap(MapVariant.MAP_I, p.xi1, p.xi2)
-        kept = p.__dict__["_kummer"] = ((mu1, mu2), _KummerSet(a, b, c, mu1, mu2, zmap))
+        kset = _KummerSet(a, b, c, mu1, mu2, zmap, w_power=1.0 - c_breve)
+        kept = p.__dict__["_kummer"] = ((mu1, mu2), kset)
     return kept[1]
 
 
-def _member_of(s: SolutionBranch) -> tuple[_KummerSet, int, float]:
-    """(set, member, extra power the member does not carry) of a branch."""
+def _member_of(s: SolutionBranch) -> tuple[_KummerSet, int]:
+    """(set, member) of a branch."""
     found = s.__dict__.get("_member")
     if found is None:
-        kset = _KummerSet(s.hyp.a, s.hyp.b, s.hyp.c, s.mu1, s.mu2, s.map, s.hyp)
-        found = s.__dict__["_member"] = (kset, 0, s.extra_power)
+        kset = _KummerSet(s.hyp.a, s.hyp.b, s.hyp.c, s.mu1, s.mu2, s.map, s.hyp,
+                          extra=s.extra_power)
+        found = s.__dict__["_member"] = (kset, 0)
     return found
 
 
@@ -384,28 +461,19 @@ def evaluate(s: SolutionBranch, r: float) -> float:
         raise DomainError(
             f"r={r!r} outside the open interval ({s.map.xi1!r}, {s.map.xi2!r})"
         )
-    kset, k, e = _member_of(s)
-    edge, f = kset.member(k, r, False)
-    if e != 0.0:
-        f *= kset.zmap.z(r) ** e
-    return edge * f
+    kset, k = _member_of(s)
+    return kset.value(k, r)
 
 
 def value_and_derivatives(s: SolutionBranch, r: float) -> tuple[float, float, float]:
-    """(F, F', F'') at r: the branch's Kummer member as a jet in z, from the
-    one series pass per member the jets of a row share, then the chain and
-    product rules."""
+    """(F, F', F'') at r, from the one series pass per member the jets of a
+    row share, by the chain and product rules."""
     if not (s.map.xi1 < r < s.map.xi2):
         raise DomainError(
             f"r={r!r} outside the open interval ({s.map.xi1!r}, {s.map.xi2!r})"
         )
-    kset, k, e = _member_of(s)
-    (p0, p1, p2), h = kset.member(k, r, True)
-    if e != 0.0:
-        h = _power_jet(h, kset.zmap.z(r), e)
-    u = kset.dz_dr
-    g0, g1, g2 = h[0], u * h[1], u * u * h[2]
-    return (p0 * g0, p1 * g0 + p0 * g1, p2 * g0 + 2.0 * p1 * g1 + p0 * g2)
+    kset, k = _member_of(s)
+    return kset.jet(k, r)
 
 
 def apply_operator(
@@ -451,28 +519,36 @@ def connection_check(
     """
     if hat not in (BranchId.HAT1, BranchId.HAT2):
         raise InvalidParams(f"connection identities exist for hat1 and hat2, not {hat!r}")
-    hat_branch, breve1, breve2 = _connection_branches(p, mu1, mu2, hat)
-    a, b, c = hat_branch.hyp.a, hat_branch.hyp.b, hat_branch.hyp.c
-    c_breve = breve1.hyp.c
-    if _dist_to_int(1.0 - c_breve) <= DEFAULT_POLE_TOL:
-        raise DegenerateCase(f"sine argument 1-c_breve={1.0 - c_breve!r} is an integer")
-    if _is_nonpositive_integer(c, DEFAULT_POLE_TOL):
-        raise DegenerateCase(f"gamma pole in connection coefficient at {c!r}")
-    lhs = math.sin(math.pi * (1.0 - c_breve)) / math.pi * _f_part(hat_branch, r)
-    term1 = rgamma(c - a) * rgamma(c - b) * rgamma(c_breve) * _f_part(breve1, r)
-    term2 = rgamma(a) * rgamma(b) * rgamma(2.0 - c_breve) * _f_part(breve2, r)
-    return lhs, gamma(c) * (term1 - term2)
+    (hat_branch, breve1, breve2), (sine, alpha, beta, gamma_c) = \
+        _connection_branches(p, mu1, mu2, hat)
+    lhs = sine * _f_part(hat_branch, r)
+    term1 = alpha * _f_part(breve1, r)
+    term2 = beta * _f_part(breve2, r)
+    return lhs, gamma_c * (term1 - term2)
 
 
 def _connection_branches(
     p: OdeParams, mu1: float, mu2: float, hat: BranchId
-) -> tuple[SolutionBranch, ...]:
-    """The hat, breve1 and breve2 branches of connection_check, kept on p
-    for the last (mu1, mu2, hat) asked for."""
+) -> tuple[tuple[SolutionBranch, ...], tuple[float, ...]]:
+    """The hat, breve1 and breve2 branches of connection_check and the
+    identity's constants (sine factor, the two reciprocal-gamma products,
+    G(c)), kept on p for the last (mu1, mu2, hat) asked for.  A degenerate
+    identity raises DegenerateCase each time and keeps nothing."""
     key = (mu1, mu2, hat)
     kept = p.__dict__.get("_connection")
     if kept is None or kept[0] != key:
         branches = tuple(build_branch(p, mu1, mu2, bid)
                          for bid in (hat, BranchId.BREVE1, BranchId.BREVE2))
-        kept = p.__dict__["_connection"] = (key, branches)
-    return kept[1]
+        hyp = branches[0].hyp
+        a, b, c = hyp.a, hyp.b, hyp.c
+        c_breve = branches[1].hyp.c
+        if _dist_to_int(1.0 - c_breve) <= DEFAULT_POLE_TOL:
+            raise DegenerateCase(f"sine argument 1-c_breve={1.0 - c_breve!r} is an integer")
+        if _is_nonpositive_integer(c, DEFAULT_POLE_TOL):
+            raise DegenerateCase(f"gamma pole in connection coefficient at {c!r}")
+        consts = (math.sin(math.pi * (1.0 - c_breve)) / math.pi,
+                  rgamma(c - a) * rgamma(c - b) * rgamma(c_breve),
+                  rgamma(a) * rgamma(b) * rgamma(2.0 - c_breve),
+                  gamma(c))
+        kept = p.__dict__["_connection"] = (key, branches, consts)
+    return kept[1], kept[2]
