@@ -1,11 +1,13 @@
 """Gauss hypergeometric core: 2F1 series evaluation, gamma, Pochhammer,
 and the transformation identities the solution machinery relies on.
 
-All arithmetic is IEEE double precision.  Three constants govern every
+All arithmetic is IEEE double precision.  Four constants govern every
 evaluation: a series is summed to the first term at most _REL_TOL times
 the sum of the terms' magnitudes so far (found once per bucket of |z|, see
-_cut), raises NoConvergence when that takes more than _MAX_TERMS terms,
-and a real within DEFAULT_POLE_TOL of a non-positive integer is a pole.
+_cut), raises NoConvergence when that takes more than _MAX_TERMS terms or
+when _REL_TOL times that sum of magnitudes exceeds _CANCEL_TOL times the
+sum's own size, and a real within DEFAULT_POLE_TOL of a non-positive
+integer is a pole.
 """
 
 from __future__ import annotations
@@ -14,23 +16,34 @@ import math
 from array import array
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
 
 from .errors import DegenerateCase, DomainError, NoConvergence, PoleError
 
 DEFAULT_POLE_TOL = 1e-10
 _REL_TOL = 1e-15
 _MAX_TERMS = 500
+# the largest relative rounding-error scale a non-terminating sum may
+# carry: one past it has cancelled below its last trustworthy digit
+_CANCEL_TOL = 1e-3
+# a cut's floor per unit of sum |term|, raised by more than the rounding of
+# its float32 entry in the cut table
+_FLOOR_PER_TOTAL = _REL_TOL / _CANCEL_TOL * (1.0 + 2.0 ** -20)
 
 _SERIES_SPLIT = 0.5  # direct summation for |z| <= split, transforms beyond
+_STEPS = tuple(map(float, range(_MAX_TERMS)))  # k - 1 of the recurrence's c_k, as floats
 _C0 = array("d", [1.0])  # the memo before any evaluation: c_0 alone
 # the cut table's buckets: bucket i holds i/128 <= |x| < (i+1)/128 and is cut
-# at its outer edge, which the last one, |x| = 0.5 alone, clamps to 0.5
+# at its outer edge; the last one also holds |x| = 0.5
 _CUTS_PER_UNIT = 128
-_CUT_EDGES = tuple(min((i + 1) / _CUTS_PER_UNIT, _SERIES_SPLIT)
-                   for i in range(int(_SERIES_SPLIT * _CUTS_PER_UNIT) + 1))
-# a cut table before any scan; copies of an array('h'), unlike lists, are
-# cheap to make and leave the cyclic garbage collector nothing to track
-_NO_CUTS = array("h", bytes(2 * len(_CUT_EDGES)))
+_BUCKETS = int(_SERIES_SPLIT * _CUTS_PER_UNIT)
+_CUT_EDGES = tuple((i + 1) / _CUTS_PER_UNIT for i in range(_BUCKETS))
+# a cut table before any scan, bucket i's count at i and floor at i + _BUCKETS:
+# float32 holds every count exactly, a floor past its range becomes inf (so
+# every sum in that bucket is checked), and at 512 bytes a copy comes from
+# the small-object allocator; an array, unlike a dict or list, also leaves
+# the cyclic garbage collector nothing to track
+_NO_CUTS = array("f", bytes(4 * 2 * _BUCKETS))
 
 
 def _dist_to_int(x: float) -> float:
@@ -253,36 +266,49 @@ def _publish(p: Hyp2F1, coefs: list[float]) -> array:
     return memo
 
 
-def _memo(p: Hyp2F1, n: int) -> array:
-    """The coefficient memo of p with at least c_0 to c_n in it."""
+def _memo(p: Hyp2F1, n: int, z: float = 0.0) -> tuple[array, float | None]:
+    """(memo, s): the coefficient memo of p with at least c_0 to c_n in it,
+    and, when this call had to grow it, the sum of c_k z^k for k <= n
+    formed in the same pass as _series forms it (else None)."""
     memo = p.__dict__.get("_coefs", _C0)
     if len(memo) > n:
-        return memo
+        return memo, None
     grown = memo.tolist()
+    acc = zk = 1.0
+    for ck in grown[1:]:
+        zk *= z
+        acc += ck * zk
     a, b, c = p.a, p.b, p.c
     ck = grown[-1]
     for k in range(len(grown) - 1, n):
         ck *= (a + k) * (b + k) / ((c + k) * (k + 1.0))
         grown.append(ck)
-    return _publish(p, grown)
+        zk *= z
+        acc += ck * zk
+    return _publish(p, grown), acc
 
 
-def _scan(p: Hyp2F1, x: float, jet: bool) -> tuple[int, list[float]]:
-    """(k, coefs) for the first k at which |c_k x^k| is at most _REL_TOL
-    times the sum of |c_j x^j| over j <= k, for a jet the same holding of
-    the terms of F' and F'' too.  k is 0 when the budget of _MAX_TERMS runs
-    out first, and -1 when a sum leaves the float range.  coefs lists the
-    memo of p and the c_k the scan computed past its end by the recurrence.
+def _scan(p: Hyp2F1, e: float, jet: bool, z: float = 0.0) -> tuple:
+    """(k, coefs, total, s) for the first k at which |c_k e^k| is at most
+    _REL_TOL times the sum of |c_j e^j| over j <= k, for a jet the same
+    holding of the terms of F' and F'' too.  k is 0 when the budget of
+    _MAX_TERMS runs out first, and -1 when a sum leaves the float range.
+    coefs lists the memo of p and the c_k the scan computed past its end by
+    the recurrence; total is the sum of |c_j e^j| over j <= k.  For values,
+    s is the sum of c_j z^j over j <= k, formed as _series forms it, so a
+    first call needs one pass; for a jet it is None.
     """
     a, b, c = p.a, p.b, p.c
     rel = _REL_TOL
     coefs = p.__dict__.get("_coefs", _C0).tolist()
     known = len(coefs)
-    ck, j = 1.0, 0.0  # j = k - 1, a float: it saves an int->float per use
     s0, s1, s2 = 1.0, 0.0, 0.0
-    x0, x1, x2 = x, 1.0, 0.0  # x^k, x^(k-1), x^(k-2)
-    # one loop per kind: a test of `jet` per term costs a sixth of the scan
+    x0, x1, x2 = e, 1.0, 0.0  # e^k, e^(k-1), e^(k-2)
+    # one loop per kind, and for values one for the memo's c_k and one for
+    # the recurrence's: a test per term of either costs a tenth of the scan
     if jet:
+        acc = None
+        ck, j = 1.0, 0.0  # j = k - 1, a float: it saves an int->float per use
         for k in range(1, _MAX_TERMS + 1):
             if k < known:
                 ck = coefs[k]
@@ -297,58 +323,91 @@ def _scan(p: Hyp2F1, x: float, jet: bool) -> tuple[int, list[float]]:
             s2 += t2
             if t2 <= rel * s2 and t1 <= rel * s1 and t0 <= rel * s0:
                 break
-            x0, x1, x2 = x0 * x, x0, x1
+            x0, x1, x2 = x0 * e, x0, x1
         else:
             k = 0
+        return (k if s0 + s1 + s2 < math.inf else -1), coefs, s0, acc
+    acc = zk = ck = 1.0
+    k = 0
+    for k, ck in enumerate(coefs[1:], 1):
+        zk *= z
+        acc += ck * zk
+        t0 = ck * x0
+        if t0 < 0.0:  # abs(), a call, costs more
+            t0 = -t0
+        s0 += t0
+        if t0 <= rel * s0:
+            break
+        x0 *= e
     else:
-        for k in range(1, _MAX_TERMS + 1):
-            if k < known:
-                ck = coefs[k]
-            else:
-                ck *= (a + j) * (b + j) / ((c + j) * (j + 1.0))
-                coefs.append(ck)
-            j += 1.0
-            t0 = abs(ck) * x0
+        grow = coefs.append
+        for j in islice(_STEPS, k, None):  # j = k - 1 for the c_k formed
+            ck *= (a + j) * (b + j) / ((c + j) * (j + 1.0))
+            grow(ck)
+            zk *= z
+            acc += ck * zk
+            t0 = ck * x0
+            if t0 < 0.0:
+                t0 = -t0
             s0 += t0
             if t0 <= rel * s0:
+                k = int(j) + 1
                 break
-            x0 *= x
+            x0 *= e
         else:
             k = 0
-    return (k if s0 + s1 + s2 < math.inf else -1), coefs
+    return (k if s0 < math.inf else -1), coefs, s0, acc
 
 
-def _cut(p: Hyp2F1, x: float, jet: bool) -> tuple[int, array | list[float]]:
-    """(n, coefs) for a non-terminating sum at |x| <= 0.5: the number of
-    recurrence steps it takes, and c_0 to at least c_n.
+def _cut(p: Hyp2F1, x: float, jet: bool) -> tuple:
+    """(n, coefs, floor, s) for a non-terminating sum at |x| <= 0.5: the
+    number of recurrence steps it takes, c_0 to at least c_n, the |sum|
+    below which _check_digits must look at it, and the value sum at x when
+    a scan here formed it (else None).
 
-    The count is kept per 1/_CUTS_PER_UNIT-wide bucket of |x| in a cut
-    table on p, one for values and one for jets, found once by _scan at the
-    bucket's outer edge: a term test that fails at |x| fails at the larger
-    edge too, so the edge's count serves every point of the bucket.  An
-    entry is 0 until then, and -1 for a bucket whose edge runs out of the
-    budget or the float range, whose points each take their own count.  An
-    entry is written once, always with the same value; the scan that finds
-    it publishes the coefficients it read.
+    The count and floor are kept per 1/_CUTS_PER_UNIT-wide bucket of |x| in
+    a cut table on p, one for values and one for jets, found once by _scan
+    at the bucket's outer edge: a term test that fails at |x| fails at the
+    larger edge too, so the edge's count serves every point of the bucket,
+    and the edge's sum of |terms| bounds each point's.  A count is 0 until
+    then, and -1 for a bucket whose edge runs out of the budget or the
+    float range, whose points each take their own scan.  An entry is
+    written once, always with the same value, its floor before its count;
+    the scan that finds it publishes the coefficients it read.
     """
-    i = int(abs(x) * _CUTS_PER_UNIT)
-    key = "_jet_cuts" if jet else "_cuts"
-    cuts = p.__dict__.get(key)
+    i = int(x * _CUTS_PER_UNIT)  # truncation: the bucket of -x is that of x
+    if i < 0:
+        i = -i
+    if i == _BUCKETS:  # |x| = 0.5
+        i -= 1
+    cuts = p.__dict__.get("_jet_cuts" if jet else "_cuts")
     if cuts is None:
-        cuts = p.__dict__.setdefault(key, _NO_CUTS[:])
+        cuts = p.__dict__.setdefault("_jet_cuts" if jet else "_cuts", _NO_CUTS[:])
     n = cuts[i]
-    if n > 0:
+    if n > 0.0:
+        n = int(n)
         coefs = p.__dict__.get("_coefs", _C0)
-        return n, (coefs if len(coefs) > n else _memo(p, n))
-    if n == 0:
-        n, coefs = _scan(p, _CUT_EDGES[i], jet)
-        cuts[i] = n if n > 0 else -1
+        return n, (coefs if len(coefs) > n else _memo(p, n)[0]), cuts[i + _BUCKETS], None
+    if n == 0.0:
+        n, coefs, total, s = _scan(p, _CUT_EDGES[i], jet, x)
+        if n > 0:
+            cuts[i + _BUCKETS] = total * _FLOOR_PER_TOTAL
+        cuts[i] = n if n > 0 else -1.0
     if n <= 0:
-        n, coefs = _scan(p, abs(x), jet)
+        n, coefs, total, s = _scan(p, abs(x), jet, x)
     _publish(p, coefs)
     if n <= 0:
         raise _diverged(p, x, n == 0)
-    return n, coefs
+    return n, coefs, total * _FLOOR_PER_TOTAL, s
+
+
+def _check_digits(p: Hyp2F1, z: float, n: int, s: float) -> None:
+    """Raise NoConvergence when the sum s of c_k z^k, k = 0 to n, has
+    cancelled: when its rounding-error scale _REL_TOL * sum |c_k z^k|
+    exceeds _CANCEL_TOL |s|."""
+    if _REL_TOL * _series_magnitude(p, z, n) > _CANCEL_TOL * abs(s):
+        raise NoConvergence(
+            f"2F1 series cancels below its rounding error (a={p.a}, b={p.b}, c={p.c}, z={z})")
 
 
 def _series(p: Hyp2F1, z: float, nterms: int | None) -> float:
@@ -358,15 +417,24 @@ def _series(p: Hyp2F1, z: float, nterms: int | None) -> float:
     n is nterms when given (a terminating series), and otherwise the count
     of the cut table for |z| <= 0.5, so no term is tested.  A sum past the
     float range raises NoConvergence; so does a series that does not reach
-    _REL_TOL within _MAX_TERMS terms.  The c_k are read from the memo of p.
+    _REL_TOL within _MAX_TERMS terms, and a non-terminating one that
+    cancels (_check_digits).  The c_k are read from the memo of p; a call
+    that needs more of them grows it in the pass that sums them.
     """
-    n, coefs = _cut(p, z, False) if nterms is None else (nterms, _memo(p, nterms))
-    acc = zk = 1.0
-    for ck in coefs[1:n + 1]:
-        zk *= z
-        acc += ck * zk
+    if nterms is None:
+        n, coefs, floor, acc = _cut(p, z, False)
+    else:
+        n, floor = nterms, 0.0
+        coefs, acc = _memo(p, n, z)
+    if acc is None:
+        acc = zk = 1.0
+        for ck in coefs[1:n + 1]:
+            zk *= z
+            acc += ck * zk
     if not math.isfinite(acc):
         raise _diverged(p, z, False)
+    if -floor < acc < floor:
+        _check_digits(p, z, n, acc)
     return acc
 
 
@@ -376,10 +444,12 @@ def _jet(p: Hyp2F1, z: float, nterms: int | None) -> tuple[float, float, float]:
 
     A non-terminating series runs Horner's scheme on three lanes from
     c_n down; a terminating one sums the three forward, carrying the powers
-    of z by multiplication.  z = 0 gives the exact values either way.
+    of z by multiplication.  z = 0 gives the exact values either way.  The
+    errors are those of _series, the cancellation test read on F alone:
+    F' and F'' vanish at F's extrema, and a lost F takes them with it.
     """
     if nterms is None:
-        n, coefs = _cut(p, z, True)
+        n, coefs, floor, _ = _cut(p, z, True)
         f0, f1, f2 = coefs[n], 0.0, 0.0
         for ck in coefs[n - 1::-1]:
             f2 = f2 * z + f1
@@ -387,10 +457,11 @@ def _jet(p: Hyp2F1, z: float, nterms: int | None) -> tuple[float, float, float]:
             f0 = f0 * z + ck
         f2 *= 2.0
     else:
+        n, floor = nterms, 0.0
         f0, f1, f2 = 1.0, 0.0, 0.0
         z0, z1, z2 = z, 1.0, 0.0  # z^k, z^(k-1), z^(k-2) for the next k
         k = 1.0
-        for ck in _memo(p, nterms)[1:nterms + 1]:
+        for ck in _memo(p, nterms)[0][1:nterms + 1]:
             f0 += ck * z0
             f1 += k * ck * z1
             f2 += k * (k - 1.0) * ck * z2
@@ -398,15 +469,17 @@ def _jet(p: Hyp2F1, z: float, nterms: int | None) -> tuple[float, float, float]:
             k += 1.0
     if not (math.isfinite(f0) and math.isfinite(f1) and math.isfinite(f2)):
         raise _diverged(p, z, False)
+    if -floor < f0 < floor:
+        _check_digits(p, z, n, f0)
     return f0, f1, f2
 
 
-def _series_magnitude(p: Hyp2F1, z: float) -> float:
-    """The sum of |c_k z^k| over the terms of a terminating series, read
-    from the memo its evaluation at z filled: the scale of the rounding
-    error of that sum."""
+def _series_magnitude(p: Hyp2F1, z: float, n: int | None = None) -> float:
+    """The sum of |c_k z^k| for k = 0 to n, by default the degree of a
+    terminating series, read from the memo its evaluation at z filled: the
+    scale of the rounding error of that sum."""
     total, zk, az = 0.0, 1.0, abs(z)
-    for ck in p.__dict__.get("_coefs", _C0)[:p.terminating_degree + 1]:
+    for ck in p.__dict__.get("_coefs", _C0)[:(p.terminating_degree if n is None else n) + 1]:
         total += abs(ck) * zk
         zk *= az
     return total
@@ -420,27 +493,7 @@ def _connection(row: tuple, z: float) -> float:
     return gamma_c * (alpha * hyp2f1(near, w) - w ** cab * beta * hyp2f1(far, w))
 
 
-def _power_jet(
-    h: tuple[float, float, float], x: float, e: float
-) -> tuple[float, float, float]:
-    """The jet in x of x^e f from the jet h of f, by the product rule."""
-    h0, h1, h2 = h
-    xe = x ** e
-    return (xe * h0, e * x ** (e - 1.0) * h0 + xe * h1,
-            e * (e - 1.0) * x ** (e - 2.0) * h0 + 2.0 * e * x ** (e - 1.0) * h1 + xe * h2)
-
-
 _UNKNOWN = (None, None, None, None)  # no member of a Kummer set summed yet
-
-
-def _kummer(
-    plan: _KummerPlan, k: int, z: float, w: float, known: tuple, jet: bool
-) -> tuple:
-    """Member k (0 to 3 for w1 to w4) of the Kummer set of plan at one point,
-    as a value or as a jet (F, F', F'') in z, and the point's known members
-    (those of _kummer_known)."""
-    known = _kummer_known(plan, k, z, w, known, jet)
-    return _kummer_member(plan, k, z, w, known, jet), known
 
 
 def _kummer_known(
@@ -478,31 +531,15 @@ def _kummer_known(
     return known
 
 
-def _kummer_member(plan: _KummerPlan, k: int, z: float, w: float, known: tuple, jet: bool):
-    """Member k from what _kummer_known left: the member itself where it
-    was summed, otherwise its row over the pair on the other side."""
+def _kummer_member(plan: _KummerPlan, k: int, known: tuple) -> float:
+    """The value of member k from the values _kummer_known left: the
+    member itself where it was summed, otherwise its row over the pair on
+    the other side."""
     if known[k] is not None:
-        return _kummer_jet(plan, k, z, w, known[k]) if jet else known[k]
+        return known[k]
     s, g, alpha, beta, _, _, _ = plan.row(k)
     i = 0 if k > 1 else 2
-    u, v = known[i], known[i + 1]
-    if jet:
-        u, v = _kummer_jet(plan, i, z, w, u), _kummer_jet(plan, i + 1, z, w, v)
-        return (s * (g * (alpha * u[0] - beta * v[0])),
-                s * (g * (alpha * u[1] - beta * v[1])),
-                s * (g * (alpha * u[2] - beta * v[2])))
-    return s * (g * (alpha * u - beta * v))
-
-
-def _kummer_jet(plan: _KummerPlan, m: int, z: float, w: float, h: tuple) -> tuple:
-    """Member m as a jet in z from the jet h of its series: times the
-    member's power, a jet in w turned into one in z by a sign flip of the
-    first derivative."""
-    x = w if m > 1 else z
-    e = plan.powers[m]
-    if e != 0.0:
-        h = _power_jet(h, x, e)
-    return (h[0], -h[1], h[2]) if m > 1 else h
+    return s * (g * (alpha * known[i] - beta * known[i + 1]))
 
 
 def hyp2f1(p: Hyp2F1, z: float) -> float:
@@ -556,7 +593,18 @@ def _hyp2f1_jet(p: Hyp2F1, z: float) -> tuple[float, float, float]:
     if abs(z) <= _SERIES_SPLIT:
         return _jet(p, z, None)
     if _SERIES_SPLIT < z < 1.0:
-        return _kummer(p._plan, 0, z, 1.0 - z, _UNKNOWN, True)[0]
+        # the row of w1 over w3 = F(near; w) and w4 = w^e F(far; w), w = 1 - z,
+        # the power taken by the product rule; d/dz = -d/dw
+        s, g, alpha, beta, near, far, e = p._plan.row(0)
+        w = 1.0 - z
+        u = _hyp2f1_jet(near, w)
+        v0, v1, v2 = _hyp2f1_jet(far, w)
+        we, de = w ** e, e * w ** (e - 1.0)
+        v = (we * v0, de * v0 + we * v1,
+             e * (e - 1.0) * w ** (e - 2.0) * v0 + 2.0 * de * v1 + we * v2)
+        return (s * (g * (alpha * u[0] - beta * v[0])),
+                -(s * (g * (alpha * u[1] - beta * v[1]))),
+                s * (g * (alpha * u[2] - beta * v[2])))
     if z == 1.0:
         return (hyp2f1(p, z), hyp2f1_derivative(p, z),
                 p.a * p.b / p.c * hyp2f1_derivative(p._shifted, z))

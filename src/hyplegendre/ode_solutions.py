@@ -378,7 +378,7 @@ class _KummerSet:
     def value(self, k: int, r: float) -> float:
         """The edge factor times member k at r, times z^extra."""
         _, z, w, edge, known, _ = self._point(k, r, False)
-        f = _kummer_member(self._plan, k, z, w, known, False)
+        f = _kummer_member(self._plan, k, known)
         if self.extra != 0.0:
             f *= z ** self.extra
         return edge * f

@@ -258,6 +258,21 @@ class TestResidualCommand:
         assert [float(v) for v in maxima] == [max(col) for col in columns]
         assert len(set(maxima)) > 1
 
+    def test_dense_grid_end_to_end(self, tmp_path):
+        # 10^4 points, the per-row grid path of the cut-table kernels: every
+        # branch's largest normalized residual stays small
+        path = tmp_path / "generic.json"
+        path.write_text(json.dumps(GENERIC))
+        res = run_cli("residual", "--params", str(path), "--grid=-1.19:0.89:10000",
+                      "--branch", "all", "--format", "csv")
+        assert res.returncode == 0, res.stderr
+        lines = res.stdout.strip().split("\n")
+        assert lines[0] == "r,hat1,hat2,breve1,breve2"
+        assert len(lines) == 10002
+        label, *maxima = lines[-1].split(",")
+        assert label == "max" and len(maxima) == 4
+        assert all(float(v) <= 1e-8 for v in maxima), maxima
+
 
 class TestLegendreCommands:
     def test_universal_contract(self):

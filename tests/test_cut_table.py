@@ -13,9 +13,14 @@ import pytest
 
 from hyplegendre import Hyp2F1, NoConvergence, hyp2f1
 from hyplegendre.hypergeom import (
+    _CANCEL_TOL,
     _CUT_EDGES,
     _CUTS_PER_UNIT,
+    _BUCKETS,
+    _FLOOR_PER_TOTAL,
     _MAX_TERMS,
+    _NO_CUTS,
+    _REL_TOL,
     _hyp2f1_jet,
     _scan,
 )
@@ -80,16 +85,18 @@ def test_any_order_on_a_shared_instance_gives_fresh_values(abc):
 
 
 class RecordingCuts(array):
-    """A cut table that logs every entry written to it."""
+    """A cut table, counts then floors, that logs every count written to
+    it with the floor beside it at that moment."""
 
     def __new__(cls):
-        table = super().__new__(cls, "h", bytes(2 * len(_CUT_EDGES)))
+        table = super().__new__(cls, "f", _NO_CUTS)
         table.writes = []
         return table
 
-    def __setitem__(self, i, n):
-        self.writes.append((i, n))
-        super().__setitem__(i, n)
+    def __setitem__(self, i, v):
+        super().__setitem__(i, v)
+        if i < _BUCKETS:
+            self.writes.append((i, (v, self[i + _BUCKETS])))
 
 
 def recorded(abc):
@@ -112,10 +119,14 @@ def test_each_entry_is_written_once_with_its_edge_count(abc):
     for key, jet in (("_cuts", False), ("_jet_cuts", True)):
         writes = vars(p)[key].writes
         buckets = [i for i, _ in writes]
-        assert sorted(buckets) == list(range(len(_CUT_EDGES)))  # each once
-        for i, n in writes:
-            # the count found at the edge, whoever asks first
-            assert n == _scan(Hyp2F1(*abc), _CUT_EDGES[i], jet)[0] > 0
+        assert sorted(buckets) == list(range(_BUCKETS))  # each once
+        for i, (n, floor) in writes:
+            # the count and, already written, the floor found at the edge,
+            # whoever asks first; rounded to float32, but never down
+            edge_n, _, total, _ = _scan(Hyp2F1(*abc), _CUT_EDGES[i], jet)
+            assert n == edge_n > 0
+            assert floor == array("f", [total * _FLOOR_PER_TOTAL])[0]
+            assert floor >= total * (_REL_TOL / _CANCEL_TOL)
         assert vars(p)[key].tolist() == vars(q)[key].tolist()
 
 
@@ -124,7 +135,7 @@ def test_edge_count_covers_every_point_of_its_bucket(abc):
     # the term test is monotone in |x|: the edge never needs fewer terms
     p = Hyp2F1(*abc)
     for z in GRID:
-        i = int(abs(z) * _CUTS_PER_UNIT)
+        i = min(int(abs(z) * _CUTS_PER_UNIT), _BUCKETS - 1)
         for jet in (False, True):
             own = _scan(p, abs(z), jet)[0]
             assert 0 < own <= _scan(p, _CUT_EDGES[i], jet)[0], (abc, z, jet)
@@ -159,8 +170,8 @@ def test_threads_write_the_same_entries():
     assert wrong == []
     counts = {}
     for p in shared:
-        for i, n in vars(p)["_cuts"].writes:
-            counts.setdefault(i, set()).add(n)
+        for i, entry in vars(p)["_cuts"].writes:
+            counts.setdefault(i, set()).add(entry)
     assert all(len(ns) == 1 for ns in counts.values())
 
 
@@ -175,3 +186,27 @@ def test_bucket_past_the_budget_takes_each_point_own_count():
     assert hyp2f1(p, 0.45) == value == hyp2f1(Hyp2F1(*abc), 0.45)
     with pytest.raises(NoConvergence, match="did not reach"):
         hyp2f1(p, 0.5)
+
+
+# sums whose terms reach 10^40 or more and cancel to below 10^-10: what
+# they return is rounding error, so each raises, whether the bucket's count
+# was found at its edge (60.3, 50.7) or at the point, after the edge ran
+# out of the budget (150.3, 150.7)
+CANCELLING = [((150.3, 150.7, 1.1), -0.45), ((150.3, 150.7, 1.1), -0.3),
+              ((60.3, 50.7, 1.1), -0.45)]
+
+
+@pytest.mark.parametrize("abc, z", CANCELLING)
+def test_cancelled_sum_raises(abc, z):
+    with mpmath.workdps(60):
+        assert abs(mpmath.hyp2f1(*abc, z)) < 1e-10
+    # on a fresh instance, and on one whose bucket -z (terms of one sign,
+    # no cancellation) has filled
+    for warm_at in (None, -z):
+        p = Hyp2F1(*abc)
+        if warm_at is not None:
+            assert hyp2f1(p, warm_at) > 0.0
+        with pytest.raises(NoConvergence, match="cancels below its rounding error"):
+            hyp2f1(p, z)
+    with pytest.raises(NoConvergence):
+        _hyp2f1_jet(Hyp2F1(*abc), z)
