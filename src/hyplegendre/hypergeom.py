@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import islice
 
@@ -58,7 +58,7 @@ def _is_nonpositive_integer(x: float, tol: float) -> bool:
 class Hyp2F1:
     """A 2F1 parameter triple (a, b; c).
 
-    terminating_degree is filled automatically: when a or b sits within
+    terminating_degree is filled in, not given: when a or b sits within
     DEFAULT_POLE_TOL of a non-positive integer the series is a polynomial
     and the degree is the smallest admissible one.  A non-positive integer
     c is rejected unless the series terminates before the pole in c.
@@ -78,7 +78,7 @@ class Hyp2F1:
     a: float
     b: float
     c: float
-    terminating_degree: int | None = None
+    terminating_degree: int | None = field(default=None, init=False)
 
     def __post_init__(self) -> None:
         degree = None
@@ -114,6 +114,9 @@ class Hyp2F1:
         return _KummerPlan(self.a, self.b, self.c)
 
 
+_UNKNOWN = (None, None, None, None)  # no member of a Kummer set summed yet
+
+
 class _KummerPlan:
     """Kummer's four solutions of the hypergeometric equation of one triple
     (a, b; c) on 0 < z < 1, with w = 1 - z (DLMF 15.10.11-14):
@@ -130,7 +133,8 @@ class _KummerPlan:
     where x is c-a-b or 1-c, c_k is the lower parameter of w_k and alpha_k,
     beta_k are products of three reciprocal gammas, so a term with a pole in
     its coefficient drops out cleanly.  The row of w1 is hyp2f1's
-    connection formula.
+    connection formula.  members picks and sums the members a point needs;
+    value and jet form each other one in the order s * (G * (alpha u - beta v)).
 
     Every member triple, power and coefficient is formed from the one float
     triple, taken with a <= b so that the a<->b symmetry holds bitwise: near
@@ -210,6 +214,56 @@ class _KummerPlan:
         return (math.pi / math.sin(math.pi * sine_arg), gk, alpha, beta,
                 u, v, self.powers[i + 1])
 
+    def members(self, k: int, z: float, w: float, known: tuple, jet: bool) -> tuple:
+        """The members summed at one point once member k is known there: k
+        itself, or the pair its row is formed over.
+
+        w = 1 - z is given apart, so that a caller can form both from its own
+        variable without a cancellation.  A member is summed on its own
+        variable when that is at most 0.5, when its series terminates, or at
+        the end point 1 (the routes and errors of hyp2f1 and _hyp2f1_jet);
+        otherwise it is its row over the pair on the other side.  Away from
+        z = 0.5 the two members summed on the near side give all four.  `known`
+        holds for each member summed at this point so far its value, or for a
+        jet the jet of its series on its own variable (z for w1, w2, w for w3,
+        w4), without the member's power; None for the others.  A new tuple is
+        returned when a member is added.
+        """
+        x = w if k > 1 else z
+        wanted = (k,)
+        if _SERIES_SPLIT < x < 1.0 and self.triple(k).terminating_degree is None:
+            self.row(k)  # a degenerate row raises before any series is summed
+            wanted = (0, 1) if k > 1 else (2, 3)
+        for m in wanted:
+            if known[m] is None:
+                t, x, e = self.triple(m), (w if m > 1 else z), self.powers[m]
+                if jet:
+                    f = _hyp2f1_jet(t, x)
+                else:
+                    f = hyp2f1(t, x)
+                    if e != 0.0:
+                        f *= x ** e
+                known = known[:m] + (f,) + known[m + 1:]
+        return known
+
+    def value(self, k: int, known: tuple) -> float:
+        """Member k from the values members left: itself where it was
+        summed, otherwise its row over the pair on the other side."""
+        if known[k] is not None:
+            return known[k]
+        s, g, alpha, beta, _, _, _ = self.row(k)
+        i = 0 if k > 1 else 2
+        return s * (g * (alpha * known[i] - beta * known[i + 1]))
+
+    def jet(self, k: int, jets: tuple) -> tuple[float, float, float]:
+        """The jet of a member k not summed, its row as value forms it, lane
+        by lane, over the jets of the pair in one variable they share."""
+        s, g, alpha, beta, _, _, _ = self.row(k)
+        i = 0 if k > 1 else 2
+        (u0, u1, u2), (v0, v1, v2) = jets[i], jets[i + 1]
+        return (s * (g * (alpha * u0 - beta * v0)), s * (g * (alpha * u1 - beta * v1)),
+                s * (g * (alpha * u2 - beta * v2)))
+
 
 def pochhammer(x: float, n: int) -> float:
     """Rising factorial x(x+1)...(x+n-1); 1 for n = 0.
@@ -258,34 +312,27 @@ def _diverged(p: Hyp2F1, z: float, finite: bool) -> NoConvergence:
 
 
 def _publish(p: Hyp2F1, coefs: list[float]) -> array:
-    # one assignment of a new array, and only one that is longer: a
-    # published memo is never mutated
+    # one assignment of a new array, never a mutation of a published one;
+    # the length test and the assignment are two steps, so a racing call
+    # can replace a longer memo with a shorter one (hence _cut's own test)
     memo = p.__dict__.get("_coefs", _C0)
     if len(coefs) > len(memo):
         memo = p.__dict__["_coefs"] = array("d", coefs)
     return memo
 
 
-def _memo(p: Hyp2F1, n: int, z: float = 0.0) -> tuple[array, float | None]:
-    """(memo, s): the coefficient memo of p with at least c_0 to c_n in it,
-    and, when this call had to grow it, the sum of c_k z^k for k <= n
-    formed in the same pass as _series forms it (else None)."""
+def _memo(p: Hyp2F1, n: int) -> array:
+    """The coefficient memo of p, grown to hold at least c_0 to c_n."""
     memo = p.__dict__.get("_coefs", _C0)
     if len(memo) > n:
-        return memo, None
+        return memo
     grown = memo.tolist()
-    acc = zk = 1.0
-    for ck in grown[1:]:
-        zk *= z
-        acc += ck * zk
     a, b, c = p.a, p.b, p.c
     ck = grown[-1]
     for k in range(len(grown) - 1, n):
         ck *= (a + k) * (b + k) / ((c + k) * (k + 1.0))
         grown.append(ck)
-        zk *= z
-        acc += ck * zk
-    return _publish(p, grown), acc
+    return _publish(p, grown)
 
 
 def _scan(p: Hyp2F1, e: float, jet: bool, z: float = 0.0) -> tuple:
@@ -387,7 +434,7 @@ def _cut(p: Hyp2F1, x: float, jet: bool) -> tuple:
     if n > 0.0:
         n = int(n)
         coefs = p.__dict__.get("_coefs", _C0)
-        return n, (coefs if len(coefs) > n else _memo(p, n)[0]), cuts[i + _BUCKETS], None
+        return n, (coefs if len(coefs) > n else _memo(p, n)), cuts[i + _BUCKETS], None
     if n == 0.0:
         n, coefs, total, s = _scan(p, _CUT_EDGES[i], jet, x)
         if n > 0:
@@ -418,14 +465,15 @@ def _series(p: Hyp2F1, z: float, nterms: int | None) -> float:
     of the cut table for |z| <= 0.5, so no term is tested.  A sum past the
     float range raises NoConvergence; so does a series that does not reach
     _REL_TOL within _MAX_TERMS terms, and a non-terminating one that
-    cancels (_check_digits).  The c_k are read from the memo of p; a call
-    that needs more of them grows it in the pass that sums them.
+    cancels (_check_digits).  The c_k are read from the memo of p; a
+    terminating call that needs more of them grows it first, the scan of a
+    cut in the pass that sums them.
     """
     if nterms is None:
         n, coefs, floor, acc = _cut(p, z, False)
     else:
-        n, floor = nterms, 0.0
-        coefs, acc = _memo(p, n, z)
+        n, floor, acc = nterms, 0.0, None
+        coefs = _memo(p, n)
     if acc is None:
         acc = zk = 1.0
         for ck in coefs[1:n + 1]:
@@ -461,7 +509,7 @@ def _jet(p: Hyp2F1, z: float, nterms: int | None) -> tuple[float, float, float]:
         f0, f1, f2 = 1.0, 0.0, 0.0
         z0, z1, z2 = z, 1.0, 0.0  # z^k, z^(k-1), z^(k-2) for the next k
         k = 1.0
-        for ck in _memo(p, nterms)[0][1:nterms + 1]:
+        for ck in _memo(p, nterms)[1:nterms + 1]:
             f0 += ck * z0
             f1 += k * ck * z1
             f2 += k * (k - 1.0) * ck * z2
@@ -487,59 +535,11 @@ def _series_magnitude(p: Hyp2F1, z: float, n: int | None = None) -> float:
 
 def _connection(row: tuple, z: float) -> float:
     """sin(pi(c-a-b))/pi * 2F1(a,b;c;z) for 0 < z < 1 from the 1-z side:
-    the row of w1 without its pi/sin factor."""
+    the row of w1 without its pi/sin factor, in the order of
+    _KummerPlan.value."""
     _, gamma_c, alpha, beta, near, far, cab = row
     w = 1.0 - z
-    return gamma_c * (alpha * hyp2f1(near, w) - w ** cab * beta * hyp2f1(far, w))
-
-
-_UNKNOWN = (None, None, None, None)  # no member of a Kummer set summed yet
-
-
-def _kummer_known(
-    plan: _KummerPlan, k: int, z: float, w: float, known: tuple, jet: bool
-) -> tuple:
-    """The members of the Kummer set of plan summed at one point once member
-    k is known there: k itself, or the pair its row is formed over.
-
-    w = 1 - z is given apart, so that a caller can form both from its own
-    variable without a cancellation.  A member is summed on its own
-    variable when that is at most 0.5, when its series terminates, or at
-    the end point 1 (the routes and errors of hyp2f1 and _hyp2f1_jet);
-    otherwise it is its row over the pair on the other side.  Away from
-    z = 0.5 the two members summed on the near side give all four.  `known`
-    holds for each member summed at this point so far its value, or for a
-    jet the jet of its series on its own variable (z for w1, w2, w for w3,
-    w4), without the member's power; None for the others.  A new tuple is
-    returned when a member is added.
-    """
-    x = w if k > 1 else z
-    wanted = (k,)
-    if _SERIES_SPLIT < x < 1.0 and plan.triple(k).terminating_degree is None:
-        plan.row(k)  # a degenerate row raises before any series is summed
-        wanted = (0, 1) if k > 1 else (2, 3)
-    for m in wanted:
-        if known[m] is None:
-            t, x, e = plan.triple(m), (w if m > 1 else z), plan.powers[m]
-            if jet:
-                f = _hyp2f1_jet(t, x)
-            else:
-                f = hyp2f1(t, x)
-                if e != 0.0:
-                    f *= x ** e
-            known = known[:m] + (f,) + known[m + 1:]
-    return known
-
-
-def _kummer_member(plan: _KummerPlan, k: int, known: tuple) -> float:
-    """The value of member k from the values _kummer_known left: the
-    member itself where it was summed, otherwise its row over the pair on
-    the other side."""
-    if known[k] is not None:
-        return known[k]
-    s, g, alpha, beta, _, _, _ = plan.row(k)
-    i = 0 if k > 1 else 2
-    return s * (g * (alpha * known[i] - beta * known[i + 1]))
+    return gamma_c * (alpha * hyp2f1(near, w) - beta * (w ** cab * hyp2f1(far, w)))
 
 
 def hyp2f1(p: Hyp2F1, z: float) -> float:
@@ -595,16 +595,15 @@ def _hyp2f1_jet(p: Hyp2F1, z: float) -> tuple[float, float, float]:
     if _SERIES_SPLIT < z < 1.0:
         # the row of w1 over w3 = F(near; w) and w4 = w^e F(far; w), w = 1 - z,
         # the power taken by the product rule; d/dz = -d/dw
-        s, g, alpha, beta, near, far, e = p._plan.row(0)
+        near, far, e = p._plan.row(0)[4:]
         w = 1.0 - z
         u = _hyp2f1_jet(near, w)
         v0, v1, v2 = _hyp2f1_jet(far, w)
         we, de = w ** e, e * w ** (e - 1.0)
         v = (we * v0, de * v0 + we * v1,
              e * (e - 1.0) * w ** (e - 2.0) * v0 + 2.0 * de * v1 + we * v2)
-        return (s * (g * (alpha * u[0] - beta * v[0])),
-                -(s * (g * (alpha * u[1] - beta * v[1]))),
-                s * (g * (alpha * u[2] - beta * v[2])))
+        f0, f1, f2 = p._plan.jet(0, (None, None, u, v))
+        return f0, -f1, f2
     if z == 1.0:
         return (hyp2f1(p, z), hyp2f1_derivative(p, z),
                 p.a * p.b / p.c * hyp2f1_derivative(p._shifted, z))
@@ -621,16 +620,15 @@ def pfaff_transform(p: Hyp2F1) -> tuple[Hyp2F1, float]:
 
 
 def connection_15_8_4(p: Hyp2F1, z: float) -> float:
-    """sin(pi(c-a-b))/pi * 2F1(a,b;c;z) computed purely from the 1-z side.
+    """sin(pi(c-a-b))/pi * 2F1(a,b;c;z) computed purely from the 1-z side,
+    on 0.5 < z < 1, where hyp2f1 takes this route.
 
     Verification partner of the direct evaluation; raises DegenerateCase
-    when c-a-b is an integer (logarithmic case, out of scope).  Accurate on
-    0.5 < z < 1, where hyp2f1 takes this route; at 0 < z <= 0.5 its 1-z
-    side sums the connection route of (a, b; a+b-c+1) and has carried up
-    to ~5e-8 relative error.
+    when c-a-b is an integer (logarithmic case, out of scope), then
+    DomainError for z outside 0.5 < z < 1.
     """
     row = p._plan.row(0)
-    if not (0.0 < z < 1.0):
-        raise DomainError(f"connection formula requires 0 < z < 1, got z={z!r}")
+    if not (_SERIES_SPLIT < z < 1.0):
+        raise DomainError(f"connection formula requires 0.5 < z < 1, got z={z!r}")
     return _connection(row, z)
 

@@ -30,8 +30,6 @@ from .hypergeom import (
     Hyp2F1,
     _dist_to_int,
     _is_nonpositive_integer,
-    _kummer_known,
-    _kummer_member,
     _KummerPlan,
     gamma,
     hyp2f1,
@@ -302,14 +300,16 @@ def build_branch(
 class _KummerSet:
     """The branches of one exponent pair on one interval: the edge factor
     (r-xi1)^mu1 (xi2-r)^mu2 and Kummer's four solutions of one triple, member
-    k of its plan at z = zmap.z(r) and w = 1 - z, both formed from r.
+    k of its plan at z = zmap.z(r) and w = 1 - z, both formed from r.  The
+    set keeps the geometry, r -> (z, w), the edge factor and the joined
+    powers; its plan picks, sums and combines the members.
 
     A one-slot memo per kind, values and jets, keeps what the last point r
     found, so the branches of one row share the edge factor and two series;
     the jet memo also keeps, for each member summed there, its jet in r
-    times the edge factor, and the branches of a row combine those.  A
-    memo is replaced, never mutated: threads evaluating other points see
-    whole memos only.  A plain slotted class, as _KummerPlan.
+    times the edge factor, and the plan combines those.  A memo is
+    replaced, never mutated: threads evaluating other points see whole
+    memos only.  A plain slotted class, as _KummerPlan.
 
     `extra` is the power z^extra of a branch built by hand, which every
     member of its set carries.  In the jets the powers of z and w join the
@@ -343,9 +343,9 @@ class _KummerSet:
 
     def _point(self, k: int, r: float, jet: bool) -> tuple:
         """The memo of the point r once member k is known there: (r, z, w,
-        edge factor, the known members of _kummer_known) and, for jets, the
-        jet in r of the edge factor times each member summed there (None
-        for the others)."""
+        edge factor, the members _KummerPlan.members left) and, for jets,
+        the jet in r of the edge factor times each member summed there
+        (None for the others)."""
         memo = self._jets if jet else self._values
         if memo is None or memo[0] != r:
             xi1, xi2 = self.zmap.xi1, self.zmap.xi2
@@ -363,7 +363,7 @@ class _KummerSet:
                 z, w = w, z
             memo = (r, z, w, edge, _UNKNOWN, _UNKNOWN)
         _, z, w, edge, known, jets = memo
-        found = _kummer_known(self._plan, k, z, w, known, jet)
+        found = self._plan.members(k, z, w, known, jet)
         if found is known:
             return memo
         if jet:
@@ -378,7 +378,7 @@ class _KummerSet:
     def value(self, k: int, r: float) -> float:
         """The edge factor times member k at r, times z^extra."""
         _, z, w, edge, known, _ = self._point(k, r, False)
-        f = _kummer_member(self._plan, k, known)
+        f = self._plan.value(k, known)
         if self.extra != 0.0:
             f *= z ** self.extra
         return edge * f
@@ -388,13 +388,7 @@ class _KummerSet:
         z^extra: that of the member summed there, or its row over the jets
         of the pair on the other side."""
         jets = self._point(k, r, True)[5]
-        if jets[k] is not None:
-            return jets[k]
-        s, g, alpha, beta, _, _, _ = self._plan.row(k)
-        i = 0 if k > 1 else 2
-        u, v = jets[i], jets[i + 1]
-        cu, cv = s * (g * alpha), s * (g * beta)
-        return (cu * u[0] - cv * v[0], cu * u[1] - cv * v[1], cu * u[2] - cv * v[2])
+        return jets[k] if jets[k] is not None else self._plan.jet(k, jets)
 
     def _jet_of(self, m: int, r: float, z: float, w: float, edge: tuple,
                 h: tuple) -> tuple[float, float, float]:

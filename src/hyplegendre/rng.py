@@ -8,10 +8,8 @@ any platform, independent of the host language's library generators.
 
 from __future__ import annotations
 
-import math
-
 from .hypergeom import _dist_to_int
-from .ode_solutions import IndicialExponents, OdeParams, indicial_exponents
+from .ode_solutions import IndicialExponents, OdeParams, _branch_data, indicial_exponents
 
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -71,16 +69,12 @@ def _pair_safe(p: OdeParams, mu1: float, mu2: float) -> bool:
     """True when every branch built on (mu1, mu2) evaluates cleanly:
     real separated square root, no lower parameter or connection quantity
     near an integer, bounded upper parameters."""
-    s2 = p.lam - p.a3 + ((p.a1 + 1.0) / 2.0) ** 2
-    if s2 < _DISC_MARGIN:
+    if p.lam - p.a3 + ((p.a1 + 1.0) / 2.0) ** 2 < _DISC_MARGIN:
         return False
-    s = math.sqrt(s2)
-    m_mid = mu1 + mu2 - (p.a1 + 1.0) / 2.0
+    s, m_mid, c_hat, c_breve = _branch_data(p, mu1, mu2)
     a, b = m_mid - s, m_mid + s
     if max(abs(a), abs(b)) > 2.0 * _MU_BOUND:
         return False
-    c_hat = 2.0 * mu1 + (p.a1 * p.xi1 + p.b1) / p.width
-    c_breve = 2.0 * mu2 - (p.a1 * p.xi2 + p.b1) / p.width
     return _clear_of_integers(
         a, b, c_hat, c_breve, a - c_hat, b - c_hat, a - c_breve, b - c_breve
     )

@@ -175,6 +175,21 @@ def test_threads_write_the_same_entries():
     assert all(len(ns) == 1 for ns in counts.values())
 
 
+@pytest.mark.parametrize("kernel, table", [(hyp2f1, "_cuts"), (_hyp2f1_jet, "_jet_cuts")])
+def test_memo_shorter_than_a_written_count_is_grown(kernel, table):
+    # _publish tests the memo's length, then assigns: of two racing scans,
+    # the one that read a shorter memo can publish last and leave the memo
+    # shorter than a count the other already wrote; _cut grows it back
+    abc, z = (0.6, 1.4, 2.3), 0.45
+    want = kernel(Hyp2F1(*abc), z)
+    p = Hyp2F1(*abc)
+    kernel(p, z)
+    n = int(vars(p)[table][int(z * _CUTS_PER_UNIT)])
+    vars(p)["_coefs"] = vars(p)["_coefs"][:n // 2]
+    assert kernel(p, z) == want
+    assert len(vars(p)["_coefs"]) > n
+
+
 def test_bucket_past_the_budget_takes_each_point_own_count():
     # at the edge 58/128 the series runs out of the budget; 0.45 in that
     # bucket converges on its own count, and 0.5 raises as it always did

@@ -299,10 +299,14 @@ class TestConnection:
         assert abs(lhs - rhs) <= 1e-10 * (1.0 + abs(lhs))
 
     def test_degree_one_polynomials(self):
+        # only 0.5 < z < 1 is the identity's range, as in hyp2f1's split
         p = Hyp2F1(-1.0, 2.4, 1.7)
-        for z in (0.2, 0.5, 0.9):
-            lhs = math.sin(math.pi * (p.c - p.a - p.b)) / math.pi * hyp2f1(p, z)
-            assert abs(connection_15_8_4(p, z) - lhs) <= 1e-12 * (1.0 + abs(lhs))
+        for z in (0.2, 0.5):
+            with pytest.raises(DomainError):
+                connection_15_8_4(p, z)
+        z = 0.9
+        lhs = math.sin(math.pi * (p.c - p.a - p.b)) / math.pi * hyp2f1(p, z)
+        assert abs(connection_15_8_4(p, z) - lhs) <= 1e-12 * (1.0 + abs(lhs))
 
     def test_non_terminating_against_direct_sum(self):
         a, b, c = 0.4, 0.7, 1.9

@@ -27,8 +27,6 @@ from hyplegendre import ode_solutions as ode
 from hyplegendre.hypergeom import (
     _UNKNOWN,
     _hyp2f1_jet,
-    _kummer_known,
-    _kummer_member,
     _KummerPlan,
 )
 from hyplegendre.ode_solutions import value_and_derivatives
@@ -147,8 +145,8 @@ class TestOneTriple:
         want = self.members_exact(w)
         known = _UNKNOWN
         for k in range(4):
-            known = _kummer_known(plan, k, self.Z, w, known, False)
-            got = _kummer_member(plan, k, known)
+            known = plan.members(k, self.Z, w, known, False)
+            got = plan.value(k, known)
             assert abs(got - want[k]) <= VALUE_BOUND * abs(want[k]), k
 
     def test_sibling_triples_miss_the_bound(self):

@@ -55,6 +55,31 @@ class TestDraws:
         b, _ = draw_nondegenerate(SplitMix64(77))
         assert a == b
 
+    # lam of the first 20 accepted draws per seed, which every verify case
+    # rests on; _pair_safe rejected 33 of the 73 pairs it saw on the way
+    PINNED_LAM = {
+        42: ["0x1.6d1017a3c1c10p+2", "0x1.1d5b1fc064480p+1", "0x1.07480c6240922p+2",
+             "0x1.40b3940a5fde8p+1", "0x1.84ab50d938504p+1", "0x1.59030a9ccba5bp+1",
+             "0x1.72c2ad2f7f0e7p+1", "0x1.b6a421648c558p+2", "0x1.8f2f28674cc05p+1",
+             "0x1.a12a103f7f75cp+1", "0x1.56333def63003p+2", "0x1.288123afe470cp+0",
+             "0x1.7f3ce35c1fb4bp+2", "0x1.6e332f7b35efbp+0", "0x1.5299404bb52d2p+2",
+             "0x1.658b24b00f812p+1", "0x1.7220262615f0ep+2", "0x1.99fe669c50e1cp-1",
+             "0x1.bb7627f529c0cp+2", "0x1.f1522c79e0954p-1"],
+        7: ["0x1.a5096a0bb8deap+2", "0x1.574d10c3b2cd3p+1", "0x1.1b06028343952p+2",
+            "0x1.889e0dea9a91ap+2", "0x1.9bc52af1fe968p+2", "0x1.b65f639399be7p+1",
+            "0x1.1b04632996804p+0", "0x1.b0478641bd35ep+2", "0x1.4572d20dc3476p+1",
+            "0x1.b1f4dd9543af6p+2", "0x1.6d1e69ada474bp+2", "0x1.1939e19804f33p+1",
+            "0x1.4c665a9f6c335p+2", "0x1.d0fa5d0de4f52p+1", "0x1.6357fa877f47bp+2",
+            "0x1.4a92722b2f522p+1", "0x1.2ee8d95847574p+2", "0x1.3cb8eae009defp+1",
+            "0x1.66c7dd8bc9d26p+1", "0x1.1b424a200029cp+2"],
+    }
+
+    @pytest.mark.parametrize("seed", sorted(PINNED_LAM))
+    def test_accepted_draws_pinned(self, seed):
+        rng = SplitMix64(seed)
+        got = [draw_nondegenerate(rng)[0].lam.hex() for _ in range(20)]
+        assert got == self.PINNED_LAM[seed]
+
 
 class TestVerifySuites:
     def test_all_pass_small(self):
