@@ -25,10 +25,8 @@ from .errors import (
 )
 from .hypergeom import (
     Hyp2F1,
-    connection_15_8_4,
     gamma,
     hyp2f1,
-    hyp2f1_derivative,
     pfaff_transform,
     pochhammer,
     rgamma,

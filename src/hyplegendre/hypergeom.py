@@ -1,5 +1,7 @@
 """Gauss hypergeometric core: 2F1 series evaluation, gamma, Pochhammer,
-and the transformation identities the solution machinery relies on.
+Kummer's four solutions of one triple with the connection rows between
+them (_KummerPlan, the one place a member triple or a row is formed), and
+Euler's transformation, which the pfaff suite of verify checks.
 
 All arithmetic is IEEE double precision.  Four constants govern every
 evaluation: a series is summed to the first term at most _REL_TOL times
@@ -533,15 +535,6 @@ def _series_magnitude(p: Hyp2F1, z: float, n: int | None = None) -> float:
     return total
 
 
-def _connection(row: tuple, z: float) -> float:
-    """sin(pi(c-a-b))/pi * 2F1(a,b;c;z) for 0 < z < 1 from the 1-z side:
-    the row of w1 without its pi/sin factor, in the order of
-    _KummerPlan.value."""
-    _, gamma_c, alpha, beta, near, far, cab = row
-    w = 1.0 - z
-    return gamma_c * (alpha * hyp2f1(near, w) - beta * (w ** cab * hyp2f1(far, w)))
-
-
 def hyp2f1(p: Hyp2F1, z: float) -> float:
     """Evaluate 2F1(a,b;c;z) for real parameters and argument.
 
@@ -558,8 +551,11 @@ def hyp2f1(p: Hyp2F1, z: float) -> float:
     if abs(z) <= _SERIES_SPLIT:
         return _series(p, z, None)
     if _SERIES_SPLIT < z < 1.0:
-        row = p._plan.row(0)
-        return row[0] * _connection(row, z)
+        # the row of w1 over w3 = F(near; w) and w4 = w^e F(far; w), w = 1 - z,
+        # in the order of _KummerPlan.value
+        s, g, alpha, beta, near, far, e = p._plan.row(0)
+        w = 1.0 - z
+        return s * (g * (alpha * hyp2f1(near, w) - beta * (w ** e * hyp2f1(far, w))))
     if -1.0 < z < -_SERIES_SPLIT:
         # 2F1(a,b;c;z) = (1-z)^(-a) 2F1(a, c-b; c; z/(z-1))
         q = p._pfaff
@@ -570,11 +566,6 @@ def hyp2f1(p: Hyp2F1, z: float) -> float:
             return gamma(p.c) * gamma(cab) * rgamma(p.c - p.a) * rgamma(p.c - p.b)
         raise DomainError(f"z=1 requires c-a-b > 0, got {cab!r}")
     raise DomainError(f"argument z={z!r} outside the non-terminating domain")
-
-
-def hyp2f1_derivative(p: Hyp2F1, z: float) -> float:
-    """d/dz 2F1(a,b;c;z) via the parameter-shift rule (ab/c shifted triple)."""
-    return p.a * p.b / p.c * hyp2f1(p._shifted, z)
 
 
 def _hyp2f1_jet(p: Hyp2F1, z: float) -> tuple[float, float, float]:
@@ -605,30 +596,21 @@ def _hyp2f1_jet(p: Hyp2F1, z: float) -> tuple[float, float, float]:
         f0, f1, f2 = p._plan.jet(0, (None, None, u, v))
         return f0, -f1, f2
     if z == 1.0:
-        return (hyp2f1(p, z), hyp2f1_derivative(p, z),
-                p.a * p.b / p.c * hyp2f1_derivative(p._shifted, z))
+        # d/dz F(a,b;c;z) = ab/c F(a+1,b+1;c+1;z), applied twice
+        q, ab_c = p._shifted, p.a * p.b / p.c
+        return (hyp2f1(p, z), ab_c * hyp2f1(q, z),
+                ab_c * (q.a * q.b / q.c * hyp2f1(q._shifted, z)))
     raise DomainError(f"derivatives need -0.5 <= z <= 1, got z={z!r}")
 
 
 def pfaff_transform(p: Hyp2F1) -> tuple[Hyp2F1, float]:
-    """Swap (a,b;c) for (c-a,c-b;c) with the compensating power c-a-b.
+    """Swap (a,b;c) for (c-a,c-b;c) with the compensating power c-a-b:
+    Euler's transformation (DLMF 15.8.1), two Pfaff steps,
 
-    Evaluating both sides at the same z satisfies
-    2F1(a,b;c;z) = (1-z)^power * 2F1(c-a,c-b;c;z).
+        2F1(a,b;c;z) = (1-z)^power * 2F1(c-a,c-b;c;z)
+
+    with both sides at the same z.  The single Pfaff step, which maps z to
+    z/(z-1), is Hyp2F1._pfaff, hyp2f1's route on -1 < z < -0.5.
     """
     return Hyp2F1(p.c - p.a, p.c - p.b, p.c), p.c - p.a - p.b
-
-
-def connection_15_8_4(p: Hyp2F1, z: float) -> float:
-    """sin(pi(c-a-b))/pi * 2F1(a,b;c;z) computed purely from the 1-z side,
-    on 0.5 < z < 1, where hyp2f1 takes this route.
-
-    Verification partner of the direct evaluation; raises DegenerateCase
-    when c-a-b is an integer (logarithmic case, out of scope), then
-    DomainError for z outside 0.5 < z < 1.
-    """
-    row = p._plan.row(0)
-    if not (_SERIES_SPLIT < z < 1.0):
-        raise DomainError(f"connection formula requires 0.5 < z < 1, got z={z!r}")
-    return _connection(row, z)
 

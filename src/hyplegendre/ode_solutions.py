@@ -24,17 +24,7 @@ from .errors import (
     PoleError,
     RootMismatch,
 )
-from .hypergeom import (
-    _UNKNOWN,
-    DEFAULT_POLE_TOL,
-    Hyp2F1,
-    _dist_to_int,
-    _is_nonpositive_integer,
-    _KummerPlan,
-    gamma,
-    hyp2f1,
-    rgamma,
-)
+from .hypergeom import _UNKNOWN, DEFAULT_POLE_TOL, Hyp2F1, _KummerPlan, hyp2f1
 
 _ROOT_RESIDUAL_TOL = 1e-8
 
@@ -46,8 +36,8 @@ class OdeParams:
     """The nine real coefficients, spectral parameter and singular points.
 
     build_branch keeps the Kummer set its branches share, and
-    connection_check the branches it builds and its constants, in the
-    instance __dict__, out of sight of equality and hashing.
+    connection_check the branches it builds and their row's coefficients,
+    in the instance __dict__, out of sight of equality and hashing.
     """
 
     a1: float
@@ -218,9 +208,9 @@ class SolutionBranch:
 
     Its factor after the edge prefactor is read from a Kummer set, kept in
     the instance __dict__ with the member the branch is: build_branch gives
-    the four branches of one exponent pair one shared set, and a branch
-    built by hand is member w1 of the set of its own triple, times its
-    extra power.
+    the four branches of one exponent pair one shared set, and hyp is their
+    member's triple in it; a branch built by hand is member w1 of the set of
+    its own triple, times its extra power.
     """
 
     mu1: float
@@ -246,6 +236,11 @@ def _branch_data(p: OdeParams, mu1: float, mu2: float) -> tuple[float, float, fl
     return s, m_mid, c_hat, c_breve
 
 
+# the Kummer member each branch is, of the set built on hat1's triple: w1 and
+# w2 in z = z_I(r), w3 and w4 in w = z_II(r)
+_MEMBERS = {BranchId.HAT1: 0, BranchId.HAT2: 1, BranchId.BREVE1: 2, BranchId.BREVE2: 3}
+
+
 def build_branch(
     p: OdeParams,
     mu1: float,
@@ -254,35 +249,22 @@ def build_branch(
 ) -> SolutionBranch:
     """Assemble one of the four closed-form branches for the chosen exponents.
 
-    First-kind branches carry no extra power of the mapped variable; the
-    second-kind ones carry z^(1-c) of their sibling and the correspondingly
-    shifted upper parameters.  DegenerateC signals a lower parameter at a
-    pole, or a second-kind branch collapsing onto its sibling.
+    The branch's triple is its member's in the Kummer set of the exponent
+    pair.  First-kind branches carry no extra power of the mapped variable;
+    the second-kind ones carry z^(1-c) of their sibling.  DegenerateC
+    signals a lower parameter at a pole, or a second-kind branch collapsing
+    onto its sibling.
     """
     s, m_mid, c_hat, c_breve = _branch_data(p, mu1, mu2)
-    lo, hi = m_mid - s, m_mid + s
-    # k: the Kummer member the branch is, w1 and w2 in z = z_I(r), w3 and w4
-    # in w = z_II(r), of the set built on hat1's triple
-    if branch_id is BranchId.HAT1:
-        a, b, c, extra, k = lo, hi, c_hat, 0.0, 0
-        variant = MapVariant.MAP_I
-    elif branch_id is BranchId.HAT2:
-        extra, k = 1.0 - c_hat, 1
-        a, b, c = lo - c_hat + 1.0, hi - c_hat + 1.0, 2.0 - c_hat
-        variant = MapVariant.MAP_I
-    elif branch_id is BranchId.BREVE1:
-        a, b, c, extra, k = hi, lo, c_breve, 0.0, 2
-        variant = MapVariant.MAP_II
-    else:
-        extra, k = 1.0 - c_breve, 3
-        a, b, c = lo - c_breve + 1.0, hi - c_breve + 1.0, 2.0 - c_breve
-        variant = MapVariant.MAP_II
+    kset = _shared_set(p, mu1, mu2, m_mid - s, m_mid + s, c_hat, c_breve)
+    k = _MEMBERS[branch_id]
+    extra = (0.0, 1.0 - c_hat, 0.0, 1.0 - c_breve)[k]
     if branch_id.is_second_kind and abs(extra) <= DEFAULT_POLE_TOL:
         raise DegenerateC(
             f"{branch_id.value} coincides with its first-kind sibling (c = 1)"
         )
     try:
-        hyp = Hyp2F1(a, b, c)
+        hyp = kset._plan.triple(k)
     except PoleError as exc:
         raise DegenerateC(f"{branch_id.value}: {exc}") from exc
     branch = SolutionBranch(
@@ -290,10 +272,10 @@ def build_branch(
         mu2=mu2,
         extra_power=extra,
         hyp=hyp,
-        map=CoordinateMap(variant, p.xi1, p.xi2),
+        map=CoordinateMap(MapVariant.MAP_I if k < 2 else MapVariant.MAP_II, p.xi1, p.xi2),
         branch_id=branch_id,
     )
-    branch.__dict__["_member"] = (_shared_set(p, mu1, mu2, lo, hi, c_hat, c_breve), k)
+    branch.__dict__["_member"] = (kset, k)
     return branch
 
 
@@ -498,24 +480,20 @@ def connection_check(
     r: float,
     hat: BranchId = BranchId.HAT1,
 ) -> tuple[float, float]:
-    """Both sides of the connection identity of a hat branch, evaluated
-    independently:
+    """Both sides of the connection identity of a hat branch, its row in the
+    Kummer set of the exponent pair,
 
-        sin(pi(1-c_breve))/pi * fhat
-          = G(c) [ fbreve1 / (G(c-a) G(c-b) G(c_breve))
-                 - fbreve2 / (G(a) G(b) G(2-c_breve)) ]
+        fhat / (pi/sin(pi x)) = G(c) [ alpha fbreve1 - beta fbreve2 ]
 
-    with (a, b; c) the hat branch's own triple: the first-kind upper
-    parameters and c_hat for HAT1, and (a-c_hat+1, b-c_hat+1; 2-c_hat) for
-    HAT2, which turns the same formula into the second-kind identity.
-    Reciprocal gammas are used so a term with a pole in its coefficient
-    contributes zero.
+    with x = c-a-b of hat1's triple and G(c), alpha, beta the coefficients
+    evaluate uses (_KummerPlan.row), and each branch summed on its own.
+    HAT1 gives the first-kind identity, HAT2 the second-kind one.
     """
     if hat not in (BranchId.HAT1, BranchId.HAT2):
         raise InvalidParams(f"connection identities exist for hat1 and hat2, not {hat!r}")
-    (hat_branch, breve1, breve2), (sine, alpha, beta, gamma_c) = \
+    (hat_branch, breve1, breve2), (s, gamma_c, alpha, beta) = \
         _connection_branches(p, mu1, mu2, hat)
-    lhs = sine * _f_part(hat_branch, r)
+    lhs = _f_part(hat_branch, r) / s
     term1 = alpha * _f_part(breve1, r)
     term2 = beta * _f_part(breve2, r)
     return lhs, gamma_c * (term1 - term2)
@@ -525,24 +503,18 @@ def _connection_branches(
     p: OdeParams, mu1: float, mu2: float, hat: BranchId
 ) -> tuple[tuple[SolutionBranch, ...], tuple[float, ...]]:
     """The hat, breve1 and breve2 branches of connection_check and the
-    identity's constants (sine factor, the two reciprocal-gamma products,
-    G(c)), kept on p for the last (mu1, mu2, hat) asked for.  A degenerate
-    identity raises DegenerateCase each time and keeps nothing."""
+    coefficients (pi/sin(pi x), G(c), alpha, beta) of the hat's row, kept on
+    p for the last (mu1, mu2, hat) asked for.  A degenerate identity raises
+    DegenerateCase each time and keeps nothing."""
     key = (mu1, mu2, hat)
     kept = p.__dict__.get("_connection")
     if kept is None or kept[0] != key:
         branches = tuple(build_branch(p, mu1, mu2, bid)
                          for bid in (hat, BranchId.BREVE1, BranchId.BREVE2))
-        hyp = branches[0].hyp
-        a, b, c = hyp.a, hyp.b, hyp.c
-        c_breve = branches[1].hyp.c
-        if _dist_to_int(1.0 - c_breve) <= DEFAULT_POLE_TOL:
-            raise DegenerateCase(f"sine argument 1-c_breve={1.0 - c_breve!r} is an integer")
-        if _is_nonpositive_integer(c, DEFAULT_POLE_TOL):
-            raise DegenerateCase(f"gamma pole in connection coefficient at {c!r}")
-        consts = (math.sin(math.pi * (1.0 - c_breve)) / math.pi,
-                  rgamma(c - a) * rgamma(c - b) * rgamma(c_breve),
-                  rgamma(a) * rgamma(b) * rgamma(2.0 - c_breve),
-                  gamma(c))
-        kept = p.__dict__["_connection"] = (key, branches, consts)
+        kset, k = _member_of(branches[0])
+        try:
+            row = kset._plan.row(k)
+        except PoleError as exc:  # G(c) of a terminating hat
+            raise DegenerateCase(f"connection coefficient: {exc}") from exc
+        kept = p.__dict__["_connection"] = (key, branches, row[:4])
     return kept[1], kept[2]

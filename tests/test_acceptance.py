@@ -6,8 +6,6 @@ to see the lines as they complete.
 import subprocess
 import sys
 
-import pytest
-
 from hyplegendre import (
     BranchId,
     Hyp2F1,

@@ -33,7 +33,8 @@ def test_test_only_identities_and_knobs_are_not_exported():
     from hyplegendre.rng import draw_nondegenerate
 
     for module in (hyplegendre, hyplegendre.hypergeom, hyplegendre.legendre_families):
-        for name in ("inversion_15_8_6", "quadratic_15_8_20", "quadratic_path_check"):
+        for name in ("inversion_15_8_6", "quadratic_15_8_20", "quadratic_path_check",
+                     "connection_15_8_4", "hyp2f1_derivative"):
             assert not hasattr(module, name), (module.__name__, name)
     assert "all_root_choices" not in inspect.signature(draw_nondegenerate).parameters
 
@@ -60,13 +61,15 @@ def imported_names(tree):
 
 
 PACKAGE = Path(hyplegendre.__file__).parent
+TESTS = Path(__file__).parent
 
 
-@pytest.mark.parametrize("name", sorted(
-    p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py"))
-def test_every_import_is_used(name):
+@pytest.mark.parametrize("path", sorted(
+    [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"] + list(TESTS.glob("*.py"))),
+    ids=lambda p: p.name if p.parent == PACKAGE else f"tests/{p.name}")
+def test_every_import_is_used(path):
     # no linter runs here: a name a module imports must appear in it
-    tree = ast.parse((PACKAGE / name).read_text())
+    tree = ast.parse(path.read_text())
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = sorted(set(imported_names(tree)) - used)
-    assert not unused, (name, unused)
+    assert not unused, (path.name, unused)

@@ -6,8 +6,10 @@ import time
 
 import pytest
 
+from hyplegendre import BranchId, OdeParams, build_branch, indicial_exponents
 from hyplegendre.cli import _MAX_GRID_POINTS, fmt17, parse_grid
 from hyplegendre.errors import InvalidParams, ParseError
+from hyplegendre.ode_solutions import _member_of
 
 
 CLASSICAL = {
@@ -91,6 +93,26 @@ class TestFormatting:
     def test_17_digits_round_trip(self):
         for x in (0.1, -0.3, 1.0 / 3.0, 2.5e-11, 123456.789):
             assert float(fmt17(x)) == x
+
+
+class TestSolveCommand:
+    def test_prints_the_triples_evaluate_sums(self, tmp_path):
+        # formed from c_breve, GENERIC's breve2 triple differs from its
+        # Kummer set's member in the last bits: solve prints the member's
+        path = tmp_path / "generic.json"
+        path.write_text(json.dumps(GENERIC))
+        res = run_cli("solve", "--params", str(path), "--format", "csv")
+        assert res.returncode == 0, res.stderr
+        header, *lines = res.stdout.strip().split("\n")
+        p = OdeParams.from_dict(GENERIC)
+        exps = indicial_exponents(p)
+        rows = [dict(zip(header.split(","), line.split(","))) for line in lines]
+        assert [row["branch"] for row in rows] == [bid.value for bid in BranchId]
+        for row in rows:
+            br = build_branch(p, exps.mu1.second, exps.mu2.second, BranchId(row["branch"]))
+            kset, k = _member_of(br)
+            t = kset._plan.triple(k)
+            assert tuple(float(row[x]) for x in "abc") == (t.a, t.b, t.c), row
 
 
 class TestExponentsCommand:

@@ -11,7 +11,6 @@ from hyplegendre import (
     Hyp2F1,
     NoConvergence,
     hyp2f1,
-    hyp2f1_derivative,
 )
 from hyplegendre.hypergeom import _MAX_TERMS, _hyp2f1_jet
 from hyplegendre.ode_solutions import (
@@ -86,11 +85,12 @@ def test_agrees_with_value_and_shift_routes():
     for _ in range(300):
         p = Hyp2F1(rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0), rng.uniform(0.3, 4.0))
         z = rng.uniform(-0.5, 0.98)
+        q, ab_c = p._shifted, p.a * p.b / p.c  # d/dz F(a,b;c) = ab/c F(a+1,b+1;c+1)
         try:
             want = (
                 hyp2f1(p, z),
-                hyp2f1_derivative(p, z),
-                p.a * p.b / p.c * hyp2f1_derivative(p._shifted, z),
+                ab_c * hyp2f1(q, z),
+                ab_c * (q.a * q.b / q.c * hyp2f1(q._shifted, z)),
             )
         except DegenerateCase:
             with pytest.raises(DegenerateCase):

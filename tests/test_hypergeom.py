@@ -10,21 +10,28 @@ from hyplegendre import (
     Hyp2F1,
     NoConvergence,
     PoleError,
-    connection_15_8_4,
     gamma,
     hyp2f1,
-    hyp2f1_derivative,
     pfaff_transform,
     pochhammer,
     rgamma,
 )
-from hyplegendre.hypergeom import _MAX_TERMS, DEFAULT_POLE_TOL
+from hyplegendre.hypergeom import _MAX_TERMS, DEFAULT_POLE_TOL, _hyp2f1_jet
 from hyplegendre.rng import SplitMix64
 
 from identities import inversion_15_8_6, quadratic_15_8_20
 from oracles import central_diff, direct_2f1, rising
 
 SQRT_PI = 1.7724538509055160273  # high-precision constant, 20 digits
+
+
+def row_sum(p, z):
+    """sin(pi(c-a-b))/pi * 2F1(a,b;c;z) from the 1-z side: the row of w1 in
+    the Kummer plan of p without its pi/sin factor, summed as hyp2f1's
+    0.5 < z < 1 route sums it."""
+    _, g, alpha, beta, near, far, e = p._plan.row(0)
+    w = 1.0 - z
+    return g * (alpha * hyp2f1(near, w) - beta * (w ** e * hyp2f1(far, w)))
 
 
 class TestPochhammer:
@@ -240,21 +247,21 @@ class TestHyp2F1Eval:
 
 class TestDerivative:
     def test_leading_coefficient(self):
-        assert hyp2f1_derivative(Hyp2F1(-2.0, 3.0, 1.0), 0.0) == -6.0
+        assert _hyp2f1_jet(Hyp2F1(-2.0, 3.0, 1.0), 0.0)[1] == -6.0
         p = Hyp2F1(1.3, 0.4, 2.7)
-        assert hyp2f1_derivative(p, 0.0) == pytest.approx(
+        assert _hyp2f1_jet(p, 0.0)[1] == pytest.approx(
             p.a * p.b / p.c, abs=1e-15
         )
 
     def test_degree_one(self):
-        assert hyp2f1_derivative(Hyp2F1(-1.0, 2.0, 1.0), 0.4) == -2.0
+        assert _hyp2f1_jet(Hyp2F1(-1.0, 2.0, 1.0), 0.4)[1] == -2.0
 
     def test_against_central_differences(self):
         p = Hyp2F1(0.6, 1.4, 2.3)
         f = lambda z: hyp2f1(p, z)
         for z in (0.1, 0.3, -0.2):
             fd = central_diff(f, z, 1e-6)
-            assert abs(hyp2f1_derivative(p, z) - fd) <= 1e-8 * (1.0 + abs(fd))
+            assert abs(_hyp2f1_jet(p, z)[1] - fd) <= 1e-8 * (1.0 + abs(fd))
 
 
 class TestPfaff:
@@ -295,35 +302,33 @@ class TestConnection:
         p = Hyp2F1(-2.0, 3.0, 1.3)
         z = 0.6
         lhs = math.sin(math.pi * (p.c - p.a - p.b)) / math.pi * hyp2f1(p, z)
-        rhs = connection_15_8_4(p, z)
+        rhs = row_sum(p, z)
         assert abs(lhs - rhs) <= 1e-10 * (1.0 + abs(lhs))
 
     def test_degree_one_polynomials(self):
-        # only 0.5 < z < 1 is the identity's range, as in hyp2f1's split
+        # hyp2f1 sums a polynomial directly at every z; the row of w1 gives
+        # it on both sides of the split of its non-terminating routes
         p = Hyp2F1(-1.0, 2.4, 1.7)
-        for z in (0.2, 0.5):
-            with pytest.raises(DomainError):
-                connection_15_8_4(p, z)
-        z = 0.9
-        lhs = math.sin(math.pi * (p.c - p.a - p.b)) / math.pi * hyp2f1(p, z)
-        assert abs(connection_15_8_4(p, z) - lhs) <= 1e-12 * (1.0 + abs(lhs))
+        for z in (0.2, 0.5, 0.9):
+            lhs = math.sin(math.pi * (p.c - p.a - p.b)) / math.pi * hyp2f1(p, z)
+            assert abs(row_sum(p, z) - lhs) <= 1e-12 * (1.0 + abs(lhs))
 
     def test_non_terminating_against_direct_sum(self):
         a, b, c = 0.4, 0.7, 1.9
         z = 0.6
         lhs = math.sin(math.pi * (c - a - b)) / math.pi * direct_2f1(a, b, c, z, 400)
-        rhs = connection_15_8_4(Hyp2F1(a, b, c), z)
+        rhs = row_sum(Hyp2F1(a, b, c), z)
         assert abs(lhs - rhs) <= 1e-11 * (1.0 + abs(lhs))
 
     def test_finite_limit_near_one(self):
         p = Hyp2F1(0.3, 0.4, 2.0)  # c-a-b > 0
-        val = connection_15_8_4(p, 1.0 - 1e-8)
+        val = row_sum(p, 1.0 - 1e-8)
         lim = math.sin(math.pi * (p.c - p.a - p.b)) / math.pi * hyp2f1(p, 1.0)
         assert abs(val - lim) <= 1e-6 * (1.0 + abs(lim))
 
     def test_integer_difference_degenerate(self):
         with pytest.raises(DegenerateCase):
-            connection_15_8_4(Hyp2F1(0.3, 0.7, 2.0), 0.6)
+            row_sum(Hyp2F1(0.3, 0.7, 2.0), 0.6)
 
     def test_zero_difference_typed(self):
         # c-a-b exactly 0: the check runs before pi/sin(pi(c-a-b)) is formed
@@ -335,20 +340,21 @@ class TestConnectionPlan:
     def test_equality_and_hash_ignore_plan(self):
         p, q = Hyp2F1(0.4, 0.7, 1.9), Hyp2F1(0.4, 0.7, 1.9)
         hyp2f1(p, 0.8)
-        hyp2f1_derivative(p, 0.3)
+        hyp2f1(p._shifted, 0.3)  # the shift rule's triple, as the z = 1 jet takes it
         assert "_plan" in vars(p) and "_shifted" in vars(p)
         assert p == q and hash(p) == hash(q)
         assert {p: "x"}[q] == "x"
         assert p != Hyp2F1(0.4, 0.7, 2.0)
 
     def test_shared_with_connection_identity(self):
-        # one plan serves hyp2f1 and connection_15_8_4 alike
+        # one plan serves hyp2f1 and a row summed apart alike
         a, b, c = 0.4, 0.7, 1.9
         used = Hyp2F1(a, b, c)
         for z in (0.6, 0.8, 0.95):
             value = hyp2f1(used, z)
-            got = connection_15_8_4(used, z)
-            assert got == connection_15_8_4(Hyp2F1(a, b, c), z)
+            got = row_sum(used, z)
+            assert value == used._plan.row(0)[0] * got
+            assert got == row_sum(Hyp2F1(a, b, c), z)
             lhs = math.sin(math.pi * (c - a - b)) / math.pi * value
             assert abs(got - lhs) <= 1e-12 * (1.0 + abs(lhs))
 
@@ -360,13 +366,7 @@ class TestConnectionPlan:
         with pytest.raises(DomainError):
             hyp2f1(p, 0.7)
         with pytest.raises(DomainError):
-            connection_15_8_4(p, 0.7)
-
-    def test_domain_checked_after_degeneracy(self):
-        with pytest.raises(DomainError):
-            connection_15_8_4(Hyp2F1(0.4, 0.7, 1.9), 1.2)
-        with pytest.raises(DegenerateCase):
-            connection_15_8_4(Hyp2F1(0.3, 0.7, 2.0), 1.2)
+            _hyp2f1_jet(p, 0.7)
 
 
 class TestSeriesMemo:

@@ -13,15 +13,14 @@ from hyplegendre import (
     BranchId,
     DomainError,
     Error,
+    Hyp2F1,
     OdeParams,
     build_branch,
     connection_check,
     evaluate,
-    gamma,
     hyp2f1,
     indicial_exponents,
     residual,
-    rgamma,
 )
 from hyplegendre import ode_solutions as ode
 from hyplegendre.hypergeom import (
@@ -150,14 +149,18 @@ class TestOneTriple:
             assert abs(got - want[k]) <= VALUE_BOUND * abs(want[k]), k
 
     def test_sibling_triples_miss_the_bound(self):
-        # the rows of w1 and w2 over the series of the breve branches' own,
-        # separately rounded triples: what one float triple avoids
+        # the rows of w1 and w2 over the series of the breve branches'
+        # triples formed from c_breve, each separately rounded: what one
+        # float triple avoids
         exps = indicial_exponents(self.PARAMS)
-        hat1, _, breve1, breve2 = build_all(self.PARAMS, exps.mu1.second, exps.mu2.second)
-        assert (hat1.hyp.a, hat1.hyp.b, hat1.hyp.c) == self.TRIPLE
+        s, m_mid, c_hat, c_breve = ode._branch_data(
+            self.PARAMS, exps.mu1.second, exps.mu2.second)
+        lo, hi = m_mid - s, m_mid + s
+        assert (lo, hi, c_hat) == self.TRIPLE
         w = 1.0 - self.Z
-        u = hyp2f1(breve1.hyp, w)
-        v = hyp2f1(breve2.hyp, w) * w ** breve2.extra_power
+        u = hyp2f1(Hyp2F1(hi, lo, c_breve), w)
+        v = hyp2f1(Hyp2F1(lo - c_breve + 1.0, hi - c_breve + 1.0, 2.0 - c_breve), w) \
+            * w ** (1.0 - c_breve)
         plan = _KummerPlan(*self.TRIPLE)
         want = self.members_exact(w)
         for k in (0, 1):
@@ -199,20 +202,18 @@ def test_values_next_to_each_end():
 
 
 def test_connection_check_reads_each_branch_alone():
-    # the identity's two sides come from the branches' own triples, not
-    # from the shared set, whose rows are this identity
+    # the identity's coefficients are hat1's row in the shared set, the ones
+    # evaluate uses; its two sides sum each branch on its own triple
     p, exps = draw_nondegenerate(SplitMix64(15))
     mu1, mu2 = exps.mu1.second, exps.mu2.second
     hat1, _, breve1, breve2 = build_all(p, mu1, mu2)
-    a, b, c, c_breve = hat1.hyp.a, hat1.hyp.b, hat1.hyp.c, breve1.hyp.c
+    s, g, alpha, beta = ode._member_of(hat1)[0]._plan.row(0)[:4]
     alone = ode._f_part
     for t in (0.2, 0.5, 0.8):
         r = p.xi1 + t * p.width
         lhs, rhs = connection_check(p, mu1, mu2, r)
-        assert lhs == math.sin(math.pi * (1.0 - c_breve)) / math.pi * alone(hat1, r)
-        assert rhs == gamma(c) * (
-            rgamma(c - a) * rgamma(c - b) * rgamma(c_breve) * alone(breve1, r)
-            - rgamma(a) * rgamma(b) * rgamma(2.0 - c_breve) * alone(breve2, r))
+        assert lhs == alone(hat1, r) / s
+        assert rhs == g * (alpha * alone(breve1, r) - beta * alone(breve2, r))
         evaluate(breve1, r)
         assert connection_check(p, mu1, mu2, r) == (lhs, rhs)
 
@@ -329,3 +330,26 @@ def test_error_types_match_the_branch_alone():
     # the sweep reaches every error class a branch can meet
     assert {"DegenerateC", "DegenerateCase", "DomainError",
             "ZeroDivisionError", "PoleError"} <= seen
+
+
+def test_each_branch_triple_is_the_one_its_set_sums():
+    # build_branch takes a branch's Hyp2F1 from its Kummer set, so solve
+    # prints the floats evaluate sums
+    packs = []
+    for p in sweep_params():
+        exps = indicial_exponents(p)
+        if not (exps.mu1.is_complex or exps.mu2.is_complex):
+            packs += [(p, mu1, mu2) for mu1 in exps.mu1.as_tuple()
+                      for mu2 in exps.mu2.as_tuple()]
+    packs += [(p, mu1, mu2) for p, mu1, mu2, _ in dense_draws(7, 32)]
+    checked = 0
+    for p, mu1, mu2 in packs:
+        for bid in BranchId:
+            try:
+                br = build_branch(p, mu1, mu2, bid)
+            except Error:
+                continue
+            kset, k = ode._member_of(br)
+            assert br.hyp is kset._plan.triple(k), (p, mu1, mu2, bid)
+            checked += 1
+    assert checked > 300

@@ -287,6 +287,20 @@ class TestConnectionCheck:
         lhs, rhs = connection_check(p, mu1, mu2, 0.2)
         assert abs(lhs - rhs) <= 1e-10 * (1.0 + abs(lhs))
 
+    def test_gamma_pole_of_a_terminating_hat_is_degenerate(self):
+        # hat1 is F(-1.3, -1; -3), a polynomial that stops before its pole
+        # in c, while G(c) in the coefficient of its row has the pole
+        p = OdeParams(a1=1.3, b1=-4.7, a2=0.0, b2=0.0, a3=0.0, b3=0.0, c3=0.0,
+                      lam=-1.3, xi1=-1.0, xi2=1.0)
+        exps = indicial_exponents(p)
+        mu1, mu2 = exps.mu1.first, exps.mu2.second
+        hat1 = build_branch(p, mu1, mu2, BranchId.HAT1)
+        assert hat1.hyp.c == -3.0 and hat1.hyp.terminating_degree == 1
+        with pytest.raises(DegenerateCase):
+            connection_check(p, mu1, mu2, 0.2)
+        lhs, rhs = connection_check(p, mu1, mu2, 0.2, hat=BranchId.HAT2)
+        assert abs(lhs - rhs) <= 1e-10 * (1.0 + abs(lhs))
+
     def test_terms_kept_per_exponents(self):
         # the branches and coefficients are built once per (mu1, mu2, hat)
         # and give what a fresh parameter pack gives
