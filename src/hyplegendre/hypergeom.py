@@ -34,7 +34,7 @@ _FLOOR_PER_TOTAL = _REL_TOL / _CANCEL_TOL * (1.0 + 2.0 ** -20)
 
 _SERIES_SPLIT = 0.5  # direct summation for |z| <= split, transforms beyond
 _STEPS = tuple(map(float, range(_MAX_TERMS)))  # k - 1 of the recurrence's c_k, as floats
-_C0 = array("d", [1.0])  # the memo before any evaluation: c_0 alone
+_C0 = (1.0,)  # the memo before any evaluation: c_0 alone
 # the cut table's buckets: bucket i holds i/128 <= |x| < (i+1)/128 and is cut
 # at its outer edge; the last one also holds |x| = 0.5
 _CUTS_PER_UNIT = 128
@@ -56,7 +56,7 @@ def _is_nonpositive_integer(x: float, tol: float) -> bool:
     return x < 0.5 and _dist_to_int(x) <= tol
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Hyp2F1:
     """A 2F1 parameter triple (a, b; c).
 
@@ -70,8 +70,8 @@ class Hyp2F1:
     only, never see it: the shifted and Pfaff triples, the plan of its
     Kummer set, the memo of series coefficients
     c_k = (a)_k (b)_k / ((c)_k k!), and the cut tables of _cut.
-    The memo is an array('d') that every summation reads, and that the scan
-    filling a cut entry (or a terminating sum) extends; it holds at most
+    The memo is a tuple of floats that every summation reads, and that the
+    scan filling a cut entry (or a terminating sum) extends; it holds at most
     _MAX_TERMS + 1 entries, or degree + 1 for a terminating series, and it
     is replaced, never mutated, so callers sharing an instance see either
     the old or the new one whole.
@@ -82,13 +82,18 @@ class Hyp2F1:
     c: float
     terminating_degree: int | None = field(default=None, init=False)
 
-    def __post_init__(self) -> None:
+    def __init__(self, a: float, b: float, c: float) -> None:
         degree = None
-        for upper in (self.a, self.b):
+        for upper in (a, b):
             if _is_nonpositive_integer(upper, DEFAULT_POLE_TOL):
-                d = int(round(-upper))
-                degree = d if degree is None else min(degree, d)
-        object.__setattr__(self, "terminating_degree", degree)
+                n = int(round(-upper))
+                degree = n if degree is None else min(degree, n)
+        d = self.__dict__  # filled key by key, no object.__setattr__ per field
+        d["a"], d["b"], d["c"], d["terminating_degree"] = a, b, c, degree
+        self.__post_init__()
+
+    def __post_init__(self) -> None:
+        degree = self.terminating_degree
         if _is_nonpositive_integer(self.c, DEFAULT_POLE_TOL):
             if degree is None or degree >= abs(round(self.c)):
                 raise PoleError(
@@ -313,22 +318,22 @@ def _diverged(p: Hyp2F1, z: float, finite: bool) -> NoConvergence:
     return NoConvergence(f"2F1 series {why} (a={p.a}, b={p.b}, c={p.c}, z={z})")
 
 
-def _publish(p: Hyp2F1, coefs: list[float]) -> array:
-    # one assignment of a new array, never a mutation of a published one;
+def _publish(p: Hyp2F1, coefs: list[float]) -> tuple:
+    # one assignment of a new tuple, never a mutation of a published one;
     # the length test and the assignment are two steps, so a racing call
     # can replace a longer memo with a shorter one (hence _cut's own test)
     memo = p.__dict__.get("_coefs", _C0)
     if len(coefs) > len(memo):
-        memo = p.__dict__["_coefs"] = array("d", coefs)
+        memo = p.__dict__["_coefs"] = tuple(coefs)
     return memo
 
 
-def _memo(p: Hyp2F1, n: int) -> array:
+def _memo(p: Hyp2F1, n: int) -> tuple:
     """The coefficient memo of p, grown to hold at least c_0 to c_n."""
     memo = p.__dict__.get("_coefs", _C0)
     if len(memo) > n:
         return memo
-    grown = memo.tolist()
+    grown = list(memo)
     a, b, c = p.a, p.b, p.c
     ck = grown[-1]
     for k in range(len(grown) - 1, n):
@@ -342,14 +347,14 @@ def _scan(p: Hyp2F1, e: float, jet: bool, z: float = 0.0) -> tuple:
     _REL_TOL times the sum of |c_j e^j| over j <= k, for a jet the same
     holding of the terms of F' and F'' too.  k is 0 when the budget of
     _MAX_TERMS runs out first, and -1 when a sum leaves the float range.
-    coefs lists the memo of p and the c_k the scan computed past its end by
-    the recurrence; total is the sum of |c_j e^j| over j <= k.  For values,
-    s is the sum of c_j z^j over j <= k, formed as _series forms it, so a
-    first call needs one pass; for a jet it is None.
+    coefs is a list of the memo of p and the c_k the scan computed past its
+    end by the recurrence; total is the sum of |c_j e^j| over j <= k.  For
+    values, s is the sum of c_j z^j over j <= k, formed as _series forms it,
+    so a first call needs one pass; for a jet it is None.
     """
     a, b, c = p.a, p.b, p.c
     rel = _REL_TOL
-    coefs = p.__dict__.get("_coefs", _C0).tolist()
+    coefs = list(p.__dict__.get("_coefs", _C0))
     known = len(coefs)
     s0, s1, s2 = 1.0, 0.0, 0.0
     x0, x1, x2 = e, 1.0, 0.0  # e^k, e^(k-1), e^(k-2)
@@ -390,7 +395,8 @@ def _scan(p: Hyp2F1, e: float, jet: bool, z: float = 0.0) -> tuple:
         x0 *= e
     else:
         grow = coefs.append
-        for j in islice(_STEPS, k, None):  # j = k - 1 for the c_k formed
+        # j = k - 1 for the c_k formed; islice only past a memo's entries
+        for j in (islice(_STEPS, k, None) if k else _STEPS):
             ck *= (a + j) * (b + j) / ((c + j) * (j + 1.0))
             grow(ck)
             zk *= z
@@ -569,13 +575,14 @@ def hyp2f1(p: Hyp2F1, z: float) -> float:
 
 
 def _hyp2f1_jet(p: Hyp2F1, z: float) -> tuple[float, float, float]:
-    """(F, F', F'') of 2F1(a,b;c;z), one series pass per side.
+    """(F, F', F'') of 2F1(a,b;c;z), one series pass.
 
-    Covers what a solution branch reaches: terminating series at any finite
-    z, and otherwise the direct series for |z| <= 0.5, the row of w1 in the
-    Kummer set for 0.5 < z < 1, and z = 1 itself, which z(r) rounds to next
-    to an end point (Gauss's closed form per order, so c-a-b > 2 is needed).
-    Any other z raises DomainError.
+    Covers what _KummerPlan.members sums a member at: terminating series at
+    any finite z, and otherwise the direct series for |z| <= 0.5 and z = 1
+    itself, which z(r) rounds to next to an end point (Gauss's closed form
+    per order, so c-a-b > 2 is needed).  On 0.5 < z < 1 a member's jet is
+    its row over the pair on the other side (_KummerPlan.jet).  Any other z
+    raises DomainError.
     """
     if not math.isfinite(z):
         raise DomainError(f"argument must be finite, got z={z!r}")
@@ -583,24 +590,12 @@ def _hyp2f1_jet(p: Hyp2F1, z: float) -> tuple[float, float, float]:
         return _jet(p, z, p.terminating_degree)
     if abs(z) <= _SERIES_SPLIT:
         return _jet(p, z, None)
-    if _SERIES_SPLIT < z < 1.0:
-        # the row of w1 over w3 = F(near; w) and w4 = w^e F(far; w), w = 1 - z,
-        # the power taken by the product rule; d/dz = -d/dw
-        near, far, e = p._plan.row(0)[4:]
-        w = 1.0 - z
-        u = _hyp2f1_jet(near, w)
-        v0, v1, v2 = _hyp2f1_jet(far, w)
-        we, de = w ** e, e * w ** (e - 1.0)
-        v = (we * v0, de * v0 + we * v1,
-             e * (e - 1.0) * w ** (e - 2.0) * v0 + 2.0 * de * v1 + we * v2)
-        f0, f1, f2 = p._plan.jet(0, (None, None, u, v))
-        return f0, -f1, f2
     if z == 1.0:
         # d/dz F(a,b;c;z) = ab/c F(a+1,b+1;c+1;z), applied twice
         q, ab_c = p._shifted, p.a * p.b / p.c
         return (hyp2f1(p, z), ab_c * hyp2f1(q, z),
                 ab_c * (q.a * q.b / q.c * hyp2f1(q._shifted, z)))
-    raise DomainError(f"derivatives need -0.5 <= z <= 1, got z={z!r}")
+    raise DomainError(f"derivatives need |z| <= 0.5 or z = 1, got z={z!r}")
 
 
 def pfaff_transform(p: Hyp2F1) -> tuple[Hyp2F1, float]:

@@ -29,15 +29,19 @@ from .hypergeom import _UNKNOWN, DEFAULT_POLE_TOL, Hyp2F1, _KummerPlan, hyp2f1
 _ROOT_RESIDUAL_TOL = 1e-8
 
 _JSON_KEYS = ("a1", "b1", "a2", "b2", "a3", "b3", "c3", "lambda", "xi1", "xi2")
+_FIELDS = ("a1", "b1", "a2", "b2", "a3", "b3", "c3", "lam", "xi1", "xi2")  # OdeParams'
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class OdeParams:
     """The nine real coefficients, spectral parameter and singular points.
 
     build_branch keeps the Kummer set its branches share, and
     connection_check the branches it builds and their row's coefficients,
     in the instance __dict__, out of sight of equality and hashing.
+
+    This and the other value types here fill their instance __dict__ key by
+    key, faster than the generated __init__'s object.__setattr__ per field.
     """
 
     a1: float
@@ -51,13 +55,16 @@ class OdeParams:
     xi1: float
     xi2: float
 
-    def __post_init__(self) -> None:
-        for name in ("a1", "b1", "a2", "b2", "a3", "b3", "c3", "lam", "xi1", "xi2"):
-            if not math.isfinite(getattr(self, name)):
+    def __init__(self, a1: float, b1: float, a2: float, b2: float, a3: float, b3: float,
+                 c3: float, lam: float, xi1: float, xi2: float) -> None:
+        d = self.__dict__
+        for name, v in zip(_FIELDS, (a1, b1, a2, b2, a3, b3, c3, lam, xi1, xi2)):
+            if not math.isfinite(v):
                 raise InvalidParams(f"field '{name}' must be finite")
-        if not self.xi1 < self.xi2:
+            d[name] = v
+        if not xi1 < xi2:
             raise InvalidParams(
-                f"singular points must satisfy xi1 < xi2, got {self.xi1!r} >= {self.xi2!r}"
+                f"singular points must satisfy xi1 < xi2, got {xi1!r} >= {xi2!r}"
             )
 
     @property
@@ -65,17 +72,14 @@ class OdeParams:
         return self.xi2 - self.xi1
 
     def to_dict(self) -> dict:
-        vals = (self.a1, self.b1, self.a2, self.b2, self.a3, self.b3,
-                self.c3, self.lam, self.xi1, self.xi2)
-        return dict(zip(_JSON_KEYS, vals))
+        return {key: getattr(self, name) for key, name in zip(_JSON_KEYS, _FIELDS)}
 
     @classmethod
     def from_dict(cls, data: dict) -> "OdeParams":
-        kwargs = {k if k != "lambda" else "lam": float(data[k]) for k in _JSON_KEYS}
-        return cls(**kwargs)
+        return cls(*(float(data[k]) for k in _JSON_KEYS))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class RootPair:
     """Both roots of one indicial quadratic.
 
@@ -88,15 +92,23 @@ class RootPair:
     second: float
     is_complex: bool = False
 
+    def __init__(self, first: float, second: float, is_complex: bool = False) -> None:
+        d = self.__dict__
+        d["first"], d["second"], d["is_complex"] = first, second, is_complex
+
     def as_tuple(self) -> tuple[float, float]:
         return (self.first, self.second)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class IndicialExponents:
     mu1: RootPair
     mu2: RootPair
     mu_inf: RootPair
+
+    def __init__(self, mu1: RootPair, mu2: RootPair, mu_inf: RootPair) -> None:
+        d = self.__dict__
+        d["mu1"], d["mu2"], d["mu_inf"] = mu1, mu2, mu_inf
 
 
 def _solve_monic(b: float, c: float) -> RootPair:
@@ -170,13 +182,17 @@ class MapVariant(enum.Enum):
     MAP_II = "map_ii"  # z = (xi2 - r)/(xi2 - xi1): xi2 -> 0, xi1 -> 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class CoordinateMap:
     """Affine map sending the singular interval onto [0, 1]."""
 
     variant: MapVariant
     xi1: float
     xi2: float
+
+    def __init__(self, variant: MapVariant, xi1: float, xi2: float) -> None:
+        d = self.__dict__
+        d["variant"], d["xi1"], d["xi2"] = variant, xi1, xi2
 
     def z(self, r: float) -> float:
         if self.variant is MapVariant.MAP_I:
@@ -200,7 +216,7 @@ class BranchId(enum.Enum):
         return self in (BranchId.HAT2, BranchId.BREVE2)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SolutionBranch:
     """One closed-form solution
 
@@ -219,6 +235,12 @@ class SolutionBranch:
     hyp: Hyp2F1
     map: CoordinateMap
     branch_id: BranchId
+
+    def __init__(self, mu1: float, mu2: float, extra_power: float, hyp: Hyp2F1,
+                 map: CoordinateMap, branch_id: BranchId) -> None:
+        d = self.__dict__
+        d["mu1"], d["mu2"], d["extra_power"] = mu1, mu2, extra_power
+        d["hyp"], d["map"], d["branch_id"] = hyp, map, branch_id
 
 
 def _branch_data(p: OdeParams, mu1: float, mu2: float) -> tuple[float, float, float, float]:

@@ -89,6 +89,23 @@ def own_value(br, r):
     return pref * ode._f_part(br, r)
 
 
+def row_jet(p, z):
+    """(F, F', F'') of 2F1(a,b;c;z): _hyp2f1_jet, and on 0.5 < z < 1 the row
+    of w1 over w3 = F(near; w) and w4 = w^e F(far; w), w = 1 - z, each
+    summed on w, the power taken by the product rule; d/dz = -d/dw."""
+    if not (0.5 < z < 1.0) or p.terminating_degree is not None:
+        return _hyp2f1_jet(p, z)
+    near, far, e = p._plan.row(0)[4:]
+    w = 1.0 - z
+    u = _hyp2f1_jet(near, w)
+    v0, v1, v2 = _hyp2f1_jet(far, w)
+    we, de = w ** e, e * w ** (e - 1.0)
+    v = (we * v0, de * v0 + we * v1,
+         e * (e - 1.0) * w ** (e - 2.0) * v0 + 2.0 * de * v1 + we * v2)
+    f0, f1, f2 = p._plan.jet(0, (None, None, u, v))
+    return f0, -f1, f2
+
+
 def own_jet(br, r):
     if not (br.map.xi1 < r < br.map.xi2):
         raise DomainError(f"r={r!r} outside the interval")
@@ -98,7 +115,7 @@ def own_jet(br, r):
     logd2 = -br.mu1 / left ** 2 - br.mu2 / right ** 2
     p1, p2 = pref * logd, pref * (logd * logd + logd2)
     z, u = br.map.z(r), br.map.dz_dr
-    h0, h1, h2 = _hyp2f1_jet(br.hyp, z)
+    h0, h1, h2 = row_jet(br.hyp, z)
     e = br.extra_power
     if e != 0.0:  # z^e times the series, by the product rule
         ze, de = z ** e, e * z ** (e - 1.0)

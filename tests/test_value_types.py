@@ -1,0 +1,159 @@
+"""The frozen value types that fill their own __dict__: what the generated
+dataclass __init__ gave (field order, equality, hashing, repr, frozen
+assignment, the errors of a bad field) holds of the hand-written one, and
+every Hyp2F1 construction runs __post_init__ exactly once."""
+
+import dataclasses
+import inspect
+import math
+
+import pytest
+
+from hyplegendre import Hyp2F1, InvalidParams, OdeParams, PoleError
+from hyplegendre.hypergeom import _KummerPlan
+from hyplegendre.ode_solutions import (
+    _FIELDS,
+    BranchId,
+    CoordinateMap,
+    IndicialExponents,
+    MapVariant,
+    RootPair,
+    SolutionBranch,
+)
+
+PARAMS = dict(a1=-1.5, b1=0.3, a2=0.1, b2=-0.6, a3=-0.4, b3=0.05, c3=-0.5,
+              lam=3.2, xi1=-1.2, xi2=0.9)
+ZMAP = CoordinateMap(MapVariant.MAP_II, -1.2, 0.9)
+ROOTS = RootPair(-0.25, 0.75)
+
+
+def instances():
+    """(class, keyword arguments) of one instance of each value type."""
+    return [
+        (Hyp2F1, dict(a=-2.0, b=0.5, c=1.5)),
+        (OdeParams, PARAMS),
+        (RootPair, dict(first=0.5, second=1.25, is_complex=True)),
+        (IndicialExponents, dict(mu1=ROOTS, mu2=RootPair(0.0, 2.0), mu_inf=ROOTS)),
+        (CoordinateMap, dict(variant=MapVariant.MAP_I, xi1=-1.0, xi2=2.0)),
+        (SolutionBranch, dict(mu1=0.25, mu2=-0.5, extra_power=0.0,
+                              hyp=Hyp2F1(0.4, 0.7, 1.9), map=ZMAP,
+                              branch_id=BranchId.BREVE1)),
+    ]
+
+
+def field_values(obj):
+    return tuple(getattr(obj, f.name) for f in dataclasses.fields(obj))
+
+
+@pytest.mark.parametrize("cls, kwargs", instances(), ids=[c.__name__ for c, _ in instances()])
+class TestGeneratedSemantics:
+    def test_init_takes_the_init_fields_in_order(self, cls, kwargs):
+        init_fields = [f.name for f in dataclasses.fields(cls) if f.init]
+        assert list(inspect.signature(cls).parameters) == init_fields == list(kwargs)
+
+    def test_keyword_and_positional_construction_agree(self, cls, kwargs):
+        by_name, by_place = cls(**kwargs), cls(*kwargs.values())
+        for name, value in kwargs.items():
+            assert getattr(by_name, name) is value
+        assert by_name == by_place and hash(by_name) == hash(by_place)
+
+    def test_eq_hash_repr_are_fieldwise(self, cls, kwargs):
+        obj = cls(**kwargs)
+        values = field_values(obj)
+        assert hash(obj) == hash(values)
+        fields = ", ".join(f"{f.name}={v!r}" for f, v in zip(dataclasses.fields(obj), values))
+        assert repr(obj) == f"{cls.__qualname__}({fields})"
+        name, value = next(iter(kwargs.items()))
+        other = cls(**{**kwargs, name: -7.0 if isinstance(value, float) else None})
+        assert obj != other and obj != values
+
+    def test_assignment_raises(self, cls, kwargs):
+        obj = cls(**kwargs)
+        name = next(iter(kwargs))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(obj, name, kwargs[name])
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            obj.unlisted = 1.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(obj, name)
+        assert dataclasses.replace(obj) == obj
+
+
+class TestOdeParams:
+    def test_from_dict_round_trip(self):
+        p = OdeParams(**PARAMS)
+        assert OdeParams.from_dict(p.to_dict()) == p
+        assert p.to_dict()["lambda"] == PARAMS["lam"]
+
+    @pytest.mark.parametrize("name", _FIELDS)
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_field_is_named(self, name, bad):
+        with pytest.raises(InvalidParams, match=f"^field '{name}' must be finite$"):
+            OdeParams(**{**PARAMS, name: bad})
+
+    def test_first_non_finite_field_is_named(self):
+        with pytest.raises(InvalidParams, match="'b2'"):
+            OdeParams(**{**PARAMS, "b2": math.nan, "lam": math.inf})
+
+    @pytest.mark.parametrize("xi2", [-1.2, -2.0])
+    def test_singular_points_out_of_order(self, xi2):
+        with pytest.raises(InvalidParams, match="xi1 < xi2"):
+            OdeParams(**{**PARAMS, "xi2": xi2})
+
+
+class TestHyp2F1Fields:
+    @pytest.mark.parametrize("a, b, degree", [
+        (-3.0, -1.0, 1), (-1.0, -3.0, 1), (-2.0, 0.5, 2), (0.5, -4.0, 4),
+        (-2.0 + 1e-12, 0.5, 2), (0.5, 0.7, None), (-2.5, 0.5, None),
+    ])
+    def test_terminating_degree_is_the_smaller_upper(self, a, b, degree):
+        assert Hyp2F1(a, b, 1.5).terminating_degree == degree
+
+    def test_pole_in_c_reached_by_the_series(self):
+        with pytest.raises(PoleError):
+            Hyp2F1(0.5, 0.5, -2.0)
+        with pytest.raises(PoleError):
+            Hyp2F1(-2.0, 0.5, -2.0)  # the degree-2 polynomial reaches (c)_3
+        assert Hyp2F1(-1.0, 0.5, -2.0).terminating_degree == 1  # stops before it
+
+    def test_degree_is_not_an_argument(self):
+        with pytest.raises(TypeError):
+            Hyp2F1(0.5, 0.5, 1.5, 7)
+        with pytest.raises(ValueError):
+            dataclasses.replace(Hyp2F1(0.5, 0.5, 1.5), terminating_degree=7)
+
+
+class TestConstructionCount:
+    """bench/tracing.py counts Hyp2F1 constructions through __post_init__."""
+
+    @pytest.fixture()
+    def count(self, monkeypatch):
+        seen = [0]
+        post_init = Hyp2F1.__post_init__
+
+        def counted(obj):
+            seen[0] += 1
+            post_init(obj)
+
+        monkeypatch.setattr(Hyp2F1, "__post_init__", counted)
+        return seen
+
+    def test_each_construction_counts_once(self, count):
+        p = Hyp2F1(0.4, 0.7, 1.9)
+        assert count[0] == 1
+        for name in ("_shifted", "_pfaff"):
+            before = count[0]
+            getattr(p, name)
+            getattr(p, name)  # kept: no second construction
+            assert count[0] == before + 1, name
+        plan = _KummerPlan(0.4, 0.7, 1.9)
+        for k in range(4):
+            before = count[0]
+            plan.triple(k)
+            plan.triple(k)
+            assert count[0] == before + 1, k
+
+    def test_a_rejected_construction_counts_too(self, count):
+        with pytest.raises(PoleError):
+            Hyp2F1(0.5, 0.5, -2.0)
+        assert count[0] == 1
