@@ -29,7 +29,7 @@ from .hypergeom import _UNKNOWN, DEFAULT_POLE_TOL, Hyp2F1, _KummerPlan, hyp2f1
 _ROOT_RESIDUAL_TOL = 1e-8
 
 _JSON_KEYS = ("a1", "b1", "a2", "b2", "a3", "b3", "c3", "lambda", "xi1", "xi2")
-_FIELDS = ("a1", "b1", "a2", "b2", "a3", "b3", "c3", "lam", "xi1", "xi2")  # OdeParams'
+_FIELDS = ("a1", "b1", "a2", "b2", "a3", "b3", "c3", "lam", "xi1", "xi2")  # OdeParams' fields
 
 
 @dataclass(frozen=True, init=False)

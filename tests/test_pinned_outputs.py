@@ -1,7 +1,7 @@
 """The CLI's stdout, bit for bit: SHA-256 digests of three commands, recorded
-before the coefficient memo became a tuple and the value types got their
-one-update constructors.  A change that only makes things faster must leave
-every digest as it is."""
+before the coefficient memo became a tuple and the frozen value types got
+hand-written constructors.  A change that only makes things faster must
+leave every digest as it is."""
 
 import hashlib
 import json
