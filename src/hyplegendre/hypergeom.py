@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import islice
 
-from .errors import DegenerateCase, DomainError, NoConvergence, PoleError
+from .errors import DegenerateCase, DomainError, InvalidParams, NoConvergence, PoleError
 
 DEFAULT_POLE_TOL = 1e-10
 _REL_TOL = 1e-15
@@ -63,7 +63,8 @@ class Hyp2F1:
     terminating_degree is filled in, not given: when a or b sits within
     DEFAULT_POLE_TOL of a non-positive integer the series is a polynomial
     and the degree is the smallest admissible one.  A non-positive integer
-    c is rejected unless the series terminates before the pole in c.
+    c is rejected unless the series terminates before the pole in c, and a
+    non-finite parameter with InvalidParams.
 
     What depends on the triple alone is built on first use and kept in the
     instance __dict__, where equality and hashing, which compare the fields
@@ -83,6 +84,8 @@ class Hyp2F1:
     terminating_degree: int | None = field(default=None, init=False)
 
     def __init__(self, a: float, b: float, c: float) -> None:
+        if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(c)):
+            raise InvalidParams(f"2F1 parameters must be finite, got ({a!r}, {b!r}; {c!r})")
         degree = None
         for upper in (a, b):
             if _is_nonpositive_integer(upper, DEFAULT_POLE_TOL):
@@ -221,7 +224,7 @@ class _KummerPlan:
         return (math.pi / math.sin(math.pi * sine_arg), gk, alpha, beta,
                 u, v, self.powers[i + 1])
 
-    def members(self, k: int, z: float, w: float, known: tuple, jet: bool) -> tuple:
+    def members(self, k: int, z: float, w: float, known: tuple, jet: bool) -> list:
         """The members summed at one point once member k is known there: k
         itself, or the pair its row is formed over.
 
@@ -233,39 +236,55 @@ class _KummerPlan:
         z = 0.5 the two members summed on the near side give all four.  `known`
         holds for each member summed at this point so far its value, or for a
         jet the jet of its series on its own variable (z for w1, w2, w for w3,
-        w4), without the member's power; None for the others.  A new tuple is
-        returned when a member is added.
+        w4), without the member's power; None for the others.  What it
+        returns is a new list of the same.
         """
         x = w if k > 1 else z
         wanted = (k,)
-        if _SERIES_SPLIT < x < 1.0 and self.triple(k).terminating_degree is None:
+        if (_SERIES_SPLIT < x < 1.0
+                and (self._triples[k] or self.triple(k)).terminating_degree is None):
             self.row(k)  # a degenerate row raises before any series is summed
             wanted = (0, 1) if k > 1 else (2, 3)
+        found = list(known)
         for m in wanted:
-            if known[m] is None:
-                t, x, e = self.triple(m), (w if m > 1 else z), self.powers[m]
+            if found[m] is None:
+                t, x, e = self._triples[m] or self.triple(m), (w if m > 1 else z), self.powers[m]
                 if jet:
                     f = _hyp2f1_jet(t, x)
                 else:
                     f = hyp2f1(t, x)
                     if e != 0.0:
                         f *= x ** e
-                known = known[:m] + (f,) + known[m + 1:]
-        return known
+                found[m] = f
+        return found
+
+    def held(self, k: int, z: float, w: float, known: tuple) -> bool:
+        """Whether members(k, z, w, known) would sum nothing more and
+        raise nothing: member k summed, where the rule of members sums it on
+        its own variable, or else its row built and its pair summed."""
+        if _SERIES_SPLIT < (w if k > 1 else z) < 1.0:
+            t = self._triples[k]
+            if t is None:
+                return False
+            if t.terminating_degree is None:
+                i = 0 if k > 1 else 2
+                return (self._rows[k] is not None and known[i] is not None
+                        and known[i + 1] is not None)
+        return known[k] is not None
 
     def value(self, k: int, known: tuple) -> float:
         """Member k from the values members left: itself where it was
         summed, otherwise its row over the pair on the other side."""
         if known[k] is not None:
             return known[k]
-        s, g, alpha, beta, _, _, _ = self.row(k)
+        s, g, alpha, beta, _, _, _ = self._rows[k] or self.row(k)
         i = 0 if k > 1 else 2
         return s * (g * (alpha * known[i] - beta * known[i + 1]))
 
     def jet(self, k: int, jets: tuple) -> tuple[float, float, float]:
         """The jet of a member k not summed, its row as value forms it, lane
         by lane, over the jets of the pair in one variable they share."""
-        s, g, alpha, beta, _, _, _ = self.row(k)
+        s, g, alpha, beta, _, _, _ = self._rows[k] or self.row(k)
         i = 0 if k > 1 else 2
         (u0, u1, u2), (v0, v1, v2) = jets[i], jets[i + 1]
         return (s * (g * (alpha * u0 - beta * v0)), s * (g * (alpha * u1 - beta * v1)),
@@ -289,9 +308,12 @@ def gamma(x: float) -> float:
     """Gamma function for real x: math.gamma behind a pole check.
 
     Raises PoleError when x is within DEFAULT_POLE_TOL of a non-positive
-    integer.  Where Gamma overflows (x past ~171.6; next to 0 is a pole)
+    integer, and DomainError at -inf and nan, where Gamma has no value.
+    Where Gamma overflows (x past ~171.6, and +inf; next to 0 is a pole)
     the result is +inf.
     """
+    if not x > -math.inf:
+        raise DomainError(f"gamma is undefined at x={x!r}")
     if _is_nonpositive_integer(x, DEFAULT_POLE_TOL):
         raise PoleError(f"gamma pole at x={x!r}")
     try:
@@ -301,8 +323,11 @@ def gamma(x: float) -> float:
 
 
 def rgamma(x: float) -> float:
-    """Reciprocal gamma 1/Gamma(x); 0 at the poles. Never raises: where
-    Gamma underflows to 0 (x below ~-171) the result is inf with its sign."""
+    """Reciprocal gamma 1/Gamma(x); 0 at the poles and at +inf.  Where
+    Gamma underflows to 0 (x below ~-171) the result is inf with its sign;
+    at -inf and nan, where 1/Gamma has no value, DomainError is raised."""
+    if not x > -math.inf:
+        raise DomainError(f"rgamma is undefined at x={x!r}")
     if _is_nonpositive_integer(x, DEFAULT_POLE_TOL):
         return 0.0
     try:

@@ -36,9 +36,10 @@ _FIELDS = ("a1", "b1", "a2", "b2", "a3", "b3", "c3", "lam", "xi1", "xi2")  # Ode
 class OdeParams:
     """The nine real coefficients, spectral parameter and singular points.
 
-    build_branch keeps the Kummer set its branches share, and
-    connection_check the branches it builds and their row's coefficients,
-    in the instance __dict__, out of sight of equality and hashing.
+    build_branch keeps the Kummer set its branches share, connection_check
+    the branches it builds and their row's coefficients, and apply_operator
+    its terms at the last r, in the instance __dict__, out of sight of
+    equality and hashing.
 
     This and the other value types here fill their instance __dict__ key by
     key, faster than the generated __init__'s object.__setattr__ per field.
@@ -54,6 +55,7 @@ class OdeParams:
     lam: float
     xi1: float
     xi2: float
+    _operator = None  # apply_operator's memo, once an instance keeps one
 
     def __init__(self, a1: float, b1: float, a2: float, b2: float, a3: float, b3: float,
                  c3: float, lam: float, xi1: float, xi2: float) -> None:
@@ -159,6 +161,11 @@ def root_residual(p: OdeParams, which: str, mu: float | complex) -> float:
     return abs(mu * mu + b * mu + c)
 
 
+def _check_finite(mu1: float, mu2: float) -> None:
+    if not (math.isfinite(mu1) and math.isfinite(mu2)):
+        raise InvalidParams(f"exponents must be finite, got mu1={mu1!r}, mu2={mu2!r}")
+
+
 def reduced_equation_coefficients(
     p: OdeParams, mu1: float, mu2: float
 ) -> tuple[float, float, float]:
@@ -167,6 +174,7 @@ def reduced_equation_coefficients(
 
         (r-xi1)(xi2-r) f'' + (A r + B) f' + C f = 0
     """
+    _check_finite(mu1, mu2)
     if root_residual(p, "mu1", mu1) > _ROOT_RESIDUAL_TOL:
         raise RootMismatch(f"mu1={mu1!r} is not a root of the xi1 quadratic")
     if root_residual(p, "mu2", mu2) > _ROOT_RESIDUAL_TOL:
@@ -235,6 +243,7 @@ class SolutionBranch:
     hyp: Hyp2F1
     map: CoordinateMap
     branch_id: BranchId
+    _member = None  # (set, member), once an instance keeps them
 
     def __init__(self, mu1: float, mu2: float, extra_power: float, hyp: Hyp2F1,
                  map: CoordinateMap, branch_id: BranchId) -> None:
@@ -275,8 +284,9 @@ def build_branch(
     pair.  First-kind branches carry no extra power of the mapped variable;
     the second-kind ones carry z^(1-c) of their sibling.  DegenerateC
     signals a lower parameter at a pole, or a second-kind branch collapsing
-    onto its sibling.
+    onto its sibling; InvalidParams a non-finite exponent.
     """
+    _check_finite(mu1, mu2)
     s, m_mid, c_hat, c_breve = _branch_data(p, mu1, mu2)
     kset = _shared_set(p, mu1, mu2, m_mid - s, m_mid + s, c_hat, c_breve)
     k = _MEMBERS[branch_id]
@@ -309,11 +319,12 @@ class _KummerSet:
     powers; its plan picks, sums and combines the members.
 
     A one-slot memo per kind, values and jets, keeps what the last point r
-    found, so the branches of one row share the edge factor and two series;
-    the jet memo also keeps, for each member summed there, its jet in r
-    times the edge factor, and the plan combines those.  A memo is
-    replaced, never mutated: threads evaluating other points see whole
-    memos only.  A plain slotted class, as _KummerPlan.
+    found, so the branches of one row share the edge factor and two series:
+    each member summed there, or its jet in r times the edge factor.  A
+    member the memo holds (_KummerPlan.held) is read from it; any other
+    call runs the plan's members and replaces the memo once.  A memo is
+    never mutated: threads evaluating other points see whole memos only.
+    A plain slotted class, as _KummerPlan.
 
     `extra` is the power z^extra of a branch built by hand, which every
     member of its set carries.  In the jets the powers of z and w join the
@@ -347,9 +358,8 @@ class _KummerSet:
 
     def _point(self, k: int, r: float, jet: bool) -> tuple:
         """The memo of the point r once member k is known there: (r, z, w,
-        edge factor, the members _KummerPlan.members left) and, for jets,
-        the jet in r of the edge factor times each member summed there
-        (None for the others)."""
+        edge factor, what _KummerPlan.members left), for jets with each
+        series jet taken to the jet in r of the edge factor times it."""
         memo = self._jets if jet else self._values
         if memo is None or memo[0] != r:
             xi1, xi2 = self.zmap.xi1, self.zmap.xi2
@@ -365,33 +375,37 @@ class _KummerSet:
             z, w = left / d, right / d
             if self.zmap.variant is MapVariant.MAP_II:
                 z, w = w, z
-            memo = (r, z, w, edge, _UNKNOWN, _UNKNOWN)
-        _, z, w, edge, known, jets = memo
+            memo = (r, z, w, edge, _UNKNOWN)
+        _, z, w, edge, known = memo
         found = self._plan.members(k, z, w, known, jet)
-        if found is known:
-            return memo
-        if jet:
+        if jet:  # the series jets just summed, to jets in r
             for m in range(4):
-                if jets[m] is None and found[m] is not None:
-                    jets = jets[:m] + (self._jet_of(m, r, z, w, edge, found[m]),) + jets[m + 1:]
-            memo = self._jets = (r, z, w, edge, found, jets)
-        else:
-            memo = self._values = (r, z, w, edge, found, jets)
+                if known[m] is None and found[m] is not None:
+                    found[m] = self._jet_of(m, r, z, w, edge, found[m])
+        memo = (r, z, w, edge, tuple(found))
+        setattr(self, "_jets" if jet else "_values", memo)
         return memo
 
     def value(self, k: int, r: float) -> float:
         """The edge factor times member k at r, times z^extra."""
-        _, z, w, edge, known, _ = self._point(k, r, False)
-        f = self._plan.value(k, known)
+        memo = self._values
+        if memo is None or memo[0] != r or not self._plan.held(k, memo[1], memo[2], memo[4]):
+            memo = self._point(k, r, False)
+        f = memo[4][k]
+        if f is None:
+            f = self._plan.value(k, memo[4])
         if self.extra != 0.0:
-            f *= z ** self.extra
-        return edge * f
+            f *= memo[1] ** self.extra
+        return memo[3] * f
 
     def jet(self, k: int, r: float) -> tuple[float, float, float]:
         """The jet in r of the edge factor times member k at r, times
         z^extra: that of the member summed there, or its row over the jets
         of the pair on the other side."""
-        jets = self._point(k, r, True)[5]
+        memo = self._jets
+        if memo is None or memo[0] != r or not self._plan.held(k, memo[1], memo[2], memo[4]):
+            memo = self._point(k, r, True)
+        jets = memo[4]
         return jets[k] if jets[k] is not None else self._plan.jet(k, jets)
 
     def _jet_of(self, m: int, r: float, z: float, w: float, edge: tuple,
@@ -435,8 +449,9 @@ def _shared_set(p: OdeParams, mu1: float, mu2: float,
 
 
 def _member_of(s: SolutionBranch) -> tuple[_KummerSet, int]:
-    """(set, member) of a branch."""
-    found = s.__dict__.get("_member")
+    """(set, member) of a branch; a branch built by hand gets its own set
+    here, on its first call."""
+    found = s._member
     if found is None:
         kset = _KummerSet(s.hyp.a, s.hyp.b, s.hyp.c, s.mu1, s.mu2, s.map, s.hyp,
                           extra=s.extra_power)
@@ -453,13 +468,15 @@ def _f_part(s: SolutionBranch, r: float) -> float:
     return f
 
 
+def _outside(s: SolutionBranch, r: float) -> DomainError:
+    return DomainError(f"r={r!r} outside the open interval ({s.map.xi1!r}, {s.map.xi2!r})")
+
+
 def evaluate(s: SolutionBranch, r: float) -> float:
     """Branch value at an interior point."""
     if not (s.map.xi1 < r < s.map.xi2):
-        raise DomainError(
-            f"r={r!r} outside the open interval ({s.map.xi1!r}, {s.map.xi2!r})"
-        )
-    kset, k = _member_of(s)
+        raise _outside(s, r)
+    kset, k = s._member or _member_of(s)
     return kset.value(k, r)
 
 
@@ -467,30 +484,41 @@ def value_and_derivatives(s: SolutionBranch, r: float) -> tuple[float, float, fl
     """(F, F', F'') at r, from the one series pass per member the jets of a
     row share, by the chain and product rules."""
     if not (s.map.xi1 < r < s.map.xi2):
-        raise DomainError(
-            f"r={r!r} outside the open interval ({s.map.xi1!r}, {s.map.xi2!r})"
-        )
-    kset, k = _member_of(s)
+        raise _outside(s, r)
+    kset, k = s._member or _member_of(s)
     return kset.jet(k, r)
 
 
 def apply_operator(
     p: OdeParams, r: float, f: float, f1: float, f2: float
 ) -> float:
-    """Left-hand side of the differential equation at r for given (F,F',F'')."""
-    w = (r - p.xi1) * (p.xi2 - r)
-    potential = p.lam + (p.a2 * r + p.b2) / w \
-        + (p.a3 * r * r + p.b3 * r + p.c3) / w
-    return w * f2 + (p.a1 * r + p.b1) * f1 + potential * f
+    """Left-hand side of the differential equation at r for given (F,F',F'').
+
+    Its terms at r, (r-xi1)(xi2-r), the drift and the potential, are kept
+    on p for the last r, a memo replaced whole, so a row forms them once;
+    not at r = 0, where the sign of zero can reach them unseen by ==.
+    """
+    terms = p._operator
+    if terms is None or terms[0] != r or not r:
+        w = (r - p.xi1) * (p.xi2 - r)
+        potential = p.lam + (p.a2 * r + p.b2) / w \
+            + (p.a3 * r * r + p.b3 * r + p.c3) / w
+        terms = p.__dict__["_operator"] = (r, w, p.a1 * r + p.b1, potential)
+    _, w, drift, potential = terms
+    return w * f2 + drift * f1 + potential * f
 
 
 def residual(s: SolutionBranch, p: OdeParams, r: float) -> float:
     """|L[F](r)| normalized by 1 + |F| + |F'| + |F''|.
 
     The derivative magnitudes in the denominator keep the measure scale-free
-    near zeros of F.
+    near zeros of F.  (F, F', F'') is value_and_derivatives', read from
+    the branch's set directly.
     """
-    f, f1, f2 = value_and_derivatives(s, r)
+    if not (s.map.xi1 < r < s.map.xi2):
+        raise _outside(s, r)
+    kset, k = s._member or _member_of(s)
+    f, f1, f2 = kset.jet(k, r)
     lhs = apply_operator(p, r, f, f1, f2)
     return abs(lhs) / (1.0 + abs(f) + abs(f1) + abs(f2))
 

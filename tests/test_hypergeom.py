@@ -8,6 +8,7 @@ from hyplegendre import (
     DegenerateCase,
     DomainError,
     Hyp2F1,
+    InvalidParams,
     NoConvergence,
     PoleError,
     gamma,
@@ -116,6 +117,16 @@ class TestGamma:
         assert rgamma(-180.3) == -math.inf
         assert rgamma(-171.5) == math.inf
 
+    def test_infinities_and_nan(self):
+        # Gamma overflows to +inf at +inf, so 1/Gamma is 0 there; at -inf
+        # and nan neither has a value, and the error is typed
+        assert gamma(math.inf) == math.inf
+        assert rgamma(math.inf) == 0.0
+        for f in (gamma, rgamma):
+            for x in (-math.inf, math.nan):
+                with pytest.raises(DomainError):
+                    f(x)
+
 
 class TestHyp2F1Type:
     def test_terminating_degree_from_a(self):
@@ -126,6 +137,12 @@ class TestHyp2F1Type:
 
     def test_non_terminating(self):
         assert Hyp2F1(0.5, 1.5, 2.0).terminating_degree is None
+
+    def test_non_finite_parameters_rejected(self):
+        for bad in (math.inf, -math.inf, math.nan):
+            for abc in ((bad, 1.0, 1.0), (0.5, bad, 1.5), (0.5, 1.0, bad)):
+                with pytest.raises(InvalidParams):
+                    Hyp2F1(*abc)
 
     def test_pole_in_c_rejected(self):
         with pytest.raises(PoleError):

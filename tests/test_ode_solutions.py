@@ -26,6 +26,10 @@ from hyplegendre.rng import SplitMix64, _pair_safe, draw_nondegenerate, draw_ode
 from oracles import central_diff, chebyshev_points
 
 
+NON_FINITE_EXPONENTS = ((math.nan, math.nan), (math.nan, 0.0), (0.0, math.inf),
+                        (-math.inf, 0.0))
+
+
 def classical_params(k: int) -> OdeParams:
     return OdeParams(a1=-2.0, b1=0.0, a2=0.0, b2=0.0, a3=0.0, b3=0.0, c3=0.0,
                      lam=float(k * (k + 1)), xi1=-1.0, xi2=1.0)
@@ -121,6 +125,13 @@ class TestReducedCoefficients:
         with pytest.raises(RootMismatch):
             reduced_equation_coefficients(classical_params(2), 0.3, 0.0)
 
+    def test_non_finite_exponents(self):
+        # a nan root residual compares false with the tolerance; the
+        # exponents are checked first
+        for mu1, mu2 in NON_FINITE_EXPONENTS:
+            with pytest.raises(InvalidParams):
+                reduced_equation_coefficients(classical_params(2), mu1, mu2)
+
 
 class TestCoordinateMap:
     def test_endpoints_exact(self):
@@ -146,6 +157,16 @@ class TestBuildBranch:
     def test_classical_hat2_degenerate(self):
         with pytest.raises(DegenerateC):
             build_branch(classical_params(2), 0.0, 0.0, BranchId.HAT2)
+
+    def test_non_finite_exponents(self):
+        p = classical_params(2)
+        for mu1, mu2 in NON_FINITE_EXPONENTS:
+            for bid in BranchId:
+                with pytest.raises(InvalidParams):
+                    build_branch(p, mu1, mu2, bid)
+            for hat in (BranchId.HAT1, BranchId.HAT2):
+                with pytest.raises(InvalidParams):
+                    connection_check(p, mu1, mu2, 0.3, hat=hat)
 
     def test_complex_exponent(self):
         p = OdeParams(a1=-2.0, b1=0, a2=0, b2=0, a3=0, b3=0, c3=0,
