@@ -468,14 +468,12 @@ def _f_part(s: SolutionBranch, r: float) -> float:
     return f
 
 
-def _outside(s: SolutionBranch, r: float) -> DomainError:
-    return DomainError(f"r={r!r} outside the open interval ({s.map.xi1!r}, {s.map.xi2!r})")
-
-
 def evaluate(s: SolutionBranch, r: float) -> float:
     """Branch value at an interior point."""
     if not (s.map.xi1 < r < s.map.xi2):
-        raise _outside(s, r)
+        raise DomainError(
+            f"r={r!r} outside the open interval ({s.map.xi1!r}, {s.map.xi2!r})"
+        )
     kset, k = s._member or _member_of(s)
     return kset.value(k, r)
 
@@ -484,7 +482,9 @@ def value_and_derivatives(s: SolutionBranch, r: float) -> tuple[float, float, fl
     """(F, F', F'') at r, from the one series pass per member the jets of a
     row share, by the chain and product rules."""
     if not (s.map.xi1 < r < s.map.xi2):
-        raise _outside(s, r)
+        raise DomainError(
+            f"r={r!r} outside the open interval ({s.map.xi1!r}, {s.map.xi2!r})"
+        )
     kset, k = s._member or _member_of(s)
     return kset.jet(k, r)
 
@@ -512,13 +512,9 @@ def residual(s: SolutionBranch, p: OdeParams, r: float) -> float:
     """|L[F](r)| normalized by 1 + |F| + |F'| + |F''|.
 
     The derivative magnitudes in the denominator keep the measure scale-free
-    near zeros of F.  (F, F', F'') is value_and_derivatives', read from
-    the branch's set directly.
+    near zeros of F.
     """
-    if not (s.map.xi1 < r < s.map.xi2):
-        raise _outside(s, r)
-    kset, k = s._member or _member_of(s)
-    f, f1, f2 = kset.jet(k, r)
+    f, f1, f2 = value_and_derivatives(s, r)
     lhs = apply_operator(p, r, f, f1, f2)
     return abs(lhs) / (1.0 + abs(f) + abs(f1) + abs(f2))
 
