@@ -143,8 +143,9 @@ class _KummerPlan:
     where x is c-a-b or 1-c, c_k is the lower parameter of w_k and alpha_k,
     beta_k are products of three reciprocal gammas, so a term with a pole in
     its coefficient drops out cleanly.  The row of w1 is hyp2f1's
-    connection formula.  members picks and sums the members a point needs;
-    value and jet form each other one in the order s * (G * (alpha u - beta v)).
+    connection formula.  members, the one rule for which members a point
+    needs, sums those it lacks; value and jet form each other one in the
+    order s * (G * (alpha u - beta v)).
 
     Every member triple, power and coefficient is formed from the one float
     triple, taken with a <= b so that the a<->b symmetry holds bitwise: near
@@ -224,7 +225,7 @@ class _KummerPlan:
         return (math.pi / math.sin(math.pi * sine_arg), gk, alpha, beta,
                 u, v, self.powers[i + 1])
 
-    def members(self, k: int, z: float, w: float, known: tuple, jet: bool) -> list:
+    def members(self, k: int, z: float, w: float, known: tuple, jet: bool) -> tuple | list:
         """The members summed at one point once member k is known there: k
         itself, or the pair its row is formed over.
 
@@ -232,22 +233,25 @@ class _KummerPlan:
         variable without a cancellation.  A member is summed on its own
         variable when that is at most 0.5, when its series terminates, or at
         the end point 1 (the routes and errors of hyp2f1 and _hyp2f1_jet);
-        otherwise it is its row over the pair on the other side.  Away from
-        z = 0.5 the two members summed on the near side give all four.  `known`
-        holds for each member summed at this point so far its value, or for a
-        jet the jet of its series on its own variable (z for w1, w2, w for w3,
-        w4), without the member's power; None for the others.  What it
-        returns is a new list of the same.
+        otherwise it is its row over the pair on the other side, built
+        first, so that a degenerate row raises before any series is summed.
+        Away from z = 0.5 the two members summed on the near side give all
+        four.  `known` holds for each member summed at this point so far its
+        value, or for a jet the jet of its series on its own variable (z for
+        w1, w2, w for w3, w4), without the member's power; None for the
+        others.  When it holds all member k needs, it is returned itself;
+        otherwise a new list of the same, the missing members summed.
         """
-        x = w if k > 1 else z
         wanted = (k,)
-        if (_SERIES_SPLIT < x < 1.0
+        if (_SERIES_SPLIT < (w if k > 1 else z) < 1.0
                 and (self._triples[k] or self.triple(k)).terminating_degree is None):
-            self.row(k)  # a degenerate row raises before any series is summed
+            self.row(k)
             wanted = (0, 1) if k > 1 else (2, 3)
-        found = list(known)
+        found = known
         for m in wanted:
             if found[m] is None:
+                if found is known:
+                    found = list(known)
                 t, x, e = self._triples[m] or self.triple(m), (w if m > 1 else z), self.powers[m]
                 if jet:
                     f = _hyp2f1_jet(t, x)
@@ -257,20 +261,6 @@ class _KummerPlan:
                         f *= x ** e
                 found[m] = f
         return found
-
-    def held(self, k: int, z: float, w: float, known: tuple) -> bool:
-        """Whether members(k, z, w, known) would sum nothing more and
-        raise nothing: member k summed, where the rule of members sums it on
-        its own variable, or else its row built and its pair summed."""
-        if _SERIES_SPLIT < (w if k > 1 else z) < 1.0:
-            t = self._triples[k]
-            if t is None:
-                return False
-            if t.terminating_degree is None:
-                i = 0 if k > 1 else 2
-                return (self._rows[k] is not None and known[i] is not None
-                        and known[i + 1] is not None)
-        return known[k] is not None
 
     def value(self, k: int, known: tuple) -> float:
         """Member k from the values members left: itself where it was
@@ -294,10 +284,13 @@ class _KummerPlan:
 def pochhammer(x: float, n: int) -> float:
     """Rising factorial x(x+1)...(x+n-1); 1 for n = 0.
 
-    Overflow is reported by value (inf), never raised.
+    Overflow, and an infinite x, are reported by value (an infinity), never
+    raised; at nan, as in gamma, DomainError is raised.
     """
     if n < 0:
         raise DomainError("pochhammer order must be a nonnegative integer")
+    if math.isnan(x):
+        raise DomainError(f"pochhammer is undefined at x={x!r}")
     acc = 1.0
     for k in range(n):
         acc *= x + k

@@ -10,7 +10,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import (
-    ComplexExponent,
     DegenerateC,
     DomainError,
     InvalidParams,
@@ -31,6 +30,8 @@ from .ode_solutions import (
     MapVariant,
     OdeParams,
     SolutionBranch,
+    _branch_data,
+    _check_finite,
     apply_operator,
     value_and_derivatives,
 )
@@ -221,19 +222,15 @@ class UniversalParams:
 
 def map_to_triple(p: OdeParams, mu1: float, mu2: float) -> LegendreTriple:
     """The (k, m, n) parameters carried by the general equation for the
-    chosen exponents:
+    chosen exponents, from the square root s and the lower parameters
+    c_hat, c_breve its branches are built on:
 
-        k = -1/2 - sqrt(((1+a1)/2)^2 + lambda - a3)
-        n = 2 mu1 - 1 + (b1 + a1 xi1)/(xi2 - xi1)
-        m = 1 - 2 mu2 - (b1 + a1 xi2)/(xi1 - xi2)
+        k = -1/2 - s = -1/2 - sqrt(((1+a1)/2)^2 + lambda - a3)
+        n = c_hat - 1 = 2 mu1 - 1 + (b1 + a1 xi1)/(xi2 - xi1)
+        m = 1 - c_breve = 1 - 2 mu2 - (b1 + a1 xi2)/(xi1 - xi2)
     """
-    arg = ((1.0 + p.a1) / 2.0) ** 2 + p.lam - p.a3
-    if arg < 0.0:
-        raise ComplexExponent(f"negative square-root argument {arg!r}")
-    k = -0.5 - math.sqrt(arg)
-    n = 2.0 * mu1 - 1.0 + (p.b1 + p.a1 * p.xi1) / p.width
-    m = 1.0 - 2.0 * mu2 - (p.b1 + p.a1 * p.xi2) / (p.xi1 - p.xi2)
-    return LegendreTriple(k=k, m=m, n=n)
+    s, _, c_hat, c_breve = _branch_data(p, mu1, mu2)
+    return LegendreTriple(k=-0.5 - s, m=1.0 - c_breve, n=c_hat - 1.0)
 
 
 def _edge_power(base: float, e: float) -> float:
@@ -260,8 +257,10 @@ def generalized_solutions(
         F2 = (r-xi1)^mu1 (xi2-r)^(mu2+m) 2F1(-k+(n+m)/2, k+1+(n+m)/2; 1+m; zb)
 
     with zb = (xi2-r)/(xi2-xi1).  The interval edges are admitted whenever
-    the corresponding prefactor power is nonnegative.
+    the corresponding prefactor power is nonnegative; a non-finite exponent
+    raises InvalidParams.
     """
+    _check_finite(mu1, mu2)
     if not (p.xi1 <= r <= p.xi2):
         raise DomainError(f"r={r!r} outside [{p.xi1!r}, {p.xi2!r}]")
     zb = (p.xi2 - r) / p.width
@@ -280,13 +279,16 @@ def kuipers_reduction_check(t: LegendreTriple, xi1: float, xi2: float, r: float)
 
     applied to F1 with the standard exponent choice mu1 = n/2, mu2 = -m/2.
     The operator is assembled directly from (k, m, n), independently of the
-    general-equation machinery.
+    general-equation machinery.  A non-finite interval end raises
+    InvalidParams.
     """
     if not (xi1 < r < xi2):
         raise DomainError(f"r={r!r} outside ({xi1!r}, {xi2!r})")
     kept = t.__dict__.get("_kuipers")
     if kept is None or kept[0] != (xi1, xi2):
         # the points of one interval share the branch and its Kummer set
+        if not (math.isfinite(xi1) and math.isfinite(xi2)):
+            raise InvalidParams(f"interval ends must be finite, got ({xi1!r}, {xi2!r})")
         branch = SolutionBranch(
             mu1=t.n / 2.0,
             mu2=-t.m / 2.0,

@@ -320,10 +320,12 @@ class _KummerSet:
 
     A one-slot memo per kind, values and jets, keeps what the last point r
     found, so the branches of one row share the edge factor and two series:
-    each member summed there, or its jet in r times the edge factor.  A
-    member the memo holds (_KummerPlan.held) is read from it; any other
-    call runs the plan's members and replaces the memo once.  A memo is
-    never mutated: threads evaluating other points see whole memos only.
+    each member summed there, or its jet in r times the edge factor.  Each
+    call hands the memo's members to the plan's members, which returns them
+    as they are when they hold what the member needs; the memo is formed
+    anew only when r changes, and replaced once only when members summed.
+    A memo is never mutated: threads evaluating other points see whole
+    memos only.
     A plain slotted class, as _KummerPlan.
 
     `extra` is the power z^extra of a branch built by hand, which every
@@ -356,56 +358,54 @@ class _KummerSet:
         self.joined = tuple(joined)
         self._values = self._jets = None
 
-    def _point(self, k: int, r: float, jet: bool) -> tuple:
-        """The memo of the point r once member k is known there: (r, z, w,
-        edge factor, what _KummerPlan.members left), for jets with each
-        series jet taken to the jet in r of the edge factor times it."""
-        memo = self._jets if jet else self._values
-        if memo is None or memo[0] != r:
-            xi1, xi2 = self.zmap.xi1, self.zmap.xi2
-            mu1, mu2 = self.mu1, self.mu2
-            left = r - xi1
-            right = xi2 - r
-            edge = left ** mu1 * right ** mu2
-            if jet:
-                logd = mu1 / left - mu2 / right
-                logd2 = -mu1 / left ** 2 - mu2 / right ** 2
-                edge = (edge, edge * logd, edge * (logd * logd + logd2))
-            d = xi2 - xi1
-            z, w = left / d, right / d
-            if self.zmap.variant is MapVariant.MAP_II:
-                z, w = w, z
-            memo = (r, z, w, edge, _UNKNOWN)
-        _, z, w, edge, known = memo
-        found = self._plan.members(k, z, w, known, jet)
-        if jet:  # the series jets just summed, to jets in r
-            for m in range(4):
-                if known[m] is None and found[m] is not None:
-                    found[m] = self._jet_of(m, r, z, w, edge, found[m])
-        memo = (r, z, w, edge, tuple(found))
-        setattr(self, "_jets" if jet else "_values", memo)
-        return memo
+    def _fresh(self, r: float, jet: bool) -> tuple:
+        """(r, z, w, edge factor, nothing summed yet): the memo of a new
+        point r, for jets with the edge factor's jet in r."""
+        xi1, xi2 = self.zmap.xi1, self.zmap.xi2
+        mu1, mu2 = self.mu1, self.mu2
+        left = r - xi1
+        right = xi2 - r
+        edge = left ** mu1 * right ** mu2
+        if jet:
+            logd = mu1 / left - mu2 / right
+            logd2 = -mu1 / left ** 2 - mu2 / right ** 2
+            edge = (edge, edge * logd, edge * (logd * logd + logd2))
+        d = xi2 - xi1
+        z, w = left / d, right / d
+        if self.zmap.variant is MapVariant.MAP_II:
+            z, w = w, z
+        return (r, z, w, edge, _UNKNOWN)
 
     def value(self, k: int, r: float) -> float:
         """The edge factor times member k at r, times z^extra."""
         memo = self._values
-        if memo is None or memo[0] != r or not self._plan.held(k, memo[1], memo[2], memo[4]):
-            memo = self._point(k, r, False)
-        f = memo[4][k]
+        if memo is None or memo[0] != r:
+            memo = self._fresh(r, False)
+        _, z, w, edge, known = memo
+        found = self._plan.members(k, z, w, known, False)
+        if found is not known:
+            self._values = (r, z, w, edge, tuple(found))
+        f = found[k]
         if f is None:
-            f = self._plan.value(k, memo[4])
+            f = self._plan.value(k, found)
         if self.extra != 0.0:
-            f *= memo[1] ** self.extra
-        return memo[3] * f
+            f *= z ** self.extra
+        return edge * f
 
     def jet(self, k: int, r: float) -> tuple[float, float, float]:
         """The jet in r of the edge factor times member k at r, times
         z^extra: that of the member summed there, or its row over the jets
         of the pair on the other side."""
         memo = self._jets
-        if memo is None or memo[0] != r or not self._plan.held(k, memo[1], memo[2], memo[4]):
-            memo = self._point(k, r, True)
-        jets = memo[4]
+        if memo is None or memo[0] != r:
+            memo = self._fresh(r, True)
+        _, z, w, edge, known = memo
+        jets = self._plan.members(k, z, w, known, True)
+        if jets is not known:  # the series jets just summed, to jets in r
+            for m in range(4):
+                if known[m] is None and jets[m] is not None:
+                    jets[m] = self._jet_of(m, r, z, w, edge, jets[m])
+            self._jets = (r, z, w, edge, tuple(jets))
         return jets[k] if jets[k] is not None else self._plan.jet(k, jets)
 
     def _jet_of(self, m: int, r: float, z: float, w: float, edge: tuple,

@@ -1,7 +1,7 @@
 """The two memos a row of branch calls reads at one point: the Kummer set's,
-which answers a member its siblings already gave without running the plan's
-rule again, and the operator terms kept on the parameter pack.  Either must
-give what a fresh set, or the formula written out, gives, bit for bit."""
+which answers a member its siblings already gave without summing a series
+again, and the operator terms kept on the parameter pack.  Either must give
+what a fresh set, or the formula written out, gives, bit for bit."""
 
 import itertools
 import math
@@ -21,6 +21,7 @@ from hyplegendre import (
     indicial_exponents,
     residual,
 )
+from hyplegendre import hypergeom
 from hyplegendre.ode_solutions import apply_operator, value_and_derivatives
 
 KINDS = (evaluate, value_and_derivatives)
@@ -106,6 +107,28 @@ def test_terminating_member_with_its_row_built():
                   lam=6.0, xi1=-1.0, xi2=1.0)
     mu1, mu2 = indicial_exponents(p).mu1.second, indicial_exponents(p).mu2.second
     check_every_order(p, mu1, mu2, hats=(BranchId.HAT2,))
+
+
+def test_held_point_sums_nothing(monkeypatch):
+    # a row sums two series and two jets, the pair on the near side of
+    # z = 0.5, and the same row again at the same r sums none
+    calls = dict.fromkeys(("hyp2f1", "_hyp2f1_jet"), 0)
+    for name in calls:
+        def counted(*args, _real=getattr(hypergeom, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(hypergeom, name, counted)
+    p, mu1, mu2, _ = next(dense_draws(5, 1))
+    branches = build_all(p, mu1, mu2)
+    assert all(br.hyp.terminating_degree is None for br in branches)
+    for z in (0.3, 0.7):
+        r = p.xi1 + z * p.width
+        for want in (2, 0):
+            calls.update(dict.fromkeys(calls, 0))
+            for br in branches:
+                evaluate(br, r)
+                value_and_derivatives(br, r)
+            assert calls == {"hyp2f1": want, "_hyp2f1_jet": want}, (z, want)
 
 
 def plain_operator(p, r, f, f1, f2):

@@ -54,6 +54,15 @@ class TestPochhammer:
         with pytest.raises(DomainError):
             pochhammer(1.0, -1)
 
+    def test_nan_rejected_infinities_kept(self):
+        # as in gamma, nan has no value and the error is typed; an overflow
+        # or an infinite x is an infinity
+        with pytest.raises(DomainError):
+            pochhammer(math.nan, 3)
+        assert pochhammer(math.inf, 2) == math.inf
+        assert pochhammer(-math.inf, 3) == -math.inf
+        assert pochhammer(1e200, 2) == math.inf
+
 
 class TestGamma:
     def test_one(self):

@@ -118,6 +118,12 @@ class TestGeneralizedSolutions:
             generalized_solutions(t, 0.0, 0.0, classical_params(1.5), 0.3)
         assert kuipers_reduction_check(t, -1.0, 1.0, 0.3) <= 1e-8
 
+    @pytest.mark.parametrize("mu1, mu2", [(math.nan, 0.1), (0.1, math.inf), (-math.inf, 0.1)])
+    def test_non_finite_exponents_rejected(self, mu1, mu2):
+        t = LegendreTriple(k=2.0, m=0.3, n=0.5)
+        with pytest.raises(InvalidParams):
+            generalized_solutions(t, mu1, mu2, classical_params(2.0), 0.2)
+
 
 class TestKuipersReduction:
     def test_classical_point(self):
@@ -133,6 +139,13 @@ class TestKuipersReduction:
         assert kuipers_reduction_check(t, 0.0, 1.0, 0.6) <= 1e-8
         t2 = LegendreTriple(k=1.7, m=-0.3, n=0.4)
         assert kuipers_reduction_check(t2, -0.5, 1.3, 0.33) <= 1e-8
+
+    @pytest.mark.parametrize("xi1, xi2", [(-math.inf, 1.0), (-1.0, math.inf)])
+    def test_infinite_interval_end_rejected(self, xi1, xi2):
+        t = LegendreTriple(k=2.0, m=0.3, n=0.5)
+        with pytest.raises(InvalidParams):
+            kuipers_reduction_check(t, xi1, xi2, 0.3)
+        assert kuipers_reduction_check(t, -1.0, 1.0, 0.3) <= 1e-8
 
 
 class TestUniversalParams:
