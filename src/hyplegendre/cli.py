@@ -17,12 +17,11 @@ Examples:
 
 from __future__ import annotations
 
-import functools
+import argparse
 import json
 import math
+import re
 import sys
-
-import click
 
 from . import legendre_families as lf
 from . import ode_solutions as ode
@@ -149,46 +148,6 @@ def _pick_root(pair: ode.RootPair, which: str, label: str) -> float:
     return pair.first if which == "lo" else pair.second
 
 
-def _run(command):
-    """Wrap a command: a library error or an ArithmeticError (float
-    overflow, division by zero) is one line on stderr and the exit code of
-    its class; otherwise the command's return value, or 0, is the exit code,
-    after 'done' on stderr under --verbose."""
-
-    @functools.wraps(command)
-    def run(**kwargs):
-        try:
-            code = command(**kwargs)
-        except (Error, ArithmeticError) as exc:
-            print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-            if isinstance(exc, ParseError):
-                sys.exit(EXIT_PARSE)
-            sys.exit(EXIT_INVARIANT if isinstance(exc, InvalidParams) else EXIT_NUMERICAL)
-        if click.get_current_context().find_root().params["verbose"]:
-            print("done", file=sys.stderr)
-        sys.exit(code if code is not None else EXIT_OK)
-
-    return run
-
-
-_FORMAT = click.option(
-    "--format", "fmt", type=click.Choice(["csv", "json", "text"]),
-    default="text", show_default=True, help="Output table format.")
-_BRANCHES = click.Choice([b.value for b in ode.BranchId] + ["all"])
-
-
-@click.group()
-@click.option("--verbose", is_flag=True, help="Progress notes on stderr.")
-def main(verbose):
-    """Closed-form hypergeometric solutions of a generalized Legendre-type
-    equation class, with residual and identity verification."""
-
-
-@main.command()
-@_run
-@click.option("--params", "params_path", required=True, type=click.Path(),
-              help="OdeParams JSON file.")
-@_FORMAT
 def exponents(params_path, fmt):
     """Indicial roots at both singular points and at infinity."""
     p = load_ode_params(params_path)
@@ -241,20 +200,6 @@ def _grid_setup(params_path, grid_text, branches, mu1_root, mu2_root):
     return p, points, built
 
 
-_MU1 = click.option("--mu1-root", type=click.Choice(["lo", "hi"]), default="hi",
-                    show_default=True, help="Which root of the first quadratic.")
-_MU2 = click.option("--mu2-root", type=click.Choice(["lo", "hi"]), default="hi",
-                    show_default=True, help="Which root of the second quadratic.")
-
-
-@main.command()
-@_run
-@click.option("--params", "params_path", required=True, type=click.Path())
-@click.option("--branch", "branches", multiple=True, type=_BRANCHES,
-              help="Branch to construct (repeatable); default all.")
-@_MU1
-@_MU2
-@_FORMAT
 def solve(params_path, branches, mu1_root, mu2_root, fmt):
     """Construct the closed-form branches and print their parameters."""
     p = load_ode_params(params_path)
@@ -274,15 +219,6 @@ def solve(params_path, branches, mu1_root, mu2_root, fmt):
         rows, fmt)
 
 
-@main.command(name="eval")
-@_run
-@click.option("--params", "params_path", required=True, type=click.Path())
-@click.option("--grid", "grid_text", required=True, help="start:stop:count")
-@click.option("--branch", "branches", multiple=True, type=_BRANCHES,
-              help="Branch to evaluate (repeatable); default hat1.")
-@_MU1
-@_MU2
-@_FORMAT
 def eval_cmd(params_path, grid_text, branches, mu1_root, mu2_root, fmt):
     """Evaluate solution branches on a grid."""
     _, points, built = _grid_setup(params_path, grid_text, branches,
@@ -293,15 +229,6 @@ def eval_cmd(params_path, grid_text, branches, mu1_root, mu2_root, fmt):
     emit_table(["r"] + [bid.value for bid, _ in built], _finite(rows), fmt)
 
 
-@main.command()
-@_run
-@click.option("--params", "params_path", required=True, type=click.Path())
-@click.option("--grid", "grid_text", required=True, help="start:stop:count")
-@click.option("--branch", "branches", multiple=True, type=_BRANCHES,
-              help="Branch to check (repeatable); default hat1.")
-@_MU1
-@_MU2
-@_FORMAT
 def residual(params_path, grid_text, branches, mu1_root, mu2_root, fmt):
     """Per-point normalized equation residuals of a branch, plus the max."""
     p, points, built = _grid_setup(params_path, grid_text, branches,
@@ -316,23 +243,6 @@ def residual(params_path, grid_text, branches, mu1_root, mu2_root, fmt):
     emit_table(["r"] + [bid.value for bid, _ in built], _finite(rows), fmt)
 
 
-@main.group()
-def legendre():
-    """The two named solution families."""
-
-
-@legendre.command()
-@_run
-@click.option("--params", "params_path", type=click.Path(),
-              help="UniversalParams JSON file (overrides the flags below).")
-@click.option("--ell", type=float, help="Total degree.")
-@click.option("--mprime", type=float, help="Weight exponent (order).")
-@click.option("--a", "a_coef", type=float, default=0.0, show_default=True)
-@click.option("--c", "c_coef", type=float, default=0.0, show_default=True)
-@click.option("--m", "m_coef", type=float, default=None,
-              help="Magnetic-type coefficient; defaults to mprime.")
-@click.option("--grid", "grid_text", required=True, help="start:stop:count")
-@_FORMAT
 def universal(params_path, ell, mprime, a_coef, c_coef, m_coef,
               grid_text, fmt):
     """Universal polynomial family values on a grid."""
@@ -348,17 +258,6 @@ def universal(params_path, ell, mprime, a_coef, c_coef, m_coef,
     emit_table(["r", "value"], _finite(rows), fmt)
 
 
-@legendre.command()
-@_run
-@click.option("--params", "params_path", type=click.Path(),
-              help="LegendreTriple JSON file (overrides --k/--m/--n).")
-@click.option("--k", "k_deg", type=float)
-@click.option("--m", "m_ord", type=float)
-@click.option("--n", "n_ord", type=float)
-@click.option("--xi1", type=float, default=-1.0, show_default=True)
-@click.option("--xi2", type=float, default=1.0, show_default=True)
-@click.option("--grid", "grid_text", required=True, help="start:stop:count")
-@_FORMAT
 def generalized(params_path, k_deg, m_ord, n_ord, xi1, xi2, grid_text, fmt):
     """Generalized two-order family (both solutions) on a grid.
 
@@ -382,18 +281,6 @@ def generalized(params_path, k_deg, m_ord, n_ord, xi1, xi2, grid_text, fmt):
     emit_table(["r", "f1", "f2"], _finite(rows), fmt)
 
 
-@main.command()
-@_run
-@click.option("--seed", type=int, default=42, show_default=True,
-              help="Base seed of the SplitMix64 case generator.")
-@click.option("--cases", type=int, default=100, show_default=True,
-              help="Cases per suite.")
-@click.option("--tol", type=float, default=1e-8, show_default=True,
-              help="Acceptance tolerance per case.")
-@click.option("--suite", "suites", multiple=True,
-              type=click.Choice(list(SUITE_NAMES)),
-              help="Run only the named suites (repeatable).")
-@_FORMAT
 def verify(seed, cases, tol, suites, fmt):
     """Seeded property suites; exits 0 only if every case passes."""
     if cases < 1:
@@ -406,6 +293,118 @@ def verify(seed, cases, tol, suites, fmt):
             for r in results]
     emit_table(["suite", "cases", "passed", "failed", "max_err"], rows, fmt)
     return EXIT_OK if all(r.failed == 0 for r in results) else EXIT_VERIFY_FAILED
+
+
+class _Parser(argparse.ArgumentParser):
+    """A parser that refuses option prefixes and has --help but no -h.  A
+    token that starts with -<digit> or -.<digit>, which no option here does,
+    is a value: argparse would take --grid -0.9:0.9:19 or --c -1e-3 for an
+    option missing its value, unless the token looks like a plain number."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, add_help=False, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+        self.add_argument("--help", action="help", help="Show this message and exit.")
+
+
+def _command(subparsers, name: str, command) -> argparse.ArgumentParser:
+    """The subparser that runs `command`, and the --format of its table."""
+    doc = command.__doc__
+    p = subparsers.add_parser(name, help=doc.split("\n")[0], description=doc)
+    p.set_defaults(command=command)
+    p.add_argument("--format", dest="fmt", choices=["csv", "json", "text"], default="text",
+                   help="Output table format (default: %(default)s).")
+    return p
+
+
+def _params(p, help: str | None = None, required: bool = True) -> None:
+    p.add_argument("--params", dest="params_path", metavar="PATH", required=required, help=help)
+
+
+def _grid(p) -> None:
+    p.add_argument("--grid", dest="grid_text", metavar="START:STOP:COUNT", required=True)
+
+
+def _branches(p, help: str) -> None:
+    """--branch, repeatable; the roots of both quadratics to build on."""
+    p.add_argument("--branch", dest="branches", action="append",
+                   choices=[b.value for b in ode.BranchId] + ["all"], help=help)
+    for which, quadratic in (("mu1", "first"), ("mu2", "second")):
+        p.add_argument(f"--{which}-root", choices=["lo", "hi"], default="hi",
+                       help=f"Which root of the {quadratic} quadratic (default: %(default)s).")
+
+
+def _parser() -> argparse.ArgumentParser:
+    """The command line: a subparser per command, which names its function."""
+    parser = _Parser(prog="hyplegendre", description=main.__doc__)
+    parser.add_argument("--verbose", action="store_true", help="Progress notes on stderr.")
+    commands = parser.add_subparsers(metavar="COMMAND", required=True)
+
+    _params(_command(commands, "exponents", exponents), help="OdeParams JSON file.")
+
+    p = _command(commands, "solve", solve)
+    _params(p)
+    _branches(p, "Branch to construct (repeatable); default all.")
+    for name, command, verb in (("eval", eval_cmd, "evaluate"), ("residual", residual, "check")):
+        p = _command(commands, name, command)
+        _params(p)
+        _grid(p)
+        _branches(p, f"Branch to {verb} (repeatable); default hat1.")
+
+    legendre = commands.add_parser("legendre", help="The two named solution families.")
+    families = legendre.add_subparsers(metavar="FAMILY", required=True)
+    p = _command(families, "universal", universal)
+    _params(p, "UniversalParams JSON file (overrides the flags below).", required=False)
+    p.add_argument("--ell", type=float, help="Total degree.")
+    p.add_argument("--mprime", type=float, help="Weight exponent (order).")
+    p.add_argument("--a", dest="a_coef", type=float, default=0.0, help="(default: %(default)s)")
+    p.add_argument("--c", dest="c_coef", type=float, default=0.0, help="(default: %(default)s)")
+    p.add_argument("--m", dest="m_coef", type=float,
+                   help="Magnetic-type coefficient; defaults to mprime.")
+    _grid(p)
+    p = _command(families, "generalized", generalized)
+    _params(p, "LegendreTriple JSON file (overrides --k/--m/--n).", required=False)
+    for flag, dest in (("--k", "k_deg"), ("--m", "m_ord"), ("--n", "n_ord")):
+        p.add_argument(flag, dest=dest, type=float)
+    p.add_argument("--xi1", type=float, default=-1.0, help="(default: %(default)s)")
+    p.add_argument("--xi2", type=float, default=1.0, help="(default: %(default)s)")
+    _grid(p)
+
+    p = _command(commands, "verify", verify)
+    p.add_argument("--seed", type=int, default=42,
+                   help="Base seed of the SplitMix64 case generator (default: %(default)s).")
+    p.add_argument("--cases", type=int, default=100,
+                   help="Cases per suite (default: %(default)s).")
+    p.add_argument("--tol", type=float, default=1e-8,
+                   help="Acceptance tolerance per case (default: %(default)s).")
+    p.add_argument("--suite", dest="suites", action="append", choices=SUITE_NAMES,
+                   help="Run only the named suites (repeatable).")
+    return parser
+
+
+def _run(args: argparse.Namespace) -> None:
+    """Run the parsed command: a library error or an ArithmeticError (float
+    overflow, division by zero) is one line on stderr and the exit code of
+    its class; otherwise the command's return value, or 0, is the exit code,
+    after 'done' on stderr under --verbose."""
+    kwargs = dict(vars(args))
+    command, verbose = kwargs.pop("command"), kwargs.pop("verbose")
+    try:
+        code = command(**kwargs)
+    except (Error, ArithmeticError) as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        if isinstance(exc, ParseError):
+            sys.exit(EXIT_PARSE)
+        sys.exit(EXIT_INVARIANT if isinstance(exc, InvalidParams) else EXIT_NUMERICAL)
+    if verbose:
+        print("done", file=sys.stderr)
+    sys.exit(code if code is not None else EXIT_OK)
+
+
+def main(argv: list[str] | None = None) -> None:
+    """Closed-form hypergeometric solutions of a generalized Legendre-type
+    equation class, with residual and identity verification."""
+    _run(_parser().parse_args(argv))
 
 
 if __name__ == "__main__":

@@ -30,6 +30,7 @@ from hyplegendre.hypergeom import (
 )
 from hyplegendre.ode_solutions import value_and_derivatives
 from hyplegendre.rng import SplitMix64, draw_nondegenerate
+from test_analytic_ends import exact_jet
 
 mpmath = pytest.importorskip("mpmath")
 
@@ -370,3 +371,25 @@ def test_each_branch_triple_is_the_one_its_set_sums():
             assert br.hyp is kset._plan.triple(k), (p, mu1, mu2, bid)
             checked += 1
     assert checked > 300
+
+
+# |got - want| <= HAND_BOUND (1 + |want|) for F, F' and F''; the worst
+# point reads about 1e-15
+HAND_BOUND = 1e-13
+
+
+@pytest.mark.parametrize("variant", list(ode.MapVariant))
+def test_branch_built_by_hand_carries_its_extra_power(variant):
+    # build_branch gives every branch a member of the shared set, so only a
+    # branch built by hand has its value multiplied by z^extra_power; on
+    # z > 0.5 its w1 is the row over w3 and w4
+    zmap = ode.CoordinateMap(variant, -1.0, 1.5)
+    br = ode.SolutionBranch(mu1=0.3, mu2=-0.2, extra_power=0.37, hyp=Hyp2F1(0.4, 1.3, 1.9),
+                            map=zmap, branch_id=BranchId.HAT1)
+    for z in (0.1, 0.3, 0.45, 0.55, 0.7, 0.9):
+        r = zmap.xi1 + z * 2.5 if variant is ode.MapVariant.MAP_I else zmap.xi2 - z * 2.5
+        want = exact_jet(br, r)
+        got = (evaluate(br, r),) + value_and_derivatives(br, r)
+        for order, (g, w) in enumerate(zip(got, want[:1] + want)):
+            err = float(abs(g - w) / (1 + abs(w)))
+            assert err <= HAND_BOUND, (variant, z, order, err)
