@@ -17,6 +17,7 @@ from .errors import (
     PoleError,
 )
 from .hypergeom import (
+    _SERIES_SPLIT,
     Hyp2F1,
     _dist_to_int,
     _series_magnitude,
@@ -241,7 +242,10 @@ def _edge_power(base: float, e: float) -> float:
         if e > 0.0:
             return 0.0
         raise DomainError(f"prefactor 0^{e!r} diverges at the interval edge")
-    return base ** e
+    try:
+        return base ** e
+    except OverflowError as exc:
+        raise DomainError(f"prefactor {base!r}^{e!r} leaves the float range") from exc
 
 
 def generalized_solutions(
@@ -256,9 +260,12 @@ def generalized_solutions(
         F1 = (r-xi1)^mu1 (xi2-r)^mu2     2F1(-k+(n-m)/2, k+1+(n-m)/2; 1-m; zb)
         F2 = (r-xi1)^mu1 (xi2-r)^(mu2+m) 2F1(-k+(n+m)/2, k+1+(n+m)/2; 1+m; zb)
 
-    with zb = (xi2-r)/(xi2-xi1).  The interval edges are admitted whenever
-    the corresponding prefactor power is nonnegative; a non-finite exponent
-    raises InvalidParams.
+    with zb = (xi2-r)/(xi2-xi1).  F2 is (r-xi1)^mu1 (xi2-r)^mu2 (xi2-xi1)^m
+    times w2 of F1's Kummer set: on 1/2 < zb < 1, unless F2 terminates, F1
+    (by hyp2f1's row) and F2 (by w2's) come from one pair (w3, w4) summed on
+    1 - zb.  The interval edges are admitted whenever the corresponding
+    prefactor power is nonnegative; a non-finite exponent raises
+    InvalidParams, a prefactor past the float range DomainError.
     """
     _check_finite(mu1, mu2)
     if not (p.xi1 <= r <= p.xi2):
@@ -266,9 +273,19 @@ def generalized_solutions(
     zb = (p.xi2 - r) / p.width
     h1, h2 = t._first, t._second
     left = _edge_power(r - p.xi1, mu1)
-    f1 = left * _edge_power(p.xi2 - r, mu2) * hyp2f1(h1, zb)
-    f2 = left * _edge_power(p.xi2 - r, mu2 + t.m) * hyp2f1(h2, zb)
-    return f1, f2
+    edge = left * _edge_power(p.xi2 - r, mu2)
+    if not (_SERIES_SPLIT < zb < 1.0 and h2.terminating_degree is None):
+        return edge * hyp2f1(h1, zb), left * _edge_power(p.xi2 - r, mu2 + t.m) * hyp2f1(h2, zb)
+    plan = h1._plan
+    near, far, e = plan.row(1)[4:]  # a degenerate row raises before any sum
+    w = 1.0 - zb
+    try:
+        power, scale = w ** e, p.width ** t.m
+    except OverflowError as exc:
+        raise DomainError(f"F2's powers at r={r!r} leave the float range") from exc
+    pair = (None, None, hyp2f1(near, w), power * hyp2f1(far, w))
+    f1 = hyp2f1(h1, zb) if h1.terminating_degree is not None else plan.value(0, pair)
+    return edge * f1, edge * plan.value(1, pair) * scale
 
 
 def kuipers_reduction_check(t: LegendreTriple, xi1: float, xi2: float, r: float) -> float:

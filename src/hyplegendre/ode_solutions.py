@@ -365,7 +365,10 @@ class _KummerSet:
         mu1, mu2 = self.mu1, self.mu2
         left = r - xi1
         right = xi2 - r
-        edge = left ** mu1 * right ** mu2
+        try:
+            edge = left ** mu1 * right ** mu2
+        except OverflowError as exc:
+            raise DomainError(f"edge factor at r={r!r} leaves the float range") from exc
         if jet:
             logd = mu1 / left - mu2 / right
             logd2 = -mu1 / left ** 2 - mu2 / right ** 2

@@ -1,10 +1,12 @@
 import math
+import random
 
 import pytest
 
 from hyplegendre import (
     BranchId,
     DegenerateC,
+    DegenerateCase,
     DomainError,
     InvalidParams,
     LegendreTriple,
@@ -22,6 +24,8 @@ from hyplegendre import (
     universal_ode_residual,
     universal_sum,
 )
+from hyplegendre import hypergeom
+from hyplegendre.hypergeom import hyp2f1
 from hyplegendre.legendre_families import universal_sum_derivatives
 from hyplegendre.ode_solutions import root_residual
 
@@ -29,9 +33,13 @@ from identities import quadratic_15_8_20, quadratic_path
 from oracles import gegenbauer_table, legendre_recurrence
 
 
-def classical_params(k: float) -> OdeParams:
+def shifted_params(k: float, xi1: float, xi2: float) -> OdeParams:
     return OdeParams(a1=-2.0, b1=0.0, a2=0.0, b2=0.0, a3=0.0, b3=0.0, c3=0.0,
-                     lam=k * (k + 1.0), xi1=-1.0, xi2=1.0)
+                     lam=k * (k + 1.0), xi1=xi1, xi2=xi2)
+
+
+def classical_params(k: float) -> OdeParams:
+    return shifted_params(k, -1.0, 1.0)
 
 
 class TestMapToTriple:
@@ -123,6 +131,103 @@ class TestGeneralizedSolutions:
         t = LegendreTriple(k=2.0, m=0.3, n=0.5)
         with pytest.raises(InvalidParams):
             generalized_solutions(t, mu1, mu2, classical_params(2.0), 0.2)
+
+    def test_prefactor_past_the_float_range_typed(self):
+        # 4.9^700 overflows at zb = 0.02: DomainError, not a bare OverflowError
+        p = shifted_params(0.3, 0.0, 5.0)
+        with pytest.raises(DomainError, match="float range"):
+            generalized_solutions(LegendreTriple(0.3, 0.3, 0.4), 700.0, 0.0, p, 4.9)
+
+    def test_width_power_past_the_float_range_typed(self):
+        # zb = 0.7 on (0, 1e6): F2 carries (3e5)^60.5, past the float range
+        t = LegendreTriple(k=1.3, m=60.5, n=0.4)
+        with pytest.raises(DomainError, match="float range"):
+            generalized_solutions(t, 0.0, 0.0, shifted_params(1.3, 0.0, 1e6), 3e5)
+
+
+def _pair_route_points():
+    """(t, mu1, mu2, p, r) over the benchmark's families box (k in [0.2, 6],
+    |m| <= 0.9, |n| in [0.05, 0.95]) on (-1, 1) and on (-0.3, 2.4), with
+    generic exponents: every sixth triple has F1 terminating, every sixth F2
+    and every sixth m = 0; zb runs over [0.02, 0.98]."""
+    rnd = random.Random(2018)
+    points = []
+    for i in range(24):
+        n = rnd.choice((-1.0, 1.0)) * rnd.uniform(0.05, 0.95)
+        m = 0.0 if i % 6 == 5 else rnd.uniform(-0.9, 0.9)
+        k = rnd.uniform(0.2, 6.0)
+        if i % 6 in (1, 2):  # -k + (n -+ m)/2 = -j: F1, then F2, terminates
+            k = (n - m if i % 6 == 1 else n + m) / 2.0 + rnd.randint(1, 6)
+        t = LegendreTriple(k, m, n)
+        p = shifted_params(k, *((-1.0, 1.0) if i % 2 else (-0.3, 2.4)))
+        mu1, mu2 = rnd.uniform(-0.5, 1.5), rnd.uniform(-0.5, 1.5)
+        for j in range(12):
+            zb = 0.02 + 0.96 * (j + rnd.random()) / 12.0
+            points.append((t, mu1, mu2, p, p.xi2 - zb * p.width))
+    return points
+
+
+@pytest.fixture(scope="module")
+def pair_route_table():
+    """The sweep's points with F2 from mpmath at 30 digits, built once."""
+    mpmath = pytest.importorskip("mpmath")
+    table = []
+    with mpmath.workdps(30):
+        for t, mu1, mu2, p, r in _pair_route_points():
+            k, m, n = map(mpmath.mpf, (t.k, t.m, t.n))
+            x, xi1, xi2 = map(mpmath.mpf, (r, p.xi1, p.xi2))
+            zb = (xi2 - x) / (xi2 - xi1)
+            f2 = ((x - xi1) ** mu1 * (xi2 - x) ** (mu2 + m)
+                  * mpmath.hyp2f1(-k + (n + m) / 2, k + 1 + (n + m) / 2, 1 + m, zb))
+            table.append((t, mu1, mu2, p, r, float(f2)))
+    return table
+
+
+class TestKummerPairRoute:
+    """Past zb = 1/2 both solutions come from F1's pair (w3, w4), unless
+    F2's series terminates."""
+
+    def test_f1_unchanged_f2_within_bound(self, pair_route_table):
+        # F1 is its prefactor times hyp2f1's value, bit for bit; F2 is
+        # within 1e-11 (1 + |F|) of mpmath
+        for t, mu1, mu2, p, r, want in pair_route_table:
+            f1, f2 = generalized_solutions(t, mu1, mu2, p, r)
+            zb = (p.xi2 - r) / p.width
+            assert f1 == (r - p.xi1) ** mu1 * (p.xi2 - r) ** mu2 * hyp2f1(t._first, zb)
+            assert abs(f2 - want) <= 1e-11 * (1.0 + abs(want)), (t, p.xi1, r)
+
+    def test_series_per_point(self, monkeypatch):
+        # a generic pair sums 2 non-terminating series at zb = 0.7 (4 when
+        # each solution took its own row), and a pair whose F1 terminates 1,
+        # its F1 and w3 terminating; at zb = 0.3 each 2F1 is its own sum
+        calls = []
+
+        def counted(p, z, nterms, _real=hypergeom._series):
+            calls.append(nterms is None)
+            return _real(p, z, nterms)
+        monkeypatch.setattr(hypergeom, "_series", counted)
+        n, m = 0.4, 0.3
+        generic = LegendreTriple(1.7, m, n)
+        first_ends = LegendreTriple((n - m) / 2.0 + 2.0, m, n)
+        assert first_ends._first.terminating_degree == 2
+        for t, zb, full, terminating in ((generic, 0.7, 2, 0), (first_ends, 0.7, 1, 2),
+                                         (generic, 0.3, 2, 0), (first_ends, 0.3, 1, 1)):
+            calls.clear()
+            generalized_solutions(t, 0.1, 0.2, classical_params(t.k), 1.0 - 2.0 * zb)
+            assert (calls.count(True), calls.count(False)) == (full, terminating), (t, zb)
+
+    @pytest.mark.parametrize("k, m, n, r, error", [
+        (2.5, 0.5, 1.0, -0.6, DegenerateCase),  # c-a-b = -n of both rows
+        (2.5, 0.5, 2.0, -0.9, DegenerateCase),
+        (1.5, 1.0, 0.4, -0.6, DegenerateC),
+        (1.5, -1.0, 0.4, -0.6, DegenerateC),
+        (180.0, 0.3, 0.6, -0.6, DomainError),  # row coefficients overflow
+        (180.0, 0.3, 0.6, 0.3, NoConvergence),
+    ])
+    def test_errors_unchanged(self, k, m, n, r, error):
+        with pytest.raises(error):
+            generalized_solutions(LegendreTriple(k, m, n), n / 2.0, -m / 2.0,
+                                  classical_params(k), r)
 
 
 class TestKuipersReduction:

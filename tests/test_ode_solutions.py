@@ -217,6 +217,16 @@ class TestEvaluate:
             with pytest.raises(DomainError):
                 evaluate(br, r)
 
+    def test_edge_factor_past_the_float_range_typed(self):
+        # 4.9^700 overflows: DomainError, for values and jets alike, not the
+        # bare OverflowError of the power
+        p = OdeParams(a1=-2.0, b1=0.0, a2=0.0, b2=0.0, a3=0.0, b3=0.0, c3=0.0,
+                      lam=1.0, xi1=0.0, xi2=5.0)
+        br = build_branch(p, 700.0, 0.0, BranchId.HAT1)
+        for call in (evaluate, value_and_derivatives):
+            with pytest.raises(DomainError, match="float range"):
+                call(br, 4.9)
+
 
 class TestDerivatives:
     def test_against_central_differences(self):
