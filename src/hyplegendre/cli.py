@@ -5,7 +5,7 @@ grids, check residuals, and run the seeded verification suites.  Tables go
 to stdout as CSV, JSON or aligned text; diagnostics go to stderr.
 
 Exit codes: 0 success, 1 verification failure, 2 parse error,
-3 invariant violation, 4 numerical error.
+3 invariant violation, 4 numerical error, 141 stdout closed early.
 
 Examples:
 
@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import re
 import sys
 
@@ -40,6 +41,7 @@ EXIT_VERIFY_FAILED = 1
 EXIT_PARSE = 2
 EXIT_INVARIANT = 3
 EXIT_NUMERICAL = 4
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a writer a closed pipe ended
 
 _MAX_GRID_POINTS = 1_000_000  # every row is built before any is printed
 
@@ -221,18 +223,14 @@ def solve(params_path, branches, mu1_root, mu2_root, fmt):
 
 def eval_cmd(params_path, grid_text, branches, mu1_root, mu2_root, fmt):
     """Evaluate solution branches on a grid."""
-    _, points, built = _grid_setup(params_path, grid_text, branches,
-                                   mu1_root, mu2_root)
-    rows = []
-    for r in points:
-        rows.append((r, *(ode.evaluate(br, r) for _, br in built)))
+    _, points, built = _grid_setup(params_path, grid_text, branches, mu1_root, mu2_root)
+    rows = [(r, *(ode.evaluate(br, r) for _, br in built)) for r in points]
     emit_table(["r"] + [bid.value for bid, _ in built], _finite(rows), fmt)
 
 
 def residual(params_path, grid_text, branches, mu1_root, mu2_root, fmt):
     """Per-point normalized equation residuals of a branch, plus the max."""
-    p, points, built = _grid_setup(params_path, grid_text, branches,
-                                   mu1_root, mu2_root)
+    p, points, built = _grid_setup(params_path, grid_text, branches, mu1_root, mu2_root)
     rows = []
     worst = [0.0] * len(built)
     for r in points:
@@ -274,10 +272,7 @@ def generalized(params_path, k_deg, m_ord, n_ord, xi1, xi2, grid_text, fmt):
     p = ode.OdeParams(a1=-2.0, b1=0.0, a2=0.0, b2=0.0, a3=0.0, b3=0.0,
                       c3=0.0, lam=t.k * (t.k + 1.0), xi1=xi1, xi2=xi2)
     mu1, mu2 = t.n / 2.0, -t.m / 2.0
-    rows = []
-    for r in points:
-        f1, f2 = lf.generalized_solutions(t, mu1, mu2, p, r)
-        rows.append((r, f1, f2))
+    rows = [(r, *lf.generalized_solutions(t, mu1, mu2, p, r)) for r in points]
     emit_table(["r", "f1", "f2"], _finite(rows), fmt)
 
 
@@ -289,8 +284,7 @@ def verify(seed, cases, tol, suites, fmt):
         raise InvalidParams("tol must be positive")
     chosen = tuple(suites) if suites else SUITE_NAMES
     results = run_all(seed=seed, cases=cases, tol=tol, suites=chosen)
-    rows = [(r.name, r.cases, r.passed, r.failed, r.max_err)
-            for r in results]
+    rows = [(r.name, r.cases, r.passed, r.failed, r.max_err) for r in results]
     emit_table(["suite", "cases", "passed", "failed", "max_err"], rows, fmt)
     return EXIT_OK if all(r.failed == 0 for r in results) else EXIT_VERIFY_FAILED
 
@@ -385,17 +379,21 @@ def _parser() -> argparse.ArgumentParser:
 def _run(args: argparse.Namespace) -> None:
     """Run the parsed command: a library error or an ArithmeticError (float
     overflow, division by zero) is one line on stderr and the exit code of
-    its class; otherwise the command's return value, or 0, is the exit code,
-    after 'done' on stderr under --verbose."""
+    its class, stdout closed by its reader EXIT_BROKEN_PIPE; otherwise the
+    command's return value, or 0, after 'done' on stderr under --verbose."""
     kwargs = dict(vars(args))
     command, verbose = kwargs.pop("command"), kwargs.pop("verbose")
     try:
         code = command(**kwargs)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
     except (Error, ArithmeticError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         if isinstance(exc, ParseError):
             sys.exit(EXIT_PARSE)
         sys.exit(EXIT_INVARIANT if isinstance(exc, InvalidParams) else EXIT_NUMERICAL)
+    except BrokenPipeError:  # the rest goes to devnull, or the flush at exit raises again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(EXIT_BROKEN_PIPE)
     if verbose:
         print("done", file=sys.stderr)
     sys.exit(code if code is not None else EXIT_OK)

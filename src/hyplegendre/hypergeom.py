@@ -143,9 +143,9 @@ class _KummerPlan:
     where x is c-a-b or 1-c, c_k is the lower parameter of w_k and alpha_k,
     beta_k are products of three reciprocal gammas, so a term with a pole in
     its coefficient drops out cleanly.  The row of w1 is hyp2f1's
-    connection formula.  members, the one rule for which members a point
-    needs, sums those it lacks; value and jet form each other one in the
-    order s * (G * (alpha u - beta v)).
+    connection formula.  routes is the one rule of which members a point
+    sums, summed sums those it lacks, and value and jet form the others
+    from their rows in the order s * (G * (alpha u - beta v)).
 
     Every member triple, power and coefficient is formed from the one float
     triple, taken with a <= b so that the a<->b symmetry holds bitwise: near
@@ -157,7 +157,7 @@ class _KummerPlan:
     class: a dataclass here would add milliseconds to the package import.
     """
 
-    __slots__ = ("abc", "powers", "_given_cab", "_triples", "_rows")
+    __slots__ = ("abc", "powers", "_given_cab", "_triples", "_rows", "_routes")
 
     def __init__(self, a: float, b: float, c: float, first: Hyp2F1 | None = None) -> None:
         self._given_cab = c - a - b  # the sine of hyp2f1's route takes it as given
@@ -169,23 +169,23 @@ class _KummerPlan:
         # build one, all alike; first is the caller's own w1 triple, if any
         self._triples = [first, None, None, None]
         self._rows = [None, None, None, None]
+        self._routes = (None, None, None, None)  # by side, see routes
 
     def triple(self, k: int) -> Hyp2F1:
         t = self._triples[k]
         if t is None:
-            a, b, c = self.abc
-            # the w-side triples list their upper parameters in the order of
-            # the breve branches, which only the Gauss point z = 1 tells apart
-            if k == 2:
-                t = Hyp2F1(b, a, a + b - c + 1.0)
-            elif k == 3:
-                t = Hyp2F1(c - b, c - a, self.powers[3] + 1.0)
-            elif k == 1:
-                t = Hyp2F1(a - c + 1.0, b - c + 1.0, 2.0 - c)
-            else:
-                t = Hyp2F1(a, b, c)
-            self._triples[k] = t
+            t = self._triples[k] = Hyp2F1(*self._abc(k))
         return t
+
+    def _abc(self, k: int) -> tuple[float, float, float]:
+        a, b, c = self.abc  # w3, w4 order a, b as the breve branches (seen at z = 1)
+        if k == 2:
+            return b, a, a + b - c + 1.0
+        if k == 3:
+            return c - b, c - a, self.powers[3] + 1.0
+        if k == 1:
+            return a - c + 1.0, b - c + 1.0, 2.0 - c
+        return a, b, c
 
     def row(self, k: int) -> tuple:
         """(pi/sin(pi x), G(c_k), alpha_k, beta_k, u, v, e) of member k's
@@ -225,48 +225,48 @@ class _KummerPlan:
         return (math.pi / math.sin(math.pi * sine_arg), gk, alpha, beta,
                 u, v, self.powers[i + 1])
 
-    def members(self, k: int, z: float, w: float, known: tuple, jet: bool) -> tuple | list:
-        """The members summed at one point once member k is known there: k
-        itself, or the pair its row is formed over.
+    def routes(self, z: float, w: float) -> tuple:
+        """The route table of the side of z = 1/2 that (z, w) is on (w = 1 - z
+        formed apart): per member k, (k,) where k is summed on its own
+        variable (z for w1, w2, w for w3, w4), that is at most 0.5, at 1 or
+        where k terminates (Hyp2F1's rule, no triple built), else the pair of
+        k's row.  Keyed by (0.5 < z < 1, 0.5 < w < 1), each is built once."""
+        side = (_SERIES_SPLIT < z < 1.0) + 2 * (_SERIES_SPLIT < w < 1.0)
+        table = self._routes[side]
+        if table is None:
+            table = []
+            for k, pair in enumerate(((2, 3), (2, 3), (0, 1), (0, 1))):
+                ends = any(_is_nonpositive_integer(x, DEFAULT_POLE_TOL) for x in self._abc(k)[:2])
+                table.append(pair if side & (1 if k < 2 else 2) and not ends else (k,))
+            table = tuple(table)
+            self._routes = self._routes[:side] + (table,) + self._routes[side + 1:]
+        return table
 
-        w = 1 - z is given apart, so that a caller can form both from its own
-        variable without a cancellation.  A member is summed on its own
-        variable when that is at most 0.5, when its series terminates, or at
-        the end point 1 (the routes and errors of hyp2f1 and _hyp2f1_jet);
-        otherwise it is its row over the pair on the other side, built
-        first, so that a degenerate row raises before any series is summed.
-        Away from z = 0.5 the two members summed on the near side give all
-        four.  `known` holds for each member summed at this point so far its
-        value, or for a jet the jet of its series on its own variable (z for
-        w1, w2, w for w3, w4), without the member's power; None for the
-        others.  When it holds all member k needs, it is returned itself;
-        otherwise a new list of the same, the missing members summed.
-        """
-        wanted = (k,)
-        if (_SERIES_SPLIT < (w if k > 1 else z) < 1.0
-                and (self._triples[k] or self.triple(k)).terminating_degree is None):
-            self.row(k)
-            wanted = (0, 1) if k > 1 else (2, 3)
-        found = known
-        for m in wanted:
+    def summed(self, k: int, need: tuple, z: float, w: float, known: tuple,
+               jet: bool) -> list:
+        """`known` (each member summed at (z, w), for a jet its series' jet on
+        its own variable without its power, or None) as a new list with those
+        of `need`, k's route, summed: k's row first, so a degenerate one raises
+        before any series is summed."""
+        if need[0] != k:
+            self._rows[k] or self.row(k)
+        found = list(known)
+        for m in need:
             if found[m] is None:
-                if found is known:
-                    found = list(known)
                 t, x, e = self._triples[m] or self.triple(m), (w if m > 1 else z), self.powers[m]
                 if jet:
-                    f = _hyp2f1_jet(t, x)
-                else:
-                    f = hyp2f1(t, x)
-                    if e != 0.0:
-                        f *= x ** e
-                found[m] = f
+                    found[m] = _hyp2f1_jet(t, x)
+                    continue
+                f = hyp2f1(t, x)
+                try:
+                    found[m] = f * x ** e if e != 0.0 else f
+                except OverflowError as exc:
+                    raise DomainError(f"member power {x!r}**{e!r} leaves the float range") from exc
         return found
 
     def value(self, k: int, known: tuple) -> float:
-        """Member k from the values members left: itself where it was
-        summed, otherwise its row over the pair on the other side."""
-        if known[k] is not None:
-            return known[k]
+        """Member k, not summed, as its row over the values of the pair on
+        the other side."""
         s, g, alpha, beta, _, _, _ = self._rows[k] or self.row(k)
         i = 0 if k > 1 else 2
         return s * (g * (alpha * known[i] - beta * known[i + 1]))
@@ -579,7 +579,10 @@ def hyp2f1(p: Hyp2F1, z: float) -> float:
         # in the order of _KummerPlan.value
         s, g, alpha, beta, near, far, e = p._plan.row(0)
         w = 1.0 - z
-        return s * (g * (alpha * hyp2f1(near, w) - beta * (w ** e * hyp2f1(far, w))))
+        try:
+            return s * (g * (alpha * hyp2f1(near, w) - beta * (w ** e * hyp2f1(far, w))))
+        except OverflowError as exc:  # w ** e: the series raise typed errors
+            raise DomainError(f"power {w!r}**{e!r} leaves the float range") from exc
     if -1.0 < z < -_SERIES_SPLIT:
         # 2F1(a,b;c;z) = (1-z)^(-a) 2F1(a, c-b; c; z/(z-1))
         q = p._pfaff
@@ -595,7 +598,7 @@ def hyp2f1(p: Hyp2F1, z: float) -> float:
 def _hyp2f1_jet(p: Hyp2F1, z: float) -> tuple[float, float, float]:
     """(F, F', F'') of 2F1(a,b;c;z), one series pass.
 
-    Covers what _KummerPlan.members sums a member at: terminating series at
+    Covers what _KummerPlan.summed sums a member at: terminating series at
     any finite z, and otherwise the direct series for |z| <= 0.5 and z = 1
     itself, which z(r) rounds to next to an end point (Gauss's closed form
     per order, so c-a-b > 2 is needed).  On 0.5 < z < 1 a member's jet is

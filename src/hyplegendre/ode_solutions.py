@@ -320,13 +320,10 @@ class _KummerSet:
 
     A one-slot memo per kind, values and jets, keeps what the last point r
     found, so the branches of one row share the edge factor and two series:
-    each member summed there, or its jet in r times the edge factor.  Each
-    call hands the memo's members to the plan's members, which returns them
-    as they are when they hold what the member needs; the memo is formed
-    anew only when r changes, and replaced once only when members summed.
-    A memo is never mutated: threads evaluating other points see whole
-    memos only.
-    A plain slotted class, as _KummerPlan.
+    each member summed there, or its jet in r times the edge factor, and
+    the plan's route table of r's side.  A call whose route the memo holds
+    sums nothing; one that lacks it has the plan sum just the missing
+    members and replaces the memo, never mutated: threads see whole memos.
 
     `extra` is the power z^extra of a branch built by hand, which every
     member of its set carries.  In the jets the powers of z and w join the
@@ -359,9 +356,11 @@ class _KummerSet:
         self._values = self._jets = None
 
     def _fresh(self, r: float, jet: bool) -> tuple:
-        """(r, z, w, edge factor, nothing summed yet): the memo of a new
-        point r, for jets with the edge factor's jet in r."""
+        """(r, z, w, edge factor, nothing summed yet, route table): the memo
+        of a new point r, checked here alone, for jets the edge factor's jet."""
         xi1, xi2 = self.zmap.xi1, self.zmap.xi2
+        if not (xi1 < r < xi2):
+            raise DomainError(f"r={r!r} outside the open interval ({xi1!r}, {xi2!r})")
         mu1, mu2 = self.mu1, self.mu2
         left = r - xi1
         right = xi2 - r
@@ -371,26 +370,30 @@ class _KummerSet:
             raise DomainError(f"edge factor at r={r!r} leaves the float range") from exc
         if jet:
             logd = mu1 / left - mu2 / right
-            logd2 = -mu1 / left ** 2 - mu2 / right ** 2
+            try:
+                logd2 = -mu1 / left ** 2 - mu2 / right ** 2
+            except OverflowError:  # an end ~1e154 away: each term is below 1e-308
+                logd2 = -mu1 / left / left - mu2 / right / right
             edge = (edge, edge * logd, edge * (logd * logd + logd2))
         d = xi2 - xi1
         z, w = left / d, right / d
         if self.zmap.variant is MapVariant.MAP_II:
             z, w = w, z
-        return (r, z, w, edge, _UNKNOWN)
+        return (r, z, w, edge, _UNKNOWN, self._plan.routes(z, w))
 
     def value(self, k: int, r: float) -> float:
         """The edge factor times member k at r, times z^extra."""
         memo = self._values
         if memo is None or memo[0] != r:
             memo = self._fresh(r, False)
-        _, z, w, edge, known = memo
-        found = self._plan.members(k, z, w, known, False)
-        if found is not known:
-            self._values = (r, z, w, edge, tuple(found))
-        f = found[k]
+        _, z, w, edge, known, routes = memo
+        need = routes[k]
+        if known[need[0]] is None or known[need[-1]] is None:
+            known = tuple(self._plan.summed(k, need, z, w, known, False))
+            self._values = (r, z, w, edge, known, routes)
+        f = known[k]
         if f is None:
-            f = self._plan.value(k, found)
+            f = self._plan.value(k, known)
         if self.extra != 0.0:
             f *= z ** self.extra
         return edge * f
@@ -402,14 +405,16 @@ class _KummerSet:
         memo = self._jets
         if memo is None or memo[0] != r:
             memo = self._fresh(r, True)
-        _, z, w, edge, known = memo
-        jets = self._plan.members(k, z, w, known, True)
-        if jets is not known:  # the series jets just summed, to jets in r
-            for m in range(4):
-                if known[m] is None and jets[m] is not None:
+        _, z, w, edge, known, routes = memo
+        need = routes[k]
+        if known[need[0]] is None or known[need[-1]] is None:
+            jets = self._plan.summed(k, need, z, w, known, True)
+            for m in need:  # the series jets just summed, to jets in r
+                if known[m] is None:
                     jets[m] = self._jet_of(m, r, z, w, edge, jets[m])
-            self._jets = (r, z, w, edge, tuple(jets))
-        return jets[k] if jets[k] is not None else self._plan.jet(k, jets)
+            known = tuple(jets)
+            self._jets = (r, z, w, edge, known, routes)
+        return known[k] if known[k] is not None else self._plan.jet(k, known)
 
     def _jet_of(self, m: int, r: float, z: float, w: float, edge: tuple,
                 h: tuple) -> tuple[float, float, float]:
@@ -472,11 +477,7 @@ def _f_part(s: SolutionBranch, r: float) -> float:
 
 
 def evaluate(s: SolutionBranch, r: float) -> float:
-    """Branch value at an interior point."""
-    if not (s.map.xi1 < r < s.map.xi2):
-        raise DomainError(
-            f"r={r!r} outside the open interval ({s.map.xi1!r}, {s.map.xi2!r})"
-        )
+    """Branch value at an interior point; DomainError elsewhere."""
     kset, k = s._member or _member_of(s)
     return kset.value(k, r)
 
@@ -484,10 +485,6 @@ def evaluate(s: SolutionBranch, r: float) -> float:
 def value_and_derivatives(s: SolutionBranch, r: float) -> tuple[float, float, float]:
     """(F, F', F'') at r, from the one series pass per member the jets of a
     row share, by the chain and product rules."""
-    if not (s.map.xi1 < r < s.map.xi2):
-        raise DomainError(
-            f"r={r!r} outside the open interval ({s.map.xi1!r}, {s.map.xi2!r})"
-        )
     kset, k = s._member or _member_of(s)
     return kset.jet(k, r)
 
@@ -506,6 +503,8 @@ def apply_operator(
         w = (r - p.xi1) * (p.xi2 - r)
         potential = p.lam + (p.a2 * r + p.b2) / w \
             + (p.a3 * r * r + p.b3 * r + p.c3) / w
+        if not (math.isfinite(w) and math.isfinite(potential)):
+            raise DomainError(f"equation coefficients at r={r!r} leave the float range")
         terms = p.__dict__["_operator"] = (r, w, p.a1 * r + p.b1, potential)
     _, w, drift, potential = terms
     return w * f2 + drift * f1 + potential * f

@@ -7,7 +7,7 @@ import time
 import pytest
 
 from hyplegendre import BranchId, OdeParams, build_branch, indicial_exponents
-from hyplegendre.cli import _MAX_GRID_POINTS, fmt17, parse_grid
+from hyplegendre.cli import _MAX_GRID_POINTS, EXIT_BROKEN_PIPE, fmt17, parse_grid
 from hyplegendre.errors import InvalidParams, ParseError
 from hyplegendre.ode_solutions import _member_of
 
@@ -249,6 +249,33 @@ class TestNonFiniteValues:
         res = run_cli(*command, "--params", str(path))
         assert res.returncode == 3, res.stderr
         assert res.stderr.startswith("error: InvalidParams") and f"'{key}'" in res.stderr
+
+
+class TestClosedStdout:
+    UNIVERSAL = ("legendre", "universal", "--ell", "9.5", "--mprime", "1.5")
+
+    def piped(self, grid, lines):
+        """The exit code and stderr of the CLI when its reader takes `lines`
+        lines of stdout and closes it, as `| head -1` does."""
+        proc = subprocess.Popen([sys.executable, "-m", "hyplegendre", *self.UNIVERSAL,
+                                 f"--grid={grid}"],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        for _ in range(lines):
+            proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        return proc.wait(timeout=120), err
+
+    def test_closed_while_printing(self):
+        # about 900 KB of table, past any pipe buffer: print itself fails
+        code, err = self.piped("-0.99:0.99:20000", 1)
+        assert (code, err) == (EXIT_BROKEN_PIPE, "")
+
+    def test_closed_before_the_first_write(self):
+        # three rows stay in stdout's buffer until the flush that fails
+        code, err = self.piped("-0.99:0.99:3", 0)
+        assert (code, err) == (EXIT_BROKEN_PIPE, "")
 
 
 class TestResidualCommand:

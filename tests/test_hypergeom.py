@@ -361,6 +361,12 @@ class TestConnection:
         with pytest.raises(DegenerateCase):
             hyp2f1(Hyp2F1(0.5, 0.25, 0.75), 0.8)
 
+    def test_power_past_the_float_range_typed(self):
+        # w^(c-a-b) = 0.001^-109.8 overflows: DomainError, not the bare
+        # OverflowError of the power
+        with pytest.raises(DomainError, match="float range"):
+            hyp2f1(Hyp2F1(50.3, 60.2, 0.7), 0.999)
+
 
 class TestConnectionPlan:
     def test_equality_and_hash_ignore_plan(self):

@@ -22,6 +22,7 @@ from hyplegendre import (
     indicial_exponents,
     residual,
 )
+from hyplegendre import hypergeom
 from hyplegendre import ode_solutions as ode
 from hyplegendre.hypergeom import (
     _UNKNOWN,
@@ -162,8 +163,9 @@ class TestOneTriple:
         want = self.members_exact(w)
         known = _UNKNOWN
         for k in range(4):
-            known = plan.members(k, self.Z, w, known, False)
-            got = plan.value(k, known)
+            need = plan.routes(self.Z, w)[k]
+            known = plan.summed(k, need, self.Z, w, known, False)
+            got = known[k] if known[k] is not None else plan.value(k, known)
             assert abs(got - want[k]) <= VALUE_BOUND * abs(want[k]), k
 
     def test_sibling_triples_miss_the_bound(self):
@@ -301,6 +303,36 @@ class TestSharedMemo:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert wrong == []
+
+
+def test_route_table_built_once_per_side(monkeypatch):
+    # a 1,024-point grid of one set across z = 1/2: its plan builds one
+    # route table per side, each build replacing the tuple of tables, and
+    # a row held at its point calls neither routes nor row
+    calls = dict.fromkeys(("routes", "row"), 0)
+    for name in calls:
+        def counted(self, *args, _real=getattr(hypergeom._KummerPlan, name), _name=name):
+            calls[_name] += 1
+            return _real(self, *args)
+        monkeypatch.setattr(hypergeom._KummerPlan, name, counted)
+    p, mu1, mu2, _ = next(dense_draws(5, 1))
+    branches = build_all(p, mu1, mu2)
+    plan = ode._member_of(branches[0])[0]._plan
+    builds, tables = 0, plan._routes
+    for i in range(1024):
+        r = p.xi1 + p.width * (0.02 + 0.96 * i / 1023)
+        for br in branches:
+            for kind in (evaluate, value_and_derivatives):
+                kind(br, r)
+                if plan._routes is not tables:
+                    builds, tables = builds + 1, plan._routes
+        calls.update(dict.fromkeys(calls, 0))
+        for br in branches:
+            evaluate(br, r)
+            value_and_derivatives(br, r)
+        assert calls == {"routes": 0, "row": 0}, r
+    assert builds == 2
+    assert [t is not None for t in plan._routes] == [False, True, True, False]
 
 
 def sweep_params():

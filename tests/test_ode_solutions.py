@@ -227,6 +227,35 @@ class TestEvaluate:
             with pytest.raises(DomainError, match="float range"):
                 call(br, 4.9)
 
+    def test_member_power_past_the_float_range_typed(self):
+        # hat2 carries z^(1-c_hat) = z^-200.5, past the float range at
+        # z = 0.001: DomainError, for values alone (a jet joins the power
+        # to the edge factor's)
+        p = OdeParams(a1=0.0, b1=3.0, a2=0.0, b2=0.0, a3=0.0, b3=0.0, c3=0.0,
+                      lam=1.0, xi1=-1.0, xi2=1.0)
+        br = build_branch(p, 100.0, 0.0, BranchId.HAT2)
+        assert br.extra_power == -200.5
+        with pytest.raises(DomainError, match="float range"):
+            evaluate(br, -1.0 + 0.002)
+
+    def test_jet_on_an_interval_past_1e154(self):
+        # (r-xi1)^2 and (xi2-r)^2 of the edge factor's jet leave the float
+        # range here; the jet stays finite, F as evaluate gives it and F'
+        # as a central difference does.  The equation's own coefficients
+        # leave it too, which residual reports
+        p = OdeParams(a1=-2.0, b1=0.0, a2=0.0, b2=0.0, a3=0.0, b3=0.0, c3=0.0,
+                      lam=1.0, xi1=0.0, xi2=1e200)
+        r, h = 5e199, 1e196
+        for bid in BranchId:
+            br = build_branch(p, 0.3, 0.2, bid)
+            f, f1, f2 = value_and_derivatives(br, r)
+            assert all(map(math.isfinite, (f, f1, f2))), bid
+            assert f == pytest.approx(evaluate(br, r), rel=1e-13), bid
+            slope = (evaluate(br, r + h) - evaluate(br, r - h)) / (2.0 * h)
+            assert f1 == pytest.approx(slope, rel=1e-6), bid
+            with pytest.raises(DomainError, match="float range"):
+                residual(br, p, r)
+
 
 class TestDerivatives:
     def test_against_central_differences(self):
