@@ -142,10 +142,11 @@ class _KummerPlan:
     over the pair (u, v) = (w3, w4) for k = 1, 2 and (w1, w2) for k = 3, 4,
     where x is c-a-b or 1-c, c_k is the lower parameter of w_k and alpha_k,
     beta_k are products of three reciprocal gammas, so a term with a pole in
-    its coefficient drops out cleanly.  The row of w1 is hyp2f1's
-    connection formula.  routes is the one rule of which members a point
-    sums, summed sums those it lacks, and value and jet form the others
-    from their rows in the order s * (G * (alpha u - beta v)).
+    its coefficient drops out cleanly.  routes is the one rule of which
+    members a point sums, summed the one place a pair is summed (for a
+    Kummer set's branches, hyp2f1's 0.5 < z < 1 route, which is the row of
+    w1, and generalized_solutions past zb = 1/2), and value and jet form
+    the others from their rows in the order s * (G * (alpha u - beta v)).
 
     Every member triple, power and coefficient is formed from the one float
     triple, taken with a <= b so that the a<->b symmetry holds bitwise: near
@@ -346,8 +347,10 @@ def _publish(p: Hyp2F1, coefs: list[float]) -> tuple:
     return memo
 
 
-def _memo(p: Hyp2F1, n: int) -> tuple:
-    """The coefficient memo of p, grown to hold at least c_0 to c_n."""
+def _memo(p: Hyp2F1, n: int, z: float) -> tuple:
+    """The coefficient memo of p, grown to hold at least c_0 to c_n.  It
+    stops growing at the first c_k past the float range, where every sum
+    over it leaves the range too: NoConvergence for the sum at z."""
     memo = p.__dict__.get("_coefs", _C0)
     if len(memo) > n:
         return memo
@@ -356,6 +359,9 @@ def _memo(p: Hyp2F1, n: int) -> tuple:
     ck = grown[-1]
     for k in range(len(grown) - 1, n):
         ck *= (a + k) * (b + k) / ((c + k) * (k + 1.0))
+        if not math.isfinite(ck):
+            _publish(p, grown)
+            raise _diverged(p, z, False)
         grown.append(ck)
     return _publish(p, grown)
 
@@ -460,7 +466,7 @@ def _cut(p: Hyp2F1, x: float, jet: bool) -> tuple:
     if n > 0.0:
         n = int(n)
         coefs = p.__dict__.get("_coefs", _C0)
-        return n, (coefs if len(coefs) > n else _memo(p, n)), cuts[i + _BUCKETS], None
+        return n, (coefs if len(coefs) > n else _memo(p, n, x)), cuts[i + _BUCKETS], None
     if n == 0.0:
         n, coefs, total, s = _scan(p, _CUT_EDGES[i], jet, x)
         if n > 0:
@@ -499,7 +505,7 @@ def _series(p: Hyp2F1, z: float, nterms: int | None) -> float:
         n, coefs, floor, acc = _cut(p, z, False)
     else:
         n, floor, acc = nterms, 0.0, None
-        coefs = _memo(p, n)
+        coefs = _memo(p, n, z)
     if acc is None:
         acc = zk = 1.0
         for ck in coefs[1:n + 1]:
@@ -535,7 +541,7 @@ def _jet(p: Hyp2F1, z: float, nterms: int | None) -> tuple[float, float, float]:
         f0, f1, f2 = 1.0, 0.0, 0.0
         z0, z1, z2 = z, 1.0, 0.0  # z^k, z^(k-1), z^(k-2) for the next k
         k = 1.0
-        for ck in _memo(p, nterms)[1:nterms + 1]:
+        for ck in _memo(p, nterms, z)[1:nterms + 1]:
             f0 += ck * z0
             f1 += k * ck * z1
             f2 += k * (k - 1.0) * ck * z2
@@ -575,22 +581,24 @@ def hyp2f1(p: Hyp2F1, z: float) -> float:
     if abs(z) <= _SERIES_SPLIT:
         return _series(p, z, None)
     if _SERIES_SPLIT < z < 1.0:
-        # the row of w1 over w3 = F(near; w) and w4 = w^e F(far; w), w = 1 - z,
-        # in the order of _KummerPlan.value
-        s, g, alpha, beta, near, far, e = p._plan.row(0)
-        w = 1.0 - z
-        try:
-            return s * (g * (alpha * hyp2f1(near, w) - beta * (w ** e * hyp2f1(far, w))))
-        except OverflowError as exc:  # w ** e: the series raise typed errors
-            raise DomainError(f"power {w!r}**{e!r} leaves the float range") from exc
+        plan = p._plan  # the row of w1 over the pair (w3, w4) on w = 1 - z
+        return plan.value(0, plan.summed(0, (2, 3), z, 1.0 - z, _UNKNOWN, False))
     if -1.0 < z < -_SERIES_SPLIT:
         # 2F1(a,b;c;z) = (1-z)^(-a) 2F1(a, c-b; c; z/(z-1))
         q = p._pfaff
-        return (1.0 - z) ** (-q.a) * _series(q, z / (z - 1.0), None)
+        try:
+            pref = (1.0 - z) ** (-q.a)
+        except OverflowError as exc:
+            raise DomainError(f"Pfaff prefactor at z={z!r} leaves the float range") from exc
+        return pref * _series(q, z / (z - 1.0), None)
     if z == 1.0:
         cab = p.c - p.a - p.b
         if cab > 0.0:
-            return gamma(p.c) * gamma(cab) * rgamma(p.c - p.a) * rgamma(p.c - p.b)
+            # a gamma past the float range leaves the product inf or nan
+            f = gamma(p.c) * gamma(cab) * rgamma(p.c - p.a) * rgamma(p.c - p.b)
+            if math.isfinite(f):
+                return f
+            raise DomainError(f"Gauss's value at z=1 of {p} leaves the float range")
         raise DomainError(f"z=1 requires c-a-b > 0, got {cab!r}")
     raise DomainError(f"argument z={z!r} outside the non-terminating domain")
 

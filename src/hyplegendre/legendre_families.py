@@ -18,6 +18,7 @@ from .errors import (
 )
 from .hypergeom import (
     _SERIES_SPLIT,
+    _UNKNOWN,
     Hyp2F1,
     _dist_to_int,
     _series_magnitude,
@@ -26,15 +27,13 @@ from .hypergeom import (
     pochhammer,
 )
 from .ode_solutions import (
-    BranchId,
     CoordinateMap,
     MapVariant,
     OdeParams,
-    SolutionBranch,
     _branch_data,
     _check_finite,
+    _KummerSet,
     apply_operator,
-    value_and_derivatives,
 )
 
 _CONSISTENCY_TOL = 1e-9
@@ -50,7 +49,7 @@ class LegendreTriple:
 
     The 2F1 triples of the two generalized solutions are built on first use
     and kept in the instance __dict__, out of sight of equality and hashing,
-    as is kuipers_reduction_check's branch for the last interval.
+    as is kuipers_reduction_check's Kummer set for the last interval.
     """
 
     k: float
@@ -277,15 +276,9 @@ def generalized_solutions(
     if not (_SERIES_SPLIT < zb < 1.0 and h2.terminating_degree is None):
         return edge * hyp2f1(h1, zb), left * _edge_power(p.xi2 - r, mu2 + t.m) * hyp2f1(h2, zb)
     plan = h1._plan
-    near, far, e = plan.row(1)[4:]  # a degenerate row raises before any sum
-    w = 1.0 - zb
-    try:
-        power, scale = w ** e, p.width ** t.m
-    except OverflowError as exc:
-        raise DomainError(f"F2's powers at r={r!r} leave the float range") from exc
-    pair = (None, None, hyp2f1(near, w), power * hyp2f1(far, w))
+    pair = plan.summed(1, (2, 3), zb, 1.0 - zb, _UNKNOWN, False)  # row 1 before any sum
     f1 = hyp2f1(h1, zb) if h1.terminating_degree is not None else plan.value(0, pair)
-    return edge * f1, edge * plan.value(1, pair) * scale
+    return edge * f1, edge * plan.value(1, pair) * _edge_power(p.width, t.m)
 
 
 def kuipers_reduction_check(t: LegendreTriple, xi1: float, xi2: float, r: float) -> float:
@@ -303,19 +296,14 @@ def kuipers_reduction_check(t: LegendreTriple, xi1: float, xi2: float, r: float)
         raise DomainError(f"r={r!r} outside ({xi1!r}, {xi2!r})")
     kept = t.__dict__.get("_kuipers")
     if kept is None or kept[0] != (xi1, xi2):
-        # the points of one interval share the branch and its Kummer set
+        # the points of one interval share F1's Kummer set, F1 its member w1
         if not (math.isfinite(xi1) and math.isfinite(xi2)):
             raise InvalidParams(f"interval ends must be finite, got ({xi1!r}, {xi2!r})")
-        branch = SolutionBranch(
-            mu1=t.n / 2.0,
-            mu2=-t.m / 2.0,
-            extra_power=0.0,
-            hyp=t._first,
-            map=CoordinateMap(MapVariant.MAP_II, xi1, xi2),
-            branch_id=BranchId.BREVE1,
-        )
-        kept = t.__dict__["_kuipers"] = ((xi1, xi2), branch)
-    f, f1, f2 = value_and_derivatives(kept[1], r)
+        h = t._first
+        kset = _KummerSet(h.a, h.b, h.c, t.n / 2.0, -t.m / 2.0,
+                          CoordinateMap(MapVariant.MAP_II, xi1, xi2), h)
+        kept = t.__dict__["_kuipers"] = ((xi1, xi2), kset)
+    f, f1, f2 = kept[1].jet(0, r)
     lhs = (
         (r - xi1) * (xi2 - r) * f2
         + (-2.0 * r + xi1 + xi2) * f1

@@ -534,8 +534,11 @@ def connection_check(
         fhat / (pi/sin(pi x)) = G(c) [ alpha fbreve1 - beta fbreve2 ]
 
     with x = c-a-b of hat1's triple and G(c), alpha, beta the coefficients
-    evaluate uses (_KummerPlan.row), and each branch summed on its own.
-    HAT1 gives the first-kind identity, HAT2 the second-kind one.
+    evaluate uses (_KummerPlan.row), and each branch summed on its own by
+    hyp2f1.  HAT1 gives the first-kind identity, HAT2 the second-kind one.
+    The sides are independent only where hyp2f1 sums the hat directly: at
+    z > 1/2 hat1's value is this same row over the same breve values, so
+    the two sides agree to rounding whatever the coefficients.
     """
     if hat not in (BranchId.HAT1, BranchId.HAT2):
         raise InvalidParams(f"connection identities exist for hat1 and hat2, not {hat!r}")

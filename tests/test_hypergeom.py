@@ -244,6 +244,15 @@ class TestHyp2F1Eval:
         want = gamma(c) * gamma(c - a - b) / (gamma(c - a) * gamma(c - b))
         assert abs(got - want) <= 1e-13 * abs(want)
 
+    def test_gauss_point_past_the_float_range_typed(self):
+        # Gamma(c-a-b) = Gamma(200.75) overflows and 1/Gamma(c-a) =
+        # 1/Gamma(201) underflows to 0: the product was nan (mpmath 0.12994)
+        p = Hyp2F1(-200.5, 0.25, 0.5)
+        with pytest.raises(DomainError, match="float range"):
+            hyp2f1(p, 1.0)
+        with pytest.raises(DomainError, match="float range"):
+            _hyp2f1_jet(p, 1.0)
+
     def test_domain_errors(self):
         with pytest.raises(DomainError):
             hyp2f1(Hyp2F1(0.3, 0.4, 0.5), 1.2)
@@ -320,6 +329,12 @@ class TestPfaff:
                     q, _ = pfaff_transform(p)
                     back, _ = pfaff_transform(q)
                     assert (back.a, back.b, back.c) == (p.a, p.b, p.c)
+
+    def test_prefactor_past_the_float_range_typed(self):
+        # (1-z)^(-a) = 1.8^1500.25 is past the float range (mpmath's 2F1 is
+        # 5.19e376): DomainError, not the bare OverflowError of the power
+        with pytest.raises(DomainError, match="float range"):
+            hyp2f1(Hyp2F1(0.01, -1500.25, 1.5), -0.8)
 
 
 class TestConnection:
@@ -447,6 +462,18 @@ class TestSeriesMemo:
         assert vars(q)["_coefs"] is memo
         want = direct_2f1(-700.0, 0.5, 1.5, 1e-3, terms=701)
         assert abs(value - want) <= 1e-14 * abs(want)
+
+    def test_memo_stops_where_the_coefficients_leave_the_float_range(self):
+        # c_k of (-1e6, 0.5; 1.5) passes the float range at k = 68, a million
+        # terms short of the degree: the memo stops there, and values and
+        # jets raise without summing a prefix, on every call
+        p = Hyp2F1(-1e6, 0.5, 1.5)
+        for _ in range(2):
+            with pytest.raises(NoConvergence, match="leaves the float range"):
+                hyp2f1(p, 0.3)
+            with pytest.raises(NoConvergence, match="leaves the float range"):
+                _hyp2f1_jet(p, 0.3)
+            assert len(vars(p)["_coefs"]) < 1000
 
     def test_equality_and_hash_ignore_memo(self):
         p, q = Hyp2F1(0.4, 0.7, 1.9), Hyp2F1(0.4, 0.7, 1.9)

@@ -223,6 +223,7 @@ class TestKummerPairRoute:
         (1.5, -1.0, 0.4, -0.6, DegenerateC),
         (180.0, 0.3, 0.6, -0.6, DomainError),  # row coefficients overflow
         (180.0, 0.3, 0.6, 0.3, NoConvergence),
+        (1.3, 0.3, 25.5, -1.0 + 4.4e-16, DomainError),  # the pair's w^(-25.5) overflows
     ])
     def test_errors_unchanged(self, k, m, n, r, error):
         with pytest.raises(error):
