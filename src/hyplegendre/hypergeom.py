@@ -16,9 +16,9 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import islice
+from operator import attrgetter
 
 from .errors import DegenerateCase, DomainError, InvalidParams, NoConvergence, PoleError
 
@@ -56,8 +56,36 @@ def _is_nonpositive_integer(x: float, tol: float) -> bool:
     return x < 0.5 and _dist_to_int(x) <= tol
 
 
-@dataclass(frozen=True, init=False)
-class Hyp2F1:
+class _Frozen:
+    """Base of the frozen value types, whose __init__ fills the instance
+    __dict__: the fields are the annotated names in order; equality (same
+    class only), hash and repr are fieldwise; assigning or deleting raises.
+    Plain methods: the dataclasses module adds milliseconds to the import."""
+
+    def __init_subclass__(cls) -> None:
+        cls._fields = tuple(cls.__annotations__)
+        cls._values = property(attrgetter(*cls._fields))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values == other._values
+
+    def __hash__(self) -> int:
+        return hash(self._values)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self._fields, self._values))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Hyp2F1(_Frozen):
     """A 2F1 parameter triple (a, b; c).
 
     terminating_degree is filled in, not given: when a or b sits within
@@ -81,7 +109,7 @@ class Hyp2F1:
     a: float
     b: float
     c: float
-    terminating_degree: int | None = field(default=None, init=False)
+    terminating_degree: int | None
 
     def __init__(self, a: float, b: float, c: float) -> None:
         if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(c)):
@@ -91,7 +119,7 @@ class Hyp2F1:
             if _is_nonpositive_integer(upper, DEFAULT_POLE_TOL):
                 n = int(round(-upper))
                 degree = n if degree is None else min(degree, n)
-        d = self.__dict__  # filled key by key, no object.__setattr__ per field
+        d = self.__dict__
         d["a"], d["b"], d["c"], d["terminating_degree"] = a, b, c, degree
         self.__post_init__()
 
@@ -155,7 +183,7 @@ class _KummerPlan:
     kept.  One that cannot be built raises each time it is asked for:
     DegenerateCase for an integer x, DomainError for a coefficient past the
     float range, PoleError for a lower parameter at a pole.  A plain slotted
-    class: a dataclass here would add milliseconds to the package import.
+    class: it is never compared or hashed.
     """
 
     __slots__ = ("abc", "powers", "_given_cab", "_triples", "_rows", "_routes")
@@ -593,14 +621,28 @@ def hyp2f1(p: Hyp2F1, z: float) -> float:
         return pref * _series(q, z / (z - 1.0), None)
     if z == 1.0:
         cab = p.c - p.a - p.b
-        if cab > 0.0:
-            # a gamma past the float range leaves the product inf or nan
-            f = gamma(p.c) * gamma(cab) * rgamma(p.c - p.a) * rgamma(p.c - p.b)
-            if math.isfinite(f):
-                return f
-            raise DomainError(f"Gauss's value at z=1 of {p} leaves the float range")
-        raise DomainError(f"z=1 requires c-a-b > 0, got {cab!r}")
+        if cab <= 0.0:
+            raise DomainError(f"z=1 requires c-a-b > 0, got {cab!r}")
+        f = gamma(p.c) * gamma(cab) * rgamma(p.c - p.a) * rgamma(p.c - p.b)
+        if not 0.0 < abs(f) < math.inf:  # a factor or the product left the float range
+            f = _gauss_by_logs(p.c, cab, p.c - p.a, p.c - p.b)
+        if math.isfinite(f):
+            return f
+        raise DomainError(f"Gauss's value at z=1 of {p} leaves the float range")
     raise DomainError(f"argument z={z!r} outside the non-terminating domain")
+
+
+def _gauss_by_logs(c: float, cab: float, ca: float, cb: float) -> float:
+    """Gamma(c) Gamma(cab) / (Gamma(ca) Gamma(cb)) by math.lgamma and Gamma's
+    sign (< 0 on (-1, 0), (-3, -2), ...); 0 at a pole of Gamma(ca) or Gamma(cb)."""
+    if any(_is_nonpositive_integer(x, DEFAULT_POLE_TOL) for x in (ca, cb)):
+        return 0.0
+    sign = math.prod(-1.0 if x < 0.0 and math.floor(x) % 2 else 1.0 for x in (c, cab, ca, cb))
+    try:
+        return sign * math.exp(math.lgamma(c) + math.lgamma(cab)
+                               - math.lgamma(ca) - math.lgamma(cb))
+    except OverflowError:  # the value itself is past the float range
+        return math.inf
 
 
 def _hyp2f1_jet(p: Hyp2F1, z: float) -> tuple[float, float, float]:

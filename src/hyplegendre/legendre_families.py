@@ -6,7 +6,6 @@ polynomial family with its explicit sum and hypergeometric closed form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import (
@@ -20,6 +19,7 @@ from .hypergeom import (
     _SERIES_SPLIT,
     _UNKNOWN,
     Hyp2F1,
+    _Frozen,
     _dist_to_int,
     _series_magnitude,
     gamma,
@@ -43,8 +43,7 @@ _MAX_N_INDEX = 1000  # the recurrence is O(n_index); its bound is tested up to h
 _MAX_MPRIME = 1000.0  # lgamma's rounding costs K 5e-13 here, 3e-11 at 1e4
 
 
-@dataclass(frozen=True)
-class LegendreTriple:
+class LegendreTriple(_Frozen):
     """Degree k and the two order parameters (m, n).
 
     The 2F1 triples of the two generalized solutions are built on first use
@@ -56,10 +55,11 @@ class LegendreTriple:
     m: float
     n: float
 
-    def __post_init__(self) -> None:
-        for name in ("k", "m", "n"):
-            if not math.isfinite(getattr(self, name)):
+    def __init__(self, k: float, m: float, n: float) -> None:
+        for name, v in zip(self._fields, (k, m, n)):
+            if not math.isfinite(v):
                 raise InvalidParams(f"field '{name}' must be finite")
+            self.__dict__[name] = v
 
     @cached_property
     def _first(self) -> Hyp2F1:
@@ -78,18 +78,17 @@ class LegendreTriple:
             raise DegenerateC(str(exc)) from exc
 
     def to_dict(self) -> dict:
-        return {"k": self.k, "m": self.m, "n": self.n}
+        return dict(zip(self._fields, self._values))
 
     @classmethod
     def from_dict(cls, data: dict) -> "LegendreTriple":
-        return cls(k=float(data["k"]), m=float(data["m"]), n=float(data["n"]))
+        return cls(*(float(data[name]) for name in cls._fields))
 
 
 _UNIVERSAL_KEYS = ("ell", "mprime", "a", "b", "c", "m", "lambda", "n_index")
 
 
-@dataclass(frozen=True)
-class UniversalParams:
+class UniversalParams(_Frozen):
     """Parameter pack of the universal polynomial family.
 
     The fields are linked: b = 0, mprime = sqrt(a + c + m^2),
@@ -108,22 +107,25 @@ class UniversalParams:
     lam: float
     n_index: int
 
-    def __post_init__(self) -> None:
-        for name in ("ell", "mprime", "a", "b", "c", "m", "lam"):
-            if not math.isfinite(getattr(self, name)):
+    def __init__(self, ell: float, mprime: float, a: float, b: float, c: float, m: float,
+                 lam: float, n_index: int) -> None:
+        for name, v in zip(self._fields, (ell, mprime, a, b, c, m, lam)):
+            if not math.isfinite(v):
                 raise InvalidParams(f"field '{name}' must be finite")
-        if self.b != 0.0:
+            self.__dict__[name] = v
+        if b != 0.0:
             raise InvalidParams("universal family requires b = 0")
-        if not (isinstance(self.n_index, int) and 0 <= self.n_index <= _MAX_N_INDEX):
+        if not (isinstance(n_index, int) and 0 <= n_index <= _MAX_N_INDEX):
             raise InvalidParams(f"n_index must be an integer from 0 to {_MAX_N_INDEX}")
-        if self.mprime < 0.0:
+        if mprime < 0.0:
             raise InvalidParams("mprime must be the nonnegative square root")
-        if abs(self.mprime ** 2 - (self.a + self.c + self.m ** 2)) > _CONSISTENCY_TOL:
+        if abs(mprime ** 2 - (a + c + m ** 2)) > _CONSISTENCY_TOL:
             raise InvalidParams("mprime must equal sqrt(a + c + m^2)")
-        if abs(self.lam - (self.ell * (self.ell + 1.0) - self.c)) > _CONSISTENCY_TOL:
+        if abs(lam - (ell * (ell + 1.0) - c)) > _CONSISTENCY_TOL:
             raise InvalidParams("lambda must equal ell(ell+1) - c")
-        if abs(self.ell - self.mprime - self.n_index) > _CONSISTENCY_TOL:
+        if abs(ell - mprime - n_index) > _CONSISTENCY_TOL:
             raise InvalidParams("ell must equal mprime + n_index")
+        self.__dict__["n_index"] = n_index
 
     @classmethod
     def from_degrees(
@@ -162,9 +164,7 @@ class UniversalParams:
         )
 
     def to_dict(self) -> dict:
-        vals = (self.ell, self.mprime, self.a, self.b, self.c, self.m,
-                self.lam, self.n_index)
-        return dict(zip(_UNIVERSAL_KEYS, vals))
+        return dict(zip(_UNIVERSAL_KEYS, self._values))
 
     @cached_property
     def _sum_form(self) -> tuple[float, list[tuple[float, float]]]:
@@ -208,16 +208,8 @@ class UniversalParams:
     @classmethod
     def from_dict(cls, data: dict) -> "UniversalParams":
         n = data["n_index"]
-        return cls(
-            ell=float(data["ell"]),
-            mprime=float(data["mprime"]),
-            a=float(data["a"]),
-            b=float(data["b"]),
-            c=float(data["c"]),
-            m=float(data["m"]),
-            lam=float(data["lambda"]),
-            n_index=int(n) if n % 1 == 0 else n,  # 2.7, nan: rejected, not cut
-        )
+        floats = (float(data[key]) for key in _UNIVERSAL_KEYS[:-1])
+        return cls(*floats, int(n) if n % 1 == 0 else n)  # n_index 2.7, nan: rejected, not cut
 
 
 def map_to_triple(p: OdeParams, mu1: float, mu2: float) -> LegendreTriple:

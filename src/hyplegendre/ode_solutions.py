@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 
 from .errors import (
     ComplexExponent,
@@ -24,25 +23,20 @@ from .errors import (
     PoleError,
     RootMismatch,
 )
-from .hypergeom import _UNKNOWN, DEFAULT_POLE_TOL, Hyp2F1, _KummerPlan, hyp2f1
+from .hypergeom import _UNKNOWN, DEFAULT_POLE_TOL, Hyp2F1, _Frozen, _KummerPlan, hyp2f1
 
 _ROOT_RESIDUAL_TOL = 1e-8
 
 _JSON_KEYS = ("a1", "b1", "a2", "b2", "a3", "b3", "c3", "lambda", "xi1", "xi2")
-_FIELDS = ("a1", "b1", "a2", "b2", "a3", "b3", "c3", "lam", "xi1", "xi2")  # OdeParams' fields
 
 
-@dataclass(frozen=True, init=False)
-class OdeParams:
+class OdeParams(_Frozen):
     """The nine real coefficients, spectral parameter and singular points.
 
     build_branch keeps the Kummer set its branches share, connection_check
     the branches it builds and their row's coefficients, and apply_operator
     its terms at the last r, in the instance __dict__, out of sight of
     equality and hashing.
-
-    This and the other value types here fill their instance __dict__ key by
-    key, faster than the generated __init__'s object.__setattr__ per field.
     """
 
     a1: float
@@ -60,7 +54,7 @@ class OdeParams:
     def __init__(self, a1: float, b1: float, a2: float, b2: float, a3: float, b3: float,
                  c3: float, lam: float, xi1: float, xi2: float) -> None:
         d = self.__dict__
-        for name, v in zip(_FIELDS, (a1, b1, a2, b2, a3, b3, c3, lam, xi1, xi2)):
+        for name, v in zip(self._fields, (a1, b1, a2, b2, a3, b3, c3, lam, xi1, xi2)):
             if not math.isfinite(v):
                 raise InvalidParams(f"field '{name}' must be finite")
             d[name] = v
@@ -74,15 +68,14 @@ class OdeParams:
         return self.xi2 - self.xi1
 
     def to_dict(self) -> dict:
-        return {key: getattr(self, name) for key, name in zip(_JSON_KEYS, _FIELDS)}
+        return dict(zip(_JSON_KEYS, self._values))
 
     @classmethod
     def from_dict(cls, data: dict) -> "OdeParams":
         return cls(*(float(data[k]) for k in _JSON_KEYS))
 
 
-@dataclass(frozen=True, init=False)
-class RootPair:
+class RootPair(_Frozen):
     """Both roots of one indicial quadratic.
 
     Real case: (first, second) ascending.  Complex case (negative
@@ -102,8 +95,7 @@ class RootPair:
         return (self.first, self.second)
 
 
-@dataclass(frozen=True, init=False)
-class IndicialExponents:
+class IndicialExponents(_Frozen):
     mu1: RootPair
     mu2: RootPair
     mu_inf: RootPair
@@ -190,8 +182,7 @@ class MapVariant(enum.Enum):
     MAP_II = "map_ii"  # z = (xi2 - r)/(xi2 - xi1): xi2 -> 0, xi1 -> 1
 
 
-@dataclass(frozen=True, init=False)
-class CoordinateMap:
+class CoordinateMap(_Frozen):
     """Affine map sending the singular interval onto [0, 1]."""
 
     variant: MapVariant
@@ -224,8 +215,7 @@ class BranchId(enum.Enum):
         return self in (BranchId.HAT2, BranchId.BREVE2)
 
 
-@dataclass(frozen=True, init=False)
-class SolutionBranch:
+class SolutionBranch(_Frozen):
     """One closed-form solution
 
         F(r) = (r-xi1)^mu1 (xi2-r)^mu2 * z^extra_power * 2F1(a,b;c;z(r)).

@@ -7,8 +7,6 @@ function of (seed, cases, tol), so repeated runs are byte-reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import hypergeom as hg
 from . import legendre_families as lf
 from . import ode_solutions as ode
@@ -19,13 +17,15 @@ _KUIPERS_FRACTIONS = (0.55, 0.7, 0.85)
 _SQRT_PI = 1.7724538509055160273
 
 
-@dataclass(frozen=True)
-class SuiteResult:
+class SuiteResult(hg._Frozen):
     name: str
     cases: int
     passed: int
     failed: int
     max_err: float
+
+    def __init__(self, name: str, cases: int, passed: int, failed: int, max_err: float) -> None:
+        self.__dict__.update(zip(self._fields, (name, cases, passed, failed, max_err)))
 
 
 def _connection_case(rng: SplitMix64, hat: ode.BranchId) -> float:

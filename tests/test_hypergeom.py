@@ -2,6 +2,7 @@ import math
 import sys
 import threading
 
+import mpmath
 import pytest
 
 from hyplegendre import (
@@ -245,13 +246,32 @@ class TestHyp2F1Eval:
         assert abs(got - want) <= 1e-13 * abs(want)
 
     def test_gauss_point_past_the_float_range_typed(self):
-        # Gamma(c-a-b) = Gamma(200.75) overflows and 1/Gamma(c-a) =
-        # 1/Gamma(201) underflows to 0: the product was nan (mpmath 0.12994)
-        p = Hyp2F1(-200.5, 0.25, 0.5)
+        # Gamma(1202) / Gamma(601.5)^2 = 7.9e359 (mpmath) itself overflows
+        p = Hyp2F1(-600.5, -600.5, 1.0)
         with pytest.raises(DomainError, match="float range"):
             hyp2f1(p, 1.0)
         with pytest.raises(DomainError, match="float range"):
             _hyp2f1_jet(p, 1.0)
+
+    @pytest.mark.parametrize("a, b, c", [
+        (-200.5, 0.25, 0.5),  # Gamma(200.75) overflows, 1/Gamma(201) underflows
+        (1.0, -200.25, 0.5),  # the same, and Gamma(c-a) = Gamma(-0.5) < 0
+        (-0.5, -700.25, 1.5),
+        (-50.25, 190.5, 150.0),  # 1/Gamma(200.25) underflows: the product read 0
+        (3.5, -175.25, 0.5),  # 1/Gamma(c-a) = 1/Gamma(-3) = 0 beside an inf
+    ])
+    def test_gauss_point_with_a_gamma_past_the_float_range(self, a, b, c):
+        # the value itself is a float: formed from lgamma and the signs
+        with mpmath.workdps(40):
+            want = [float(mpmath.hyp2f1(a, b, c, 1)),
+                    float(a * b / c * mpmath.hyp2f1(a + 1, b + 1, c + 1, 1)),
+                    float(a * b * (a + 1) * (b + 1) / (c * (c + 1))
+                          * mpmath.hyp2f1(a + 2, b + 2, c + 2, 1))]
+        p = Hyp2F1(a, b, c)
+        got = hyp2f1(p, 1.0)
+        assert abs(got - want[0]) <= 1e-11 * abs(want[0]) and (got == 0.0) == (want[0] == 0.0)
+        for order, (g, w) in enumerate(zip(_hyp2f1_jet(p, 1.0), want)):
+            assert abs(g - w) <= 1e-11 * abs(w), order
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):

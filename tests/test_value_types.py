@@ -1,18 +1,27 @@
-"""The frozen value types that fill their own __dict__: what the generated
-dataclass __init__ gave (field order, equality, hashing, repr, frozen
-assignment, the errors of a bad field) holds of the hand-written one, and
-every Hyp2F1 construction runs __post_init__ exactly once."""
+"""The frozen value types and their shared base: each __init__ takes the
+fields in declaration order and fills the instance __dict__; equality,
+hashing and repr are fieldwise; assignment raises AttributeError; the
+errors of a bad field hold; every Hyp2F1 construction runs __post_init__
+exactly once; and importing the CLI loads neither dataclasses nor inspect."""
 
-import dataclasses
+import ast
 import inspect
 import math
+import subprocess
+import sys
 
 import pytest
 
-from hyplegendre import Hyp2F1, InvalidParams, OdeParams, PoleError
+from hyplegendre import (
+    Hyp2F1,
+    InvalidParams,
+    LegendreTriple,
+    OdeParams,
+    PoleError,
+    UniversalParams,
+)
 from hyplegendre.hypergeom import _KummerPlan
 from hyplegendre.ode_solutions import (
-    _FIELDS,
     BranchId,
     CoordinateMap,
     IndicialExponents,
@@ -20,6 +29,7 @@ from hyplegendre.ode_solutions import (
     RootPair,
     SolutionBranch,
 )
+from hyplegendre.verify import SuiteResult
 
 PARAMS = dict(a1=-1.5, b1=0.3, a2=0.1, b2=-0.6, a3=-0.4, b3=0.05, c3=-0.5,
               lam=3.2, xi1=-1.2, xi2=0.9)
@@ -38,18 +48,34 @@ def instances():
         (SolutionBranch, dict(mu1=0.25, mu2=-0.5, extra_power=0.0,
                               hyp=Hyp2F1(0.4, 0.7, 1.9), map=ZMAP,
                               branch_id=BranchId.BREVE1)),
+        (LegendreTriple, dict(k=2.5, m=0.5, n=-1.5)),
+        (UniversalParams, dict(vars(UniversalParams.from_degrees(3.5, 1.5)))),
+        (SuiteResult, dict(name="pfaff", cases=5, passed=4, failed=1, max_err=2.5e-15)),
     ]
 
 
+def other_instance(cls, kwargs):
+    """One instance unequal to cls(**kwargs): its first field changed, or,
+    as UniversalParams' fields are linked, the pack one degree up."""
+    if cls is UniversalParams:
+        return UniversalParams.from_degrees(kwargs["ell"] + 1.0, kwargs["mprime"])
+    name, value = next(iter(kwargs.items()))
+    return cls(**{**kwargs, name: -7.0 if isinstance(value, float) else None})
+
+
 def field_values(obj):
-    return tuple(getattr(obj, f.name) for f in dataclasses.fields(obj))
+    return tuple(getattr(obj, name) for name in obj._fields)
 
 
 @pytest.mark.parametrize("cls, kwargs", instances(), ids=[c.__name__ for c, _ in instances()])
 class TestGeneratedSemantics:
+    """What the dataclass decorator generated, now given by the base."""
+
     def test_init_takes_the_init_fields_in_order(self, cls, kwargs):
-        init_fields = [f.name for f in dataclasses.fields(cls) if f.init]
-        assert list(inspect.signature(cls).parameters) == init_fields == list(kwargs)
+        params = list(inspect.signature(cls).parameters)
+        assert params == list(kwargs) == list(cls._fields[:len(params)])
+        # the one field not given is derived
+        assert cls._fields[len(params):] == (("terminating_degree",) if cls is Hyp2F1 else ())
 
     def test_keyword_and_positional_construction_agree(self, cls, kwargs):
         by_name, by_place = cls(**kwargs), cls(*kwargs.values())
@@ -61,22 +87,33 @@ class TestGeneratedSemantics:
         obj = cls(**kwargs)
         values = field_values(obj)
         assert hash(obj) == hash(values)
-        fields = ", ".join(f"{f.name}={v!r}" for f, v in zip(dataclasses.fields(obj), values))
+        fields = ", ".join(f"{name}={v!r}" for name, v in zip(cls._fields, values))
         assert repr(obj) == f"{cls.__qualname__}({fields})"
-        name, value = next(iter(kwargs.items()))
-        other = cls(**{**kwargs, name: -7.0 if isinstance(value, float) else None})
-        assert obj != other and obj != values
+        assert obj != other_instance(cls, kwargs) and obj != values
+        assert obj.__eq__(values) is NotImplemented
 
     def test_assignment_raises(self, cls, kwargs):
         obj = cls(**kwargs)
         name = next(iter(kwargs))
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError, match=f"^cannot assign to field '{name}'$"):
             setattr(obj, name, kwargs[name])
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError, match="^cannot assign to field 'unlisted'$"):
             obj.unlisted = 1.0
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError, match=f"^cannot delete field '{name}'$"):
             delattr(obj, name)
-        assert dataclasses.replace(obj) == obj
+        assert getattr(obj, name) is kwargs[name] and not hasattr(obj, "unlisted")
+
+
+def test_the_cli_import_loads_no_dataclasses_or_inspect():
+    # dataclasses pulls in inspect, and with it ast, dis and tokenize: most
+    # of the import every CLI call pays before it computes anything
+    code = ("import sys; before = set(sys.modules); import hyplegendre.cli; "
+            "print(sorted(set(sys.modules) - before))")
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True)
+    added = set(ast.literal_eval(res.stdout))
+    assert "hyplegendre.cli" in added
+    assert not added & {"dataclasses", "inspect", "ast", "dis", "tokenize"}
 
 
 class TestOdeParams:
@@ -85,7 +122,7 @@ class TestOdeParams:
         assert OdeParams.from_dict(p.to_dict()) == p
         assert p.to_dict()["lambda"] == PARAMS["lam"]
 
-    @pytest.mark.parametrize("name", _FIELDS)
+    @pytest.mark.parametrize("name", OdeParams._fields)
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_field_is_named(self, name, bad):
         with pytest.raises(InvalidParams, match=f"^field '{name}' must be finite$"):
@@ -119,8 +156,6 @@ class TestHyp2F1Fields:
     def test_degree_is_not_an_argument(self):
         with pytest.raises(TypeError):
             Hyp2F1(0.5, 0.5, 1.5, 7)
-        with pytest.raises(ValueError):
-            dataclasses.replace(Hyp2F1(0.5, 0.5, 1.5), terminating_degree=7)
 
 
 class TestConstructionCount:
