@@ -269,8 +269,11 @@ def generalized(params_path, k_deg, m_ord, n_ord, xi1, xi2, grid_text, fmt):
         if k_deg is None or m_ord is None or n_ord is None:
             raise ParseError("give either --params or all of --k, --m, --n")
         t = lf.LegendreTriple(k=k_deg, m=m_ord, n=n_ord)
+    lam = t.k * (t.k + 1.0)
+    if not math.isfinite(lam):  # named by the field given, not OdeParams' own
+        raise InvalidParams(f"field 'k' must have a finite k(k+1), got k={t.k!r}")
     p = ode.OdeParams(a1=-2.0, b1=0.0, a2=0.0, b2=0.0, a3=0.0, b3=0.0,
-                      c3=0.0, lam=t.k * (t.k + 1.0), xi1=xi1, xi2=xi2)
+                      c3=0.0, lam=lam, xi1=xi1, xi2=xi2)
     mu1, mu2 = t.n / 2.0, -t.m / 2.0
     rows = [(r, *lf.generalized_solutions(t, mu1, mu2, p, r)) for r in points]
     emit_table(["r", "f1", "f2"], _finite(rows), fmt)

@@ -15,6 +15,7 @@ integer is a pole.
 from __future__ import annotations
 
 import math
+import sys
 from array import array
 from functools import cached_property
 from itertools import islice
@@ -33,6 +34,7 @@ _CANCEL_TOL = 1e-3
 _FLOOR_PER_TOTAL = _REL_TOL / _CANCEL_TOL * (1.0 + 2.0 ** -20)
 
 _SERIES_SPLIT = 0.5  # direct summation for |z| <= split, transforms beyond
+_LOG_MAX = math.log(sys.float_info.max)
 _STEPS = tuple(map(float, range(_MAX_TERMS)))  # k - 1 of the recurrence's c_k, as floats
 _C0 = (1.0,)  # the memo before any evaluation: c_0 alone
 # the cut table's buckets: bucket i holds i/128 <= |x| < (i+1)/128 and is cut
@@ -101,7 +103,8 @@ class Hyp2F1(_Frozen):
     c_k = (a)_k (b)_k / ((c)_k k!), and the cut tables of _cut.
     The memo is a tuple of floats that every summation reads, and that the
     scan filling a cut entry (or a terminating sum) extends; it holds at most
-    _MAX_TERMS + 1 entries, or degree + 1 for a terminating series, and it
+    _MAX_TERMS + 1 entries, or for a terminating series degree + 1, fewer
+    when it ends at a coefficient that underflows to 0.0 (see _memo), and it
     is replaced, never mutated, so callers sharing an instance see either
     the old or the new one whole.
     """
@@ -146,9 +149,8 @@ class Hyp2F1(_Frozen):
 
     @cached_property
     def _plan(self) -> "_KummerPlan":
-        """The plan of this triple's Kummer set."""
-        # not handed self as w1's triple: a reference cycle would leave
-        # every instance to the cyclic garbage collector
+        """The plan of this triple's Kummer set: that of (b, a; c) too, bit
+        for bit, as the plan is formed from the sorted floats alone."""
         return _KummerPlan(self.a, self.b, self.c)
 
 
@@ -171,32 +173,32 @@ class _KummerPlan:
     where x is c-a-b or 1-c, c_k is the lower parameter of w_k and alpha_k,
     beta_k are products of three reciprocal gammas, so a term with a pole in
     its coefficient drops out cleanly.  routes is the one rule of which
-    members a point sums, summed the one place a pair is summed (for a
-    Kummer set's branches, hyp2f1's 0.5 < z < 1 route, which is the row of
-    w1, and generalized_solutions past zb = 1/2), and value and jet form
-    the others from their rows in the order s * (G * (alpha u - beta v)).
+    members a point sums (for a Kummer set's branches and generalized_solutions),
+    summed the one place a pair is summed (for those and hyp2f1's 0.5 < z < 1
+    route, the row of w1), and value and jet form the others from their
+    rows in the order s * (G * (alpha u - beta v)).
 
-    Every member triple, power and coefficient is formed from the one float
-    triple, taken with a <= b so that the a<->b symmetry holds bitwise: near
-    an integer x a row cancels to the accuracy of its series only when both
-    come from the same floats.  Triples and rows are built on first use and
+    The plan is a function of its sorted float triple (a <= b, c) alone:
+    every member triple (w1's too), power and coefficient (the sine's too)
+    is formed from it, so (b, a; c) has the same plan bit for bit, and near
+    an integer x a row cancels to the accuracy of its series, both formed
+    from the same floats.  Triples and rows are built on first use and
     kept.  One that cannot be built raises each time it is asked for:
     DegenerateCase for an integer x, DomainError for a coefficient past the
     float range, PoleError for a lower parameter at a pole.  A plain slotted
     class: it is never compared or hashed.
     """
 
-    __slots__ = ("abc", "powers", "_given_cab", "_triples", "_rows", "_routes")
+    __slots__ = ("abc", "powers", "_triples", "_rows", "_routes")
 
-    def __init__(self, a: float, b: float, c: float, first: Hyp2F1 | None = None) -> None:
-        self._given_cab = c - a - b  # the sine of hyp2f1's route takes it as given
+    def __init__(self, a: float, b: float, c: float) -> None:
         if a > b:
             a, b = b, a
         self.abc = (a, b, c)
         self.powers = (0.0, 1.0 - c, 0.0, c - a - b)  # w_k = x^powers[k] F(triple k; x)
         # filled in on first use, each entry once: racing callers may each
-        # build one, all alike; first is the caller's own w1 triple, if any
-        self._triples = [first, None, None, None]
+        # build one, all alike
+        self._triples = [None, None, None, None]
         self._rows = [None, None, None, None]
         self._routes = (None, None, None, None)  # by side, see routes
 
@@ -217,9 +219,9 @@ class _KummerPlan:
         return a, b, c
 
     def row(self, k: int) -> tuple:
-        """(pi/sin(pi x), G(c_k), alpha_k, beta_k, u, v, e) of member k's
-        row: its coefficients, the triples of the pair it is formed over,
-        and the power x^e of the pair's second member."""
+        """(pi/sin(pi x), G(c_k), alpha_k, beta_k): the coefficients of
+        member k's row over the pair (triple(i), triple(i + 1)), i = 2 for
+        k < 2 and 0 otherwise, whose second member carries powers[i + 1]."""
         row = self._rows[k]
         if row is None:
             row = self._rows[k] = self._build_row(k)
@@ -250,9 +252,7 @@ class _KummerPlan:
         if not (math.isfinite(alpha) and math.isfinite(beta) and math.isfinite(gk)):
             raise DomainError(
                 f"connection coefficients of ({a}, {b}; {c}) leave the float range")
-        sine_arg = self._given_cab if k < 2 else x
-        return (math.pi / math.sin(math.pi * sine_arg), gk, alpha, beta,
-                u, v, self.powers[i + 1])
+        return math.pi / math.sin(math.pi * x), gk, alpha, beta
 
     def routes(self, z: float, w: float) -> tuple:
         """The route table of the side of z = 1/2 that (z, w) is on (w = 1 - z
@@ -296,14 +296,14 @@ class _KummerPlan:
     def value(self, k: int, known: tuple) -> float:
         """Member k, not summed, as its row over the values of the pair on
         the other side."""
-        s, g, alpha, beta, _, _, _ = self._rows[k] or self.row(k)
+        s, g, alpha, beta = self._rows[k] or self.row(k)
         i = 0 if k > 1 else 2
         return s * (g * (alpha * known[i] - beta * known[i + 1]))
 
     def jet(self, k: int, jets: tuple) -> tuple[float, float, float]:
         """The jet of a member k not summed, its row as value forms it, lane
         by lane, over the jets of the pair in one variable they share."""
-        s, g, alpha, beta, _, _, _ = self._rows[k] or self.row(k)
+        s, g, alpha, beta = self._rows[k] or self.row(k)
         i = 0 if k > 1 else 2
         (u0, u1, u2), (v0, v1, v2) = jets[i], jets[i + 1]
         return (s * (g * (alpha * u0 - beta * v0)), s * (g * (alpha * u1 - beta * v1)),
@@ -378,20 +378,45 @@ def _publish(p: Hyp2F1, coefs: list[float]) -> tuple:
 def _memo(p: Hyp2F1, n: int, z: float) -> tuple:
     """The coefficient memo of p, grown to hold at least c_0 to c_n.  It
     stops growing at the first c_k past the float range, where every sum
-    over it leaves the range too: NoConvergence for the sum at z."""
+    over it leaves the range too: NoConvergence for the sum at z.  A
+    terminating memo also ends at its first c_k of exactly 0.0, as every
+    later one is 0.0 too: a sum over it ends there, unless the terms past
+    it would have been 0.0 * inf = nan (_zeros_overflow), NoConvergence."""
     memo = p.__dict__.get("_coefs", _C0)
     if len(memo) > n:
         return memo
-    grown = list(memo)
-    a, b, c = p.a, p.b, p.c
-    ck = grown[-1]
-    for k in range(len(grown) - 1, n):
-        ck *= (a + k) * (b + k) / ((c + k) * (k + 1.0))
-        if not math.isfinite(ck):
-            _publish(p, grown)
-            raise _diverged(p, z, False)
-        grown.append(ck)
-    return _publish(p, grown)
+    if memo[-1] != 0.0 or p.terminating_degree is None:
+        grown = list(memo)
+        a, b, c = p.a, p.b, p.c
+        ck = grown[-1]
+        for k in range(len(grown) - 1, n):
+            ck *= (a + k) * (b + k) / ((c + k) * (k + 1.0))
+            if not math.isfinite(ck):
+                _publish(p, grown)
+                raise _diverged(p, z, False)
+            grown.append(ck)
+            if ck == 0.0 and p.terminating_degree is not None:
+                break
+        memo = _publish(p, grown)
+    if len(memo) <= n and _zeros_overflow(z, n):
+        raise _diverged(p, z, False)
+    return memo
+
+
+def _zeros_overflow(z: float, n: int) -> bool:
+    """Whether z^n, formed one factor at a time as the sums form it, leaves
+    the float range.  Logarithms decide, but within the band the products'
+    n roundings (each at most 2^-53 relative) could cross, the products do."""
+    az = abs(z)
+    if az <= 1.0:
+        return False
+    gap = n * math.log(az) - _LOG_MAX
+    if abs(gap) > 1e-9 + n * 2.0 ** -52:
+        return gap > 0.0
+    zk = 1.0
+    for _ in range(n):
+        zk *= az
+    return zk == math.inf
 
 
 def _scan(p: Hyp2F1, e: float, jet: bool, z: float = 0.0) -> tuple:

@@ -16,7 +16,6 @@ from .errors import (
     PoleError,
 )
 from .hypergeom import (
-    _SERIES_SPLIT,
     _UNKNOWN,
     Hyp2F1,
     _Frozen,
@@ -252,9 +251,10 @@ def generalized_solutions(
         F2 = (r-xi1)^mu1 (xi2-r)^(mu2+m) 2F1(-k+(n+m)/2, k+1+(n+m)/2; 1+m; zb)
 
     with zb = (xi2-r)/(xi2-xi1).  F2 is (r-xi1)^mu1 (xi2-r)^mu2 (xi2-xi1)^m
-    times w2 of F1's Kummer set: on 1/2 < zb < 1, unless F2 terminates, F1
-    (by hyp2f1's row) and F2 (by w2's) come from one pair (w3, w4) summed on
-    1 - zb.  The interval edges are admitted whenever the corresponding
+    times w2 of F1's Kummer set: where its plan's routes give w2 by its row
+    (1/2 < zb < 1, unless F2 terminates), F2 and, unless w1 terminates, F1
+    (by hyp2f1's row) come from one pair (w3, w4) summed on 1 - zb.
+    The interval edges are admitted whenever the corresponding
     prefactor power is nonnegative; a non-finite exponent raises
     InvalidParams, a prefactor past the float range DomainError.
     """
@@ -265,11 +265,12 @@ def generalized_solutions(
     h1, h2 = t._first, t._second
     left = _edge_power(r - p.xi1, mu1)
     edge = left * _edge_power(p.xi2 - r, mu2)
-    if not (_SERIES_SPLIT < zb < 1.0 and h2.terminating_degree is None):
-        return edge * hyp2f1(h1, zb), left * _edge_power(p.xi2 - r, mu2 + t.m) * hyp2f1(h2, zb)
     plan = h1._plan
-    pair = plan.summed(1, (2, 3), zb, 1.0 - zb, _UNKNOWN, False)  # row 1 before any sum
-    f1 = hyp2f1(h1, zb) if h1.terminating_degree is not None else plan.value(0, pair)
+    routes = plan.routes(zb, 1.0 - zb)
+    if routes[1] == (1,):
+        return edge * hyp2f1(h1, zb), left * _edge_power(p.xi2 - r, mu2 + t.m) * hyp2f1(h2, zb)
+    pair = plan.summed(1, routes[1], zb, 1.0 - zb, _UNKNOWN, False)  # row 1 before any sum
+    f1 = hyp2f1(h1, zb) if routes[0] == (0,) else plan.value(0, pair)
     return edge * f1, edge * plan.value(1, pair) * _edge_power(p.width, t.m)
 
 
@@ -293,7 +294,7 @@ def kuipers_reduction_check(t: LegendreTriple, xi1: float, xi2: float, r: float)
             raise InvalidParams(f"interval ends must be finite, got ({xi1!r}, {xi2!r})")
         h = t._first
         kset = _KummerSet(h.a, h.b, h.c, t.n / 2.0, -t.m / 2.0,
-                          CoordinateMap(MapVariant.MAP_II, xi1, xi2), h)
+                          CoordinateMap(MapVariant.MAP_II, xi1, xi2))
         kept = t.__dict__["_kuipers"] = ((xi1, xi2), kset)
     f, f1, f2 = kept[1].jet(0, r)
     lhs = (

@@ -328,13 +328,12 @@ class _KummerSet:
                  "_jets")
 
     def __init__(self, a: float, b: float, c: float, mu1: float, mu2: float,
-                 zmap: CoordinateMap, first: Hyp2F1 | None = None, extra: float = 0.0,
-                 w_power: float | None = None) -> None:
+                 zmap: CoordinateMap, extra: float = 0.0, w_power: float | None = None) -> None:
         self.mu1, self.mu2 = mu1, mu2
         self.zmap = zmap
         self.dz_dr = zmap.dz_dr
         self.extra = extra
-        self._plan = _KummerPlan(a, b, c, first)
+        self._plan = _KummerPlan(a, b, c)
         joined = []
         for m, e in enumerate(self._plan.powers):
             pz, pw = (extra + e, 0.0) if m < 2 else (extra, e)
@@ -451,8 +450,7 @@ def _member_of(s: SolutionBranch) -> tuple[_KummerSet, int]:
     here, on its first call."""
     found = s._member
     if found is None:
-        kset = _KummerSet(s.hyp.a, s.hyp.b, s.hyp.c, s.mu1, s.mu2, s.map, s.hyp,
-                          extra=s.extra_power)
+        kset = _KummerSet(s.hyp.a, s.hyp.b, s.hyp.c, s.mu1, s.mu2, s.map, extra=s.extra_power)
         found = s.__dict__["_member"] = (kset, 0)
     return found
 
@@ -557,5 +555,5 @@ def _connection_branches(
             row = kset._plan.row(k)
         except PoleError as exc:  # G(c) of a terminating hat
             raise DegenerateCase(f"connection coefficient: {exc}") from exc
-        kept = p.__dict__["_connection"] = (key, branches, row[:4])
+        kept = p.__dict__["_connection"] = (key, branches, row)
     return kept[1], kept[2]

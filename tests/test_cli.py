@@ -413,6 +413,15 @@ class TestLegendreCommands:
         first = res.stdout.strip().split("\n")[1].split(",")
         assert abs(float(first[1]) - (-0.125)) <= 1e-12
 
+    def test_generalized_degree_past_the_float_range_names_k(self):
+        # k(k+1) = inf was reported as the CLI's own field 'lam', which the
+        # user never gave
+        res = run_cli("legendre", "generalized", "--k", "1e200", "--m", "0",
+                      "--n", "0", "--grid=-0.5:0.5:3")
+        assert res.returncode == 3, res.stderr
+        assert res.stderr.startswith("error: InvalidParams")
+        assert "'k'" in res.stderr and "lam" not in res.stderr
+
 
 class TestVerifyCommand:
     def test_small_run_passes(self):

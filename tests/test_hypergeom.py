@@ -8,6 +8,7 @@ import pytest
 from hyplegendre import (
     DegenerateCase,
     DomainError,
+    Error,
     Hyp2F1,
     InvalidParams,
     NoConvergence,
@@ -23,6 +24,7 @@ from hyplegendre.rng import SplitMix64
 
 from identities import inversion_15_8_6, quadratic_15_8_20
 from oracles import central_diff, direct_2f1, rising
+from test_kummer_set import row_jet
 
 SQRT_PI = 1.7724538509055160273  # high-precision constant, 20 digits
 
@@ -31,9 +33,19 @@ def row_sum(p, z):
     """sin(pi(c-a-b))/pi * 2F1(a,b;c;z) from the 1-z side: the row of w1 in
     the Kummer plan of p without its pi/sin factor, summed as hyp2f1's
     0.5 < z < 1 route sums it."""
-    _, g, alpha, beta, near, far, e = p._plan.row(0)
+    plan = p._plan
+    _, g, alpha, beta = plan.row(0)
+    near, far, e = plan.triple(2), plan.triple(3), plan.powers[3]
     w = 1.0 - z
     return g * (alpha * hyp2f1(near, w) - beta * (w ** e * hyp2f1(far, w)))
+
+
+def outcome(f, *args):
+    """f(*args), or the type of the library error it raises."""
+    try:
+        return f(*args)
+    except Error as exc:
+        return type(exc)
 
 
 class TestPochhammer:
@@ -215,6 +227,22 @@ class TestHyp2F1Eval:
             c = rng.uniform(0.3, 4.0)
             z = rng.uniform(-0.9, 0.95)
             assert hyp2f1(Hyp2F1(a, b, c), z) == hyp2f1(Hyp2F1(b, a, c), z)
+
+    @pytest.mark.parametrize("route, lo, hi", [
+        ("series", -0.5, 0.5), ("pfaff", -1.0, -0.5), ("connection", 0.5, 1.0)])
+    def test_symmetry_bitwise_on_every_route(self, route, lo, hi):
+        # (a, b; c) and (b, a; c), each built afresh, give the same bits or
+        # the same error: values on each non-terminating route, and the jets
+        # of the routes that have one (the series, and the row of w1)
+        jets = {"series": _hyp2f1_jet, "connection": row_jet}.get(route)
+        rng = SplitMix64(29)
+        for _ in range(500):
+            a, b = rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0)
+            c = rng.uniform(0.3, 4.0)
+            z = rng.uniform(lo, hi)
+            for f in (hyp2f1, jets) if jets else (hyp2f1,):
+                given, swapped = (outcome(f, Hyp2F1(*abc), z) for abc in ((a, b, c), (b, a, c)))
+                assert given == swapped, (route, f.__name__, a, b, c, z)
 
     def test_terminating_exact_and_stable(self):
         # a polynomial is summed whole far outside the disc of convergence,
@@ -494,6 +522,25 @@ class TestSeriesMemo:
             with pytest.raises(NoConvergence, match="leaves the float range"):
                 _hyp2f1_jet(p, 0.3)
             assert len(vars(p)["_coefs"]) < 1000
+
+    def test_terminating_memo_ends_at_its_first_zero(self):
+        # c_k of (-1e6, 0.5; 1e7) underflows to 0.0 at k = 323: the memo
+        # ends there, not at the degree, with the values of the full sum
+        p = Hyp2F1(-1e6, 0.5, 1e7)
+        assert hyp2f1(p, 0.3) == 0.9853292778194882
+        assert len(vars(p)["_coefs"]) <= 400 and vars(p)["_coefs"][-1] == 0.0
+        # past |z| = 1 the zero terms still meet z^k: where it overflows the
+        # full sum is nan, so a short memo raises as the full one did
+        q = Hyp2F1(-1e4, 0.5, 1e5)
+        for z, want in ((0.3, 0.9853292436839564), (-0.9, 1.0482844137694778),
+                        (1.0, 0.9534622641995145), (1.0001, 0.9534579302505796)):
+            assert hyp2f1(q, z) == want == _hyp2f1_jet(q, z)[0], z
+        for z in (2.0, -3.0):
+            with pytest.raises(NoConvergence, match="leaves the float range"):
+                hyp2f1(q, z)
+            with pytest.raises(NoConvergence, match="leaves the float range"):
+                _hyp2f1_jet(q, z)
+        assert len(vars(q)["_coefs"]) <= 400
 
     def test_equality_and_hash_ignore_memo(self):
         p, q = Hyp2F1(0.4, 0.7, 1.9), Hyp2F1(0.4, 0.7, 1.9)

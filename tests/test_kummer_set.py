@@ -97,14 +97,16 @@ def row_jet(p, z):
     summed on w, the power taken by the product rule; d/dz = -d/dw."""
     if not (0.5 < z < 1.0) or p.terminating_degree is not None:
         return _hyp2f1_jet(p, z)
-    near, far, e = p._plan.row(0)[4:]
+    plan = p._plan
+    plan.row(0)  # a degenerate row raises before any series is summed
+    near, far, e = plan.triple(2), plan.triple(3), plan.powers[3]
     w = 1.0 - z
     u = _hyp2f1_jet(near, w)
     v0, v1, v2 = _hyp2f1_jet(far, w)
     we, de = w ** e, e * w ** (e - 1.0)
     v = (we * v0, de * v0 + we * v1,
          e * (e - 1.0) * w ** (e - 2.0) * v0 + 2.0 * de * v1 + we * v2)
-    f0, f1, f2 = p._plan.jet(0, (None, None, u, v))
+    f0, f1, f2 = plan.jet(0, (None, None, u, v))
     return f0, -f1, f2
 
 

@@ -199,7 +199,8 @@ class TestKummerPairRoute:
     def test_series_per_point(self, monkeypatch):
         # a generic pair sums 2 non-terminating series at zb = 0.7 (4 when
         # each solution took its own row), and a pair whose F1 terminates 1,
-        # its F1 and w3 terminating; at zb = 0.3 each 2F1 is its own sum
+        # its F1 and w3 terminating; one whose F2 terminates sums F1's pair
+        # for F1 alone and F2 on its own; at zb = 0.3 each 2F1 is its own sum
         calls = []
 
         def counted(p, z, nterms, _real=hypergeom._series):
@@ -209,9 +210,12 @@ class TestKummerPairRoute:
         n, m = 0.4, 0.3
         generic = LegendreTriple(1.7, m, n)
         first_ends = LegendreTriple((n - m) / 2.0 + 2.0, m, n)
+        second_ends = LegendreTriple((n + m) / 2.0 + 2.0, m, n)
         assert first_ends._first.terminating_degree == 2
+        assert second_ends._second.terminating_degree == 2
         for t, zb, full, terminating in ((generic, 0.7, 2, 0), (first_ends, 0.7, 1, 2),
-                                         (generic, 0.3, 2, 0), (first_ends, 0.3, 1, 1)):
+                                         (second_ends, 0.7, 2, 1), (generic, 0.3, 2, 0),
+                                         (first_ends, 0.3, 1, 1), (second_ends, 0.3, 1, 1)):
             calls.clear()
             generalized_solutions(t, 0.1, 0.2, classical_params(t.k), 1.0 - 2.0 * zb)
             assert (calls.count(True), calls.count(False)) == (full, terminating), (t, zb)
