@@ -32,6 +32,7 @@ from .ode_solutions import (
     _branch_data,
     _check_finite,
     _KummerSet,
+    _power_jet,
     apply_operator,
 )
 
@@ -342,7 +343,8 @@ def universal_sum(u: UniversalParams, r: float) -> float:
 def universal_sum_derivatives(u: UniversalParams, r: float) -> tuple[float, float, float]:
     """(F, F', F'') of the sum form at an interior point: F is universal_sum,
     C' and C'' come from the recurrence differentiated in the same pass as C,
-    the weight's from the product rule.  Within 1e-11 (1 + |F^(k)|) of
+    the weight's, (1+r)^(mprime/2) (1-r)^(mprime/2), from _power_jet, the
+    rule of the branches' edge powers.  Within 1e-11 (1 + |F^(k)|) of
     mpmath.diff for n_index <= 200, mprime <= 5, |r| <= 0.999."""
     if not (-1.0 < r < 1.0):
         raise DomainError(f"r={r!r} outside (-1, 1)")
@@ -354,11 +356,8 @@ def universal_sum_derivatives(u: UniversalParams, r: float) -> tuple[float, floa
         p0, p1, p2, c0, c1, c2 = (c0, c1, c2, a * r * c0 - b * p0,
                                   a * (c0 + r * c1) - b * p1,
                                   a * (2.0 * c1 + r * c2) - b * p2)
-    mp = u.mprime
-    one = 1.0 - r * r
-    w0 = one ** (mp / 2.0)
-    w1 = -mp * r * one ** (mp / 2.0 - 1.0)
-    w2 = mp * one ** (mp / 2.0 - 2.0) * ((mp - 1.0) * r * r - 1.0)
+    half = u.mprime / 2.0
+    w0, w1, w2 = _power_jet((1.0 - r * r) ** half, 1.0 + r, 1.0 - r, half, half)
     out = (
         universal_sum(u, r),
         const * (w1 * c0 + w0 * c1),

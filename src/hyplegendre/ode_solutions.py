@@ -301,6 +301,18 @@ def build_branch(
     return branch
 
 
+def _power_jet(p: float, left: float, right: float, m1: float,
+               m2: float) -> tuple[float, float, float]:
+    """(p, p', p'') in r of p = const (r-xi1)^m1 (xi2-r)^m2, from p, left =
+    r - xi1 and right = xi2 - r.  Each end divides twice, never squared, so
+    no term overflows on a wide interval, and an exponent of 1 drops its
+    1/end^2 term: where p is analytic at an end no two such terms cancel."""
+    dl, dr = m1 / left, m2 / right
+    # p'' = p (m1(m1-1)/left^2 - 2 m1 m2/(left right) + m2(m2-1)/right^2)
+    return (p, p * (dl - dr),
+            p * ((m1 - 1.0) * dl / left - 2.0 * dl * dr + (m2 - 1.0) * dr / right))
+
+
 class _KummerSet:
     """The branches of one exponent pair on one interval: the edge factor
     (r-xi1)^mu1 (xi2-r)^mu2 and Kummer's four solutions of one triple, member
@@ -308,24 +320,25 @@ class _KummerSet:
     set keeps the geometry, r -> (z, w), the edge factor and the joined
     powers; its plan picks, sums and combines the members.
 
-    A one-slot memo per kind, values and jets, keeps what the last point r
-    found, so the branches of one row share the edge factor and two series:
-    each member summed there, or its jet in r times the edge factor, and
-    the plan's route table of r's side.  A call whose route the memo holds
-    sums nothing; one that lacks it has the plan sum just the missing
-    members and replaces the memo, never mutated: threads see whole memos.
+    A one-slot point memo keeps what the last point r found, so the branches
+    of one row share the geometry of r, formed once, and two series: the
+    plan's route table of r's side, the edge factor, and each member summed
+    there, its value and its jet in r times the edge factor.  A call whose
+    route the memo holds sums nothing; one that lacks it has the plan sum
+    just the missing members and replaces the memo, never mutated: threads
+    see whole memos.
 
     `extra` is the power z^extra of a branch built by hand, which every
     member of its set carries.  In the jets the powers of z and w join the
-    edge factor's at the ends where they vanish: `joined[m]` holds, for
-    member m, the powers of z and w it carries and the exponents of (r-xi1)
-    and (xi2-r) they add up to with the edge factor's.  w4's exponent takes
-    w_power when given, 1 - c_breve as the breve2 branch forms it: exact
-    where the set's c-a-b carries the rounding of a + b.
+    edge factor's: `joined[m]` holds, for member m, the powers of z and w it
+    carries and the exponents of (r-xi1) and (xi2-r) they add up to with
+    the edge factor's, and every member's power is differentiated as that
+    one power by _power_jet.  w4's exponent takes w_power when given,
+    1 - c_breve as the breve2 branch forms it: exact where the set's c-a-b
+    carries the rounding of a + b.
     """
 
-    __slots__ = ("mu1", "mu2", "zmap", "dz_dr", "extra", "joined", "_plan", "_values",
-                 "_jets")
+    __slots__ = ("mu1", "mu2", "zmap", "dz_dr", "extra", "joined", "_plan", "_point")
 
     def __init__(self, a: float, b: float, c: float, mu1: float, mu2: float,
                  zmap: CoordinateMap, extra: float = 0.0, w_power: float | None = None) -> None:
@@ -342,44 +355,36 @@ class _KummerSet:
                 ez, ew = ew, ez
             joined.append((pz, pw, mu1 + ez, mu2 + ew))
         self.joined = tuple(joined)
-        self._values = self._jets = None
+        self._point = None
 
-    def _fresh(self, r: float, jet: bool) -> tuple:
-        """(r, z, w, edge factor, nothing summed yet, route table): the memo
-        of a new point r, checked here alone, for jets the edge factor's jet."""
+    def _fresh(self, r: float) -> tuple:
+        """(r, z, w, edge factor, route table, values, jets), nothing summed
+        yet: the memo of a new point r, checked here alone."""
         xi1, xi2 = self.zmap.xi1, self.zmap.xi2
         if not (xi1 < r < xi2):
             raise DomainError(f"r={r!r} outside the open interval ({xi1!r}, {xi2!r})")
-        mu1, mu2 = self.mu1, self.mu2
         left = r - xi1
         right = xi2 - r
         try:
-            edge = left ** mu1 * right ** mu2
+            edge = left ** self.mu1 * right ** self.mu2
         except OverflowError as exc:
             raise DomainError(f"edge factor at r={r!r} leaves the float range") from exc
-        if jet:
-            logd = mu1 / left - mu2 / right
-            try:
-                logd2 = -mu1 / left ** 2 - mu2 / right ** 2
-            except OverflowError:  # an end ~1e154 away: each term is below 1e-308
-                logd2 = -mu1 / left / left - mu2 / right / right
-            edge = (edge, edge * logd, edge * (logd * logd + logd2))
         d = xi2 - xi1
         z, w = left / d, right / d
         if self.zmap.variant is MapVariant.MAP_II:
             z, w = w, z
-        return (r, z, w, edge, _UNKNOWN, self._plan.routes(z, w))
+        return (r, z, w, edge, self._plan.routes(z, w), _UNKNOWN, _UNKNOWN)
 
     def value(self, k: int, r: float) -> float:
         """The edge factor times member k at r, times z^extra."""
-        memo = self._values
+        memo = self._point
         if memo is None or memo[0] != r:
-            memo = self._fresh(r, False)
-        _, z, w, edge, known, routes = memo
+            memo = self._fresh(r)
+        _, z, w, edge, routes, known, _ = memo
         need = routes[k]
         if known[need[0]] is None or known[need[-1]] is None:
             known = tuple(self._plan.summed(k, need, z, w, known, False))
-            self._values = (r, z, w, edge, known, routes)
+            self._point = memo[:5] + (known, memo[6])
         f = known[k]
         if f is None:
             f = self._plan.value(k, known)
@@ -391,10 +396,10 @@ class _KummerSet:
         """The jet in r of the edge factor times member k at r, times
         z^extra: that of the member summed there, or its row over the jets
         of the pair on the other side."""
-        memo = self._jets
+        memo = self._point
         if memo is None or memo[0] != r:
-            memo = self._fresh(r, True)
-        _, z, w, edge, known, routes = memo
+            memo = self._fresh(r)
+        _, z, w, edge, routes, _, known = memo
         need = routes[k]
         if known[need[0]] is None or known[need[-1]] is None:
             jets = self._plan.summed(k, need, z, w, known, True)
@@ -402,36 +407,30 @@ class _KummerSet:
                 if known[m] is None:
                     jets[m] = self._jet_of(m, r, z, w, edge, jets[m])
             known = tuple(jets)
-            self._jets = (r, z, w, edge, known, routes)
+            self._point = memo[:6] + (known,)
         return known[k] if known[k] is not None else self._plan.jet(k, known)
 
-    def _jet_of(self, m: int, r: float, z: float, w: float, edge: tuple,
+    def _jet_of(self, m: int, r: float, z: float, w: float, edge: float,
                 h: tuple) -> tuple[float, float, float]:
         """The jet in r of the edge factor times member m, from the jet h of
         its series on its own variable: chain and product rules.  The powers
         of z and w the member carries join the edge factor's at the ends
-        where they vanish, (r-xi1)^(mu1+e) or (xi2-r)^(mu2+e), and are
-        differentiated as one power, so where the exponents add up to an
-        integer no 1/(end-r)^2 terms cancel next to that end."""
+        where they vanish, (r-xi1)^(mu1+e) or (xi2-r)^(mu2+e), one power
+        for _power_jet.  DomainError where a lane is not finite."""
         if m > 1:  # a jet in w = 1 - z
             h = (h[0], -h[1], h[2])
         pz, pw, m1, m2 = self.joined[m]
-        if pz == 0.0 and pw == 0.0:
-            p0, p1, p2 = edge
-        else:
-            p0 = edge[0]
-            if pz != 0.0:
-                p0 *= z ** pz
-            if pw != 0.0:
-                p0 *= w ** pw
-            left, right = r - self.zmap.xi1, self.zmap.xi2 - r
-            dl, dr = m1 / left, m2 / right
-            # p'' = p (m1(m1-1)/left^2 - 2 m1 m2/(left right) + m2(m2-1)/right^2)
-            p1 = p0 * (dl - dr)
-            p2 = p0 * ((m1 - 1.0) * dl / left - 2.0 * dl * dr + (m2 - 1.0) * dr / right)
+        if pz != 0.0:
+            edge *= z ** pz
+        if pw != 0.0:
+            edge *= w ** pw
+        p0, p1, p2 = _power_jet(edge, r - self.zmap.xi1, self.zmap.xi2 - r, m1, m2)
         u = self.dz_dr
         g0, g1, g2 = h[0], u * h[1], u * u * h[2]
-        return (p0 * g0, p1 * g0 + p0 * g1, p2 * g0 + 2.0 * p1 * g1 + p0 * g2)
+        jet = (p0 * g0, p1 * g0 + p0 * g1, p2 * g0 + 2.0 * p1 * g1 + p0 * g2)
+        if not all(map(math.isfinite, jet)):
+            raise DomainError(f"jet of member {m} at r={r!r} is not finite")
+        return jet
 
 
 def _shared_set(p: OdeParams, mu1: float, mu2: float,

@@ -32,6 +32,15 @@ EQUATIONS = [
     dict(a1=-1.0, b1=1.0, lam=2.0, xi1=0.0, xi2=2.0),  # the first, shifted
 ]
 
+# associated Legendre equations of order m = 2, whose upper roots
+# mu1 = mu2 = 1 make hat1 and breve1 (1 - r^2) times a polynomial; hat2 and
+# breve2 are DegenerateC there, so they stay out of EQUATIONS
+INTEGER_ORDERS = [
+    dict(a1=-2.0, c3=-4.0, lam=6.0),
+    dict(a1=-2.0, c3=-4.0, lam=12.0),
+    dict(a1=-2.0, b1=2.0, c3=-4.0, lam=6.0, xi1=0.0, xi2=2.0),  # the first, shifted
+]
+
 
 def params(**given):
     fields = dict(a1=0.0, b1=0.0, a2=0.0, b2=0.0, a3=0.0, b3=0.0, c3=0.0,
@@ -104,3 +113,27 @@ def test_branches_built_by_hand(given):
                 for order, (g, w) in enumerate(zip(got, exact_jet(br, r))):
                     err = float(abs(g - w) / (1 + abs(w)))
                     assert err <= END_BOUND, (given, bid, r, order, err)
+
+
+@pytest.mark.parametrize("given", INTEGER_ORDERS)
+def test_integer_order_jets_next_to_each_end(given):
+    # each edge exponent is 1: differentiating the edge factor as two powers
+    # cancels two 1/(end-r)^2 terms there, which put F'' off by up to 6e-8
+    p = params(**given)
+    exps = indicial_exponents(p)
+    mu1, mu2 = exps.mu1.second, exps.mu2.second
+    assert (mu1, mu2) == (1.0, 1.0)
+    built = []
+    for bid in BranchId:
+        try:
+            built.append(build_branch(p, mu1, mu2, bid))
+        except Error:
+            continue
+    assert [br.branch_id for br in built] == [BranchId.HAT1, BranchId.BREVE1]
+    for br in built:
+        for t in OFFSETS:
+            for r in (p.xi1 + t * p.width, p.xi2 - t * p.width):
+                got = value_and_derivatives(br, r)
+                for order, (g, w) in enumerate(zip(got, exact_jet(br, r))):
+                    err = float(abs(g - w) / (1 + abs(w)))
+                    assert err <= END_BOUND, (given, br.branch_id, r, order, err)

@@ -22,6 +22,7 @@ from hyplegendre import (
     residual,
 )
 from hyplegendre import hypergeom
+from hyplegendre import ode_solutions as ode
 from hyplegendre.ode_solutions import apply_operator, value_and_derivatives
 
 KINDS = (evaluate, value_and_derivatives)
@@ -111,24 +112,30 @@ def test_terminating_member_with_its_row_built():
 
 def test_held_point_sums_nothing(monkeypatch):
     # a row sums two series and two jets, the pair on the near side of
-    # z = 0.5, and the same row again at the same r sums none
-    calls = dict.fromkeys(("hyp2f1", "_hyp2f1_jet"), 0)
-    for name in calls:
+    # z = 0.5, and forms the geometry of r once; the same row again at the
+    # same r sums none and forms nothing
+    calls = dict.fromkeys(("hyp2f1", "_hyp2f1_jet", "_fresh"), 0)
+    for name in ("hyp2f1", "_hyp2f1_jet"):
         def counted(*args, _real=getattr(hypergeom, name), _name=name):
             calls[_name] += 1
             return _real(*args)
         monkeypatch.setattr(hypergeom, name, counted)
+
+    def fresh(*args, _real=ode._KummerSet._fresh):
+        calls["_fresh"] += 1
+        return _real(*args)
+    monkeypatch.setattr(ode._KummerSet, "_fresh", fresh)
     p, mu1, mu2, _ = next(dense_draws(5, 1))
     branches = build_all(p, mu1, mu2)
     assert all(br.hyp.terminating_degree is None for br in branches)
     for z in (0.3, 0.7):
         r = p.xi1 + z * p.width
-        for want in (2, 0):
+        for want, geometry in ((2, 1), (0, 0)):
             calls.update(dict.fromkeys(calls, 0))
             for br in branches:
                 evaluate(br, r)
                 value_and_derivatives(br, r)
-            assert calls == {"hyp2f1": want, "_hyp2f1_jet": want}, (z, want)
+            assert calls == {"hyp2f1": want, "_hyp2f1_jet": want, "_fresh": geometry}, (z, want)
 
 
 def plain_operator(p, r, f, f1, f2):

@@ -111,22 +111,27 @@ def row_jet(p, z):
 
 
 def own_jet(br, r):
+    """The jet of the branch alone: its row_jet times the edge factor and
+    z^extra_power, one power differentiated by the rule the set uses."""
     if not (br.map.xi1 < r < br.map.xi2):
         raise DomainError(f"r={r!r} outside the interval")
     left, right = r - br.map.xi1, br.map.xi2 - r
-    pref = left ** br.mu1 * right ** br.mu2
-    logd = br.mu1 / left - br.mu2 / right
-    logd2 = -br.mu1 / left ** 2 - br.mu2 / right ** 2
-    p1, p2 = pref * logd, pref * (logd * logd + logd2)
     z, u = br.map.z(r), br.map.dz_dr
-    h0, h1, h2 = row_jet(br.hyp, z)
     e = br.extra_power
-    if e != 0.0:  # z^e times the series, by the product rule
-        ze, de = z ** e, e * z ** (e - 1.0)
-        h0, h1, h2 = (ze * h0, de * h0 + ze * h1,
-                      e * (e - 1.0) * z ** (e - 2.0) * h0 + 2.0 * de * h1 + ze * h2)
+    pref = left ** br.mu1 * right ** br.mu2
+    if e != 0.0:
+        pref *= z ** e
+    if br.map.variant is ode.MapVariant.MAP_I:  # z vanishes at xi1
+        m1, m2 = br.mu1 + e, br.mu2
+    else:
+        m1, m2 = br.mu1, br.mu2 + e
+    p0, p1, p2 = ode._power_jet(pref, left, right, m1, m2)
+    h0, h1, h2 = row_jet(br.hyp, z)
     g0, g1, g2 = h0, u * h1, u * u * h2
-    return (pref * g0, p1 * g0 + pref * g1, p2 * g0 + 2.0 * p1 * g1 + pref * g2)
+    jet = (p0 * g0, p1 * g0 + p0 * g1, p2 * g0 + 2.0 * p1 * g1 + p0 * g2)
+    if not all(map(math.isfinite, jet)):
+        raise DomainError(f"jet at r={r!r} is not finite")
+    return jet
 
 
 def outcome(fn, *args):
