@@ -98,9 +98,9 @@ class Hyp2F1(_Frozen):
 
     What depends on the triple alone is built on first use and kept in the
     instance __dict__, where equality and hashing, which compare the fields
-    only, never see it: the shifted and Pfaff triples, the plan of its
-    Kummer set, the memo of series coefficients
-    c_k = (a)_k (b)_k / ((c)_k k!), and the cut tables of _cut.
+    only, never see it: the Pfaff triple, the plan of its Kummer set, the
+    memo of series coefficients c_k = (a)_k (b)_k / ((c)_k k!), and the cut
+    tables of _cut.
     The memo is a tuple of floats that every summation reads, and that the
     scan filling a cut entry (or a terminating sum) extends; it holds at most
     _MAX_TERMS + 1 entries, or for a terminating series degree + 1, fewer
@@ -134,11 +134,6 @@ class Hyp2F1(_Frozen):
                     f"lower parameter c={self.c!r} is a non-positive integer "
                     "reached by the series"
                 )
-
-    @cached_property
-    def _shifted(self) -> "Hyp2F1":
-        """(a+1, b+1; c+1), the triple of the derivative."""
-        return Hyp2F1(self.a + 1.0, self.b + 1.0, self.c + 1.0)
 
     @cached_property
     def _pfaff(self) -> "Hyp2F1":
@@ -257,10 +252,12 @@ class _KummerPlan:
     def routes(self, z: float, w: float) -> tuple:
         """The route table of the side of z = 1/2 that (z, w) is on (w = 1 - z
         formed apart): per member k, (k,) where k is summed on its own
-        variable (z for w1, w2, w for w3, w4), that is at most 0.5, at 1 or
-        where k terminates (Hyp2F1's rule, no triple built), else the pair of
-        k's row.  Keyed by (0.5 < z < 1, 0.5 < w < 1), each is built once."""
-        side = (_SERIES_SPLIT < z < 1.0) + 2 * (_SERIES_SPLIT < w < 1.0)
+        variable (z for w1, w2, w for w3, w4), that is at most 0.5, or where
+        k terminates (Hyp2F1's rule, no triple built), else the pair of k's
+        row, up to a variable of 1 beside a positive other (Gauss's value at
+        1 is left to a closed end, where the other is 0).  Keyed by
+        (0.5 < z and w > 0, 0.5 < w and z > 0), each is built once."""
+        side = (_SERIES_SPLIT < z and w > 0.0) + 2 * (_SERIES_SPLIT < w and z > 0.0)
         table = self._routes[side]
         if table is None:
             table = []
@@ -289,7 +286,7 @@ class _KummerPlan:
                 f = hyp2f1(t, x)
                 try:
                     found[m] = f * x ** e if e != 0.0 else f
-                except OverflowError as exc:
+                except (OverflowError, ZeroDivisionError) as exc:  # 0.0 ** e < 0 divides
                     raise DomainError(f"member power {x!r}**{e!r} leaves the float range") from exc
         return found
 
@@ -673,25 +670,17 @@ def _gauss_by_logs(c: float, cab: float, ca: float, cb: float) -> float:
 def _hyp2f1_jet(p: Hyp2F1, z: float) -> tuple[float, float, float]:
     """(F, F', F'') of 2F1(a,b;c;z), one series pass.
 
-    Covers what _KummerPlan.summed sums a member at: terminating series at
-    any finite z, and otherwise the direct series for |z| <= 0.5 and z = 1
-    itself, which z(r) rounds to next to an end point (Gauss's closed form
-    per order, so c-a-b > 2 is needed).  On 0.5 < z < 1 a member's jet is
-    its row over the pair on the other side (_KummerPlan.jet).  Any other z
-    raises DomainError.
+    Covers what _KummerPlan.summed sums a member's jet at: terminating
+    series at any finite z, and otherwise the direct series for |z| <= 0.5.
+    Past 1/2 a member's jet is its row over the pair on the other side
+    (_KummerPlan.jet), up to z = 1 itself, which z(r) rounds to next to an
+    end point.  Any other z raises DomainError.
     """
-    if not math.isfinite(z):
-        raise DomainError(f"argument must be finite, got z={z!r}")
-    if p.terminating_degree is not None:
+    if p.terminating_degree is not None and math.isfinite(z):
         return _jet(p, z, p.terminating_degree)
     if abs(z) <= _SERIES_SPLIT:
         return _jet(p, z, None)
-    if z == 1.0:
-        # d/dz F(a,b;c;z) = ab/c F(a+1,b+1;c+1;z), applied twice
-        q, ab_c = p._shifted, p.a * p.b / p.c
-        return (hyp2f1(p, z), ab_c * hyp2f1(q, z),
-                ab_c * (q.a * q.b / q.c * hyp2f1(q._shifted, z)))
-    raise DomainError(f"derivatives need |z| <= 0.5 or z = 1, got z={z!r}")
+    raise DomainError(f"derivatives need |z| <= 0.5 or a terminating series, got z={z!r}")
 
 
 def pfaff_transform(p: Hyp2F1) -> tuple[Hyp2F1, float]:

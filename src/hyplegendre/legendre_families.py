@@ -252,27 +252,30 @@ def generalized_solutions(
         F2 = (r-xi1)^mu1 (xi2-r)^(mu2+m) 2F1(-k+(n+m)/2, k+1+(n+m)/2; 1+m; zb)
 
     with zb = (xi2-r)/(xi2-xi1).  F2 is (r-xi1)^mu1 (xi2-r)^mu2 (xi2-xi1)^m
-    times w2 of F1's Kummer set: where its plan's routes give w2 by its row
-    (1/2 < zb < 1, unless F2 terminates), F2 and, unless w1 terminates, F1
-    (by hyp2f1's row) come from one pair (w3, w4) summed on 1 - zb.
-    The interval edges are admitted whenever the corresponding
-    prefactor power is nonnegative; a non-finite exponent raises
-    InvalidParams, a prefactor past the float range DomainError.
+    times w2 of F1's Kummer set, F1 its w1: where F1's plan routes them so
+    (past zb = 1/2, unless a series terminates) each is its row over one pair
+    (w3, w4) summed on w = (r-xi1)/(xi2-xi1) formed from r, else hyp2f1 at
+    zb.  The interval edges are admitted whenever the corresponding prefactor
+    power is nonnegative; a non-finite exponent raises InvalidParams, a
+    prefactor past the float range DomainError.
     """
     _check_finite(mu1, mu2)
     if not (p.xi1 <= r <= p.xi2):
         raise DomainError(f"r={r!r} outside [{p.xi1!r}, {p.xi2!r}]")
-    zb = (p.xi2 - r) / p.width
+    width, d1, d2 = p.width, r - p.xi1, p.xi2 - r
+    zb, w = d2 / width, d1 / width
     h1, h2 = t._first, t._second
-    left = _edge_power(r - p.xi1, mu1)
-    edge = left * _edge_power(p.xi2 - r, mu2)
+    left = _edge_power(d1, mu1)
+    edge = left * _edge_power(d2, mu2)
     plan = h1._plan
-    routes = plan.routes(zb, 1.0 - zb)
+    routes = plan.routes(zb, w)
     if routes[1] == (1,):
-        return edge * hyp2f1(h1, zb), left * _edge_power(p.xi2 - r, mu2 + t.m) * hyp2f1(h2, zb)
-    pair = plan.summed(1, routes[1], zb, 1.0 - zb, _UNKNOWN, False)  # row 1 before any sum
+        f1 = (hyp2f1(h1, zb) if routes[0] == (0,)
+              else plan.value(0, plan.summed(0, routes[0], zb, w, _UNKNOWN, False)))
+        return edge * f1, left * _edge_power(d2, mu2 + t.m) * hyp2f1(h2, zb)
+    pair = plan.summed(1, routes[1], zb, w, _UNKNOWN, False)  # row 1 before any sum
     f1 = hyp2f1(h1, zb) if routes[0] == (0,) else plan.value(0, pair)
-    return edge * f1, edge * plan.value(1, pair) * _edge_power(p.width, t.m)
+    return edge * f1, edge * plan.value(1, pair) * _edge_power(width, t.m)
 
 
 def kuipers_reduction_check(t: LegendreTriple, xi1: float, xi2: float, r: float) -> float:
@@ -293,8 +296,7 @@ def kuipers_reduction_check(t: LegendreTriple, xi1: float, xi2: float, r: float)
         # the points of one interval share F1's Kummer set, F1 its member w1
         if not (math.isfinite(xi1) and math.isfinite(xi2)):
             raise InvalidParams(f"interval ends must be finite, got ({xi1!r}, {xi2!r})")
-        h = t._first
-        kset = _KummerSet(h.a, h.b, h.c, t.n / 2.0, -t.m / 2.0,
+        kset = _KummerSet(t._first._plan, t.n / 2.0, -t.m / 2.0,
                           CoordinateMap(MapVariant.MAP_II, xi1, xi2))
         kept = t.__dict__["_kuipers"] = ((xi1, xi2), kset)
     f, f1, f2 = kept[1].jet(0, r)

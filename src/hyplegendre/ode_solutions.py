@@ -340,15 +340,15 @@ class _KummerSet:
 
     __slots__ = ("mu1", "mu2", "zmap", "dz_dr", "extra", "joined", "_plan", "_point")
 
-    def __init__(self, a: float, b: float, c: float, mu1: float, mu2: float,
-                 zmap: CoordinateMap, extra: float = 0.0, w_power: float | None = None) -> None:
+    def __init__(self, plan: _KummerPlan, mu1: float, mu2: float, zmap: CoordinateMap,
+                 extra: float = 0.0, w_power: float | None = None) -> None:
         self.mu1, self.mu2 = mu1, mu2
         self.zmap = zmap
         self.dz_dr = zmap.dz_dr
         self.extra = extra
-        self._plan = _KummerPlan(a, b, c)
+        self._plan = plan
         joined = []
-        for m, e in enumerate(self._plan.powers):
+        for m, e in enumerate(plan.powers):
             pz, pw = (extra + e, 0.0) if m < 2 else (extra, e)
             ez, ew = pz, (pw if m < 3 or w_power is None else w_power)
             if zmap.variant is MapVariant.MAP_II:  # z vanishes at xi2, w at xi1
@@ -389,7 +389,10 @@ class _KummerSet:
         if f is None:
             f = self._plan.value(k, known)
         if self.extra != 0.0:
-            f *= z ** self.extra
+            try:
+                f *= z ** self.extra
+            except ZeroDivisionError as exc:  # z underflowed to 0.0
+                raise DomainError(f"z^{self.extra!r} diverges at r={r!r}") from exc
         return edge * f
 
     def jet(self, k: int, r: float) -> tuple[float, float, float]:
@@ -420,10 +423,10 @@ class _KummerSet:
         if m > 1:  # a jet in w = 1 - z
             h = (h[0], -h[1], h[2])
         pz, pw, m1, m2 = self.joined[m]
-        if pz != 0.0:
-            edge *= z ** pz
-        if pw != 0.0:
-            edge *= w ** pw
+        try:
+            edge *= z ** pz * w ** pw  # x ** 0.0 is 1.0, at x = 0.0 too
+        except ZeroDivisionError as exc:  # z or w underflowed to 0.0
+            raise DomainError(f"power of member {m} diverges at r={r!r}") from exc
         p0, p1, p2 = _power_jet(edge, r - self.zmap.xi1, self.zmap.xi2 - r, m1, m2)
         u = self.dz_dr
         g0, g1, g2 = h[0], u * h[1], u * u * h[2]
@@ -439,7 +442,7 @@ def _shared_set(p: OdeParams, mu1: float, mu2: float,
     kept = p.__dict__.get("_kummer")
     if kept is None or kept[0] != (mu1, mu2):
         zmap = CoordinateMap(MapVariant.MAP_I, p.xi1, p.xi2)
-        kset = _KummerSet(a, b, c, mu1, mu2, zmap, w_power=1.0 - c_breve)
+        kset = _KummerSet(_KummerPlan(a, b, c), mu1, mu2, zmap, w_power=1.0 - c_breve)
         kept = p.__dict__["_kummer"] = ((mu1, mu2), kset)
     return kept[1]
 
@@ -449,7 +452,7 @@ def _member_of(s: SolutionBranch) -> tuple[_KummerSet, int]:
     here, on its first call."""
     found = s._member
     if found is None:
-        kset = _KummerSet(s.hyp.a, s.hyp.b, s.hyp.c, s.mu1, s.mu2, s.map, extra=s.extra_power)
+        kset = _KummerSet(s.hyp._plan, s.mu1, s.mu2, s.map, extra=s.extra_power)
         found = s.__dict__["_member"] = (kset, 0)
     return found
 
@@ -458,9 +461,10 @@ def _f_part(s: SolutionBranch, r: float) -> float:
     """z^extra_power * 2F1(...; z(r)), the branch without the edge prefactor."""
     z = s.map.z(r)
     f = hyp2f1(s.hyp, z)
-    if s.extra_power != 0.0:
-        f *= z ** s.extra_power
-    return f
+    try:
+        return f * z ** s.extra_power  # x ** 0.0 is 1.0, at x = 0.0 too
+    except ZeroDivisionError as exc:  # z underflowed to 0.0
+        raise DomainError(f"z^{s.extra_power!r} diverges at r={r!r}") from exc
 
 
 def evaluate(s: SolutionBranch, r: float) -> float:

@@ -31,7 +31,7 @@ REF_DPS = 40
 # two terms of like size, which costs up to ~2 digits at these points
 SERIES_BOUND = 1e-14
 CONNECTION_BOUND = 1e-12
-GAUSS_BOUND = 1e-12  # z = 1: products of four Lanczos gamma values
+END_BOUND = 1e-13  # the float next to an end, where z(r) rounds to 1
 
 
 def reference(a, b, c, z):
@@ -87,12 +87,13 @@ def test_agrees_with_value_and_shift_routes():
     for _ in range(300):
         p = Hyp2F1(rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0), rng.uniform(0.3, 4.0))
         z = rng.uniform(-0.5, 0.98)
-        q, ab_c = p._shifted, p.a * p.b / p.c  # d/dz F(a,b;c) = ab/c F(a+1,b+1;c+1)
+        # d/dz F(a,b;c) = ab/c F(a+1,b+1;c+1)
+        q, ab_c = Hyp2F1(p.a + 1.0, p.b + 1.0, p.c + 1.0), p.a * p.b / p.c
         try:
             want = (
                 hyp2f1(p, z),
                 ab_c * hyp2f1(q, z),
-                ab_c * (q.a * q.b / q.c * hyp2f1(q._shifted, z)),
+                ab_c * (q.a * q.b / q.c * hyp2f1(Hyp2F1(q.a + 1.0, q.b + 1.0, q.c + 1.0), z)),
             )
         except DegenerateCase:
             with pytest.raises(DegenerateCase):
@@ -125,27 +126,28 @@ class TestErrors:
 
     @pytest.mark.parametrize("z", [0.75, 1.0, 1.2, -0.8, -1.5, math.inf, math.nan])
     def test_domain(self, z):
-        # at z = 1, c-a-b = 0.8 gives F but not F' or F''; on 0.5 < z < 1 the
-        # Kummer set forms the row itself
+        # past 1/2, z = 1 included, the Kummer set forms the row itself
         with pytest.raises(DomainError):
             _hyp2f1_jet(Hyp2F1(0.4, 0.7, 1.9), z)
 
     def test_branch_at_rounded_end_point(self):
-        # next to xi2, z(r) rounds to exactly 1; with c-a-b > 2 all three
-        # orders are finite there (Gauss's sum)
+        # next to xi2, z(r) rounds to exactly 1 while w = (xi2 - r)/2 is
+        # exact: the branch is its row over the pair summed at w, the jet
+        # of the point's own z, not Gauss's at 1
         a, b, c = 0.3, 0.4, 3.5
         br = _bare_branch(Hyp2F1(a, b, c), -1.0, 1.0)
         r = math.nextafter(1.0, 0.0)
         assert br.map.z(r) == 1.0
         got = value_and_derivatives(br, r)
         with mpmath.workdps(REF_DPS):
-            want = [mpmath.hyp2f1(a, b, c, 1),
-                    a * b / c * mpmath.hyp2f1(a + 1, b + 1, c + 1, 1),
+            z = (mpmath.mpf(r) + 1) / 2
+            want = [mpmath.hyp2f1(a, b, c, z),
+                    a * b / c * mpmath.hyp2f1(a + 1, b + 1, c + 1, z),
                     a * b * (a + 1) * (b + 1) / (c * (c + 1))
-                    * mpmath.hyp2f1(a + 2, b + 2, c + 2, 1)]
+                    * mpmath.hyp2f1(a + 2, b + 2, c + 2, z)]
         for order, (g, w) in enumerate(zip(got, want)):
             dz = 2.0 ** -order  # dz/dr = 1/2 on (-1, 1)
-            assert abs(g - dz * w) <= GAUSS_BOUND * abs(dz * w), order
+            assert abs(g - dz * w) <= END_BOUND * abs(dz * w), order
 
     def test_terminating_any_finite_z(self):
         p = Hyp2F1(-2.0, 3.0, 1.0)  # 1 - 6z + 6z^2

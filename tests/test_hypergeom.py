@@ -278,8 +278,6 @@ class TestHyp2F1Eval:
         p = Hyp2F1(-600.5, -600.5, 1.0)
         with pytest.raises(DomainError, match="float range"):
             hyp2f1(p, 1.0)
-        with pytest.raises(DomainError, match="float range"):
-            _hyp2f1_jet(p, 1.0)
 
     @pytest.mark.parametrize("a, b, c", [
         (-200.5, 0.25, 0.5),  # Gamma(200.75) overflows, 1/Gamma(201) underflows
@@ -291,15 +289,10 @@ class TestHyp2F1Eval:
     def test_gauss_point_with_a_gamma_past_the_float_range(self, a, b, c):
         # the value itself is a float: formed from lgamma and the signs
         with mpmath.workdps(40):
-            want = [float(mpmath.hyp2f1(a, b, c, 1)),
-                    float(a * b / c * mpmath.hyp2f1(a + 1, b + 1, c + 1, 1)),
-                    float(a * b * (a + 1) * (b + 1) / (c * (c + 1))
-                          * mpmath.hyp2f1(a + 2, b + 2, c + 2, 1))]
+            want = [float(mpmath.hyp2f1(a, b, c, 1))]
         p = Hyp2F1(a, b, c)
         got = hyp2f1(p, 1.0)
         assert abs(got - want[0]) <= 1e-11 * abs(want[0]) and (got == 0.0) == (want[0] == 0.0)
-        for order, (g, w) in enumerate(zip(_hyp2f1_jet(p, 1.0), want)):
-            assert abs(g - w) <= 1e-11 * abs(w), order
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
@@ -435,8 +428,7 @@ class TestConnectionPlan:
     def test_equality_and_hash_ignore_plan(self):
         p, q = Hyp2F1(0.4, 0.7, 1.9), Hyp2F1(0.4, 0.7, 1.9)
         hyp2f1(p, 0.8)
-        hyp2f1(p._shifted, 0.3)  # the shift rule's triple, as the z = 1 jet takes it
-        assert "_plan" in vars(p) and "_shifted" in vars(p)
+        assert "_plan" in vars(p)
         assert p == q and hash(p) == hash(q)
         assert {p: "x"}[q] == "x"
         assert p != Hyp2F1(0.4, 0.7, 2.0)

@@ -14,12 +14,14 @@ from hyplegendre import (
     DomainError,
     Error,
     Hyp2F1,
+    LegendreTriple,
     OdeParams,
     build_branch,
     connection_check,
     evaluate,
     hyp2f1,
     indicial_exponents,
+    kuipers_reduction_check,
     residual,
 )
 from hyplegendre import hypergeom
@@ -59,48 +61,95 @@ def dense_draws(seed, sets):
         yield p, exps.mu1.second, exps.mu2.second, rnd
 
 
+def exact_members(p, mu1, mu2, r):
+    """(left, right, width, members) at r at the working precision, every
+    exponent and parameter formed from p, mu1 and mu2 as the equation
+    defines them: per branch, its triple, the power of its own variable it
+    carries, and whether that variable is z."""
+    f = {k: mpmath.mpf(getattr(p, k)) for k in ("a1", "b1", "a3", "lam", "xi1", "xi2")}
+    mu1, mu2, r = mpmath.mpf(mu1), mpmath.mpf(mu2), mpmath.mpf(r)
+    d = f["xi2"] - f["xi1"]
+    s = mpmath.sqrt(f["lam"] - f["a3"] + ((f["a1"] + 1) / 2) ** 2)
+    mid = mu1 + mu2 - (f["a1"] + 1) / 2
+    lo, hi = mid - s, mid + s
+    c_hat = 2 * mu1 + (f["a1"] * f["xi1"] + f["b1"]) / d
+    c_breve = 2 * mu2 - (f["a1"] * f["xi2"] + f["b1"]) / d
+    return r - f["xi1"], f["xi2"] - r, d, [
+        ((lo, hi, c_hat), 0, True),
+        ((lo - c_hat + 1, hi - c_hat + 1, 2 - c_hat), 1 - c_hat, True),
+        ((hi, lo, c_breve), 0, False),
+        ((lo - c_breve + 1, hi - c_breve + 1, 2 - c_breve), 1 - c_breve, False),
+    ]
+
+
 def exact_branches(p, mu1, mu2, r):
-    """The four branch values at r at 40 digits, every exponent and
-    parameter formed from p, mu1 and mu2 as the equation defines them."""
+    """The four branch values at r at 40 digits."""
     with mpmath.workdps(REF_DPS):
-        f = {k: mpmath.mpf(getattr(p, k)) for k in ("a1", "b1", "a3", "lam", "xi1", "xi2")}
-        mu1, mu2, r = mpmath.mpf(mu1), mpmath.mpf(mu2), mpmath.mpf(r)
-        d = f["xi2"] - f["xi1"]
-        s = mpmath.sqrt(f["lam"] - f["a3"] + ((f["a1"] + 1) / 2) ** 2)
-        mid = mu1 + mu2 - (f["a1"] + 1) / 2
-        lo, hi = mid - s, mid + s
-        c_hat = 2 * mu1 + (f["a1"] * f["xi1"] + f["b1"]) / d
-        c_breve = 2 * mu2 - (f["a1"] * f["xi2"] + f["b1"]) / d
-        z, w = (r - f["xi1"]) / d, (f["xi2"] - r) / d
-        edge = (r - f["xi1"]) ** mu1 * (f["xi2"] - r) ** mu2
+        left, right, d, members = exact_members(p, mu1, mu2, r)
+        edge = left ** mpmath.mpf(mu1) * right ** mpmath.mpf(mu2)
+        out = []
+        for (a, b, c), e, on_z in members:
+            x = (left if on_z else right) / d
+            out.append(edge * x ** e * mpmath.hyp2f1(a, b, c, x))
+        return out
+
+
+def exact_branch_jets(p, mu1, mu2, r):
+    """The four branches' (F, F', F'') at r at 40 digits, differentiated in
+    closed form: the power's by its logarithmic derivative, the 2F1's by
+    d/dx F(a,b;c;x) = ab/c F(a+1,b+1;c+1;x)."""
+    with mpmath.workdps(REF_DPS):
+        left, right, d, members = exact_members(p, mu1, mu2, r)
         h = mpmath.hyp2f1
-        return [
-            edge * h(lo, hi, c_hat, z),
-            edge * z ** (1 - c_hat) * h(lo - c_hat + 1, hi - c_hat + 1, 2 - c_hat, z),
-            edge * h(hi, lo, c_breve, w),
-            edge * w ** (1 - c_breve) * h(lo - c_breve + 1, hi - c_breve + 1, 2 - c_breve, w),
-        ]
+        out = []
+        for (a, b, c), e, on_z in members:
+            x, dx = (left / d, 1 / d) if on_z else (right / d, -1 / d)
+            m1, m2 = mpmath.mpf(mu1) + (e if on_z else 0), mpmath.mpf(mu2) + (0 if on_z else e)
+            p0 = left ** mpmath.mpf(mu1) * right ** mpmath.mpf(mu2) * x ** e
+            q = m1 / left - m2 / right
+            p1, p2 = p0 * q, p0 * (q * q - m1 / left ** 2 - m2 / right ** 2)
+            g0 = h(a, b, c, x)
+            g1 = a * b / c * h(a + 1, b + 1, c + 1, x) * dx
+            g2 = a * b * (a + 1) * (b + 1) / (c * (c + 1)) * h(a + 2, b + 2, c + 2, x) * dx ** 2
+            out.append((p0 * g0, p1 * g0 + p0 * g1, p2 * g0 + 2 * p1 * g1 + p0 * g2))
+        return out
+
+
+def own_variables(br, r):
+    """(z, w) at r, each formed from r as a Kummer set forms them."""
+    left, right, d = r - br.map.xi1, br.map.xi2 - r, br.map.xi2 - br.map.xi1
+    if br.map.variant is ode.MapVariant.MAP_I:
+        return left / d, right / d
+    return right / d, left / d
 
 
 def own_value(br, r):
     """The branch alone from its own triple: the route every branch took
-    before the four shared a set, and the one connection_check takes."""
+    before the four shared a set, and the one connection_check takes, save
+    where z rounds to 1 and w is positive: there, as past 1/2 elsewhere, a
+    non-terminating branch is w1's row over the pair summed at w."""
     if not (br.map.xi1 < r < br.map.xi2):
         raise DomainError(f"r={r!r} outside the interval")
     pref = (r - br.map.xi1) ** br.mu1 * (br.map.xi2 - r) ** br.mu2
+    z, w = own_variables(br, r)
+    if z == 1.0 and w > 0.0 and br.hyp.terminating_degree is None:
+        plan = br.hyp._plan
+        return pref * plan.value(0, plan.summed(0, (2, 3), z, w, _UNKNOWN, False))
     return pref * ode._f_part(br, r)
 
 
-def row_jet(p, z):
-    """(F, F', F'') of 2F1(a,b;c;z): _hyp2f1_jet, and on 0.5 < z < 1 the row
-    of w1 over w3 = F(near; w) and w4 = w^e F(far; w), w = 1 - z, each
-    summed on w, the power taken by the product rule; d/dz = -d/dw."""
-    if not (0.5 < z < 1.0) or p.terminating_degree is not None:
+def row_jet(p, z, w=None):
+    """(F, F', F'') of 2F1(a,b;c;z): _hyp2f1_jet, and past 1/2 while w > 0
+    the row of w1 over w3 = F(near; w) and w4 = w^e F(far; w), w = 1 - z
+    unless given, each summed on w, the power taken by the product rule;
+    d/dz = -d/dw."""
+    if w is None:
+        w = 1.0 - z
+    if not (0.5 < z and w > 0.0) or p.terminating_degree is not None:
         return _hyp2f1_jet(p, z)
     plan = p._plan
     plan.row(0)  # a degenerate row raises before any series is summed
     near, far, e = plan.triple(2), plan.triple(3), plan.powers[3]
-    w = 1.0 - z
     u = _hyp2f1_jet(near, w)
     v0, v1, v2 = _hyp2f1_jet(far, w)
     we, de = w ** e, e * w ** (e - 1.0)
@@ -112,21 +161,24 @@ def row_jet(p, z):
 
 def own_jet(br, r):
     """The jet of the branch alone: its row_jet times the edge factor and
-    z^extra_power, one power differentiated by the rule the set uses."""
+    z^extra_power, one power differentiated by the rule the set uses; where
+    z rounds to 1, the row over the pair at w formed from r."""
     if not (br.map.xi1 < r < br.map.xi2):
         raise DomainError(f"r={r!r} outside the interval")
     left, right = r - br.map.xi1, br.map.xi2 - r
-    z, u = br.map.z(r), br.map.dz_dr
+    (z, w), u = own_variables(br, r), br.map.dz_dr
     e = br.extra_power
     pref = left ** br.mu1 * right ** br.mu2
     if e != 0.0:
+        if z == 0.0 and e < 0.0:
+            raise DomainError(f"z^{e!r} diverges at r={r!r}")
         pref *= z ** e
     if br.map.variant is ode.MapVariant.MAP_I:  # z vanishes at xi1
         m1, m2 = br.mu1 + e, br.mu2
     else:
         m1, m2 = br.mu1, br.mu2 + e
     p0, p1, p2 = ode._power_jet(pref, left, right, m1, m2)
-    h0, h1, h2 = row_jet(br.hyp, z)
+    h0, h1, h2 = row_jet(br.hyp, z, w if z == 1.0 else None)
     g0, g1, g2 = h0, u * h1, u * u * h2
     jet = (p0 * g0, p1 * g0 + p0 * g1, p2 * g0 + 2.0 * p1 * g1 + p0 * g2)
     if not all(map(math.isfinite, jet)):
@@ -216,8 +268,8 @@ def test_dense_box_against_mpmath():
 
 def test_values_next_to_each_end():
     # w = 1 - z formed from r itself: the branch that reaches z -> 1 keeps
-    # its digits where 1 - z would keep none (z = 1 itself, a few ulps
-    # closer, keeps Gauss's route and its DomainError)
+    # its digits where 1 - z would keep none (test_floats_next_to_each_end
+    # goes on to where z rounds to 1 itself)
     for p, mu1, mu2, _ in dense_draws(21, 12):
         branches = build_all(p, mu1, mu2)
         for t in (1e-13, 1e-9):
@@ -226,6 +278,31 @@ def test_values_next_to_each_end():
                 for br, ref in zip(branches, want):
                     got = evaluate(br, r)
                     assert abs(got - ref) <= VALUE_BOUND * abs(ref), (p, br.branch_id, r)
+
+
+# |got - want| <= END_BOUND (1 + |want|) for F, F' and F''
+END_BOUND = 1e-12
+
+
+def test_floats_next_to_each_end():
+    # the three floats inside each end, on both root pairs: where z or w
+    # rounds to 1 while the other, formed from r, is positive, a member is
+    # its row over the pair summed there, as anywhere past 1/2
+    for p, upper1, upper2, _ in dense_draws(21, 12):
+        exps = indicial_exponents(p)
+        for mu1, mu2 in ((upper1, upper2), (exps.mu1.first, exps.mu2.first)):
+            branches = build_all(p, mu1, mu2)
+            for end, inward in ((p.xi1, math.inf), (p.xi2, -math.inf)):
+                r = end
+                for _ in range(3):
+                    r = math.nextafter(r, inward)
+                    values = exact_branches(p, mu1, mu2, r)
+                    jets = exact_branch_jets(p, mu1, mu2, r)
+                    for br, ref, want in zip(branches, values, jets):
+                        got = (evaluate(br, r),) + value_and_derivatives(br, r)
+                        for order, (g, w) in enumerate(zip(got, (ref,) + want)):
+                            err = float(abs(g - w) / (1 + abs(w)))
+                            assert err <= END_BOUND, (p, mu1, mu2, br.branch_id, r, order, err)
 
 
 def test_connection_check_reads_each_branch_alone():
@@ -243,6 +320,18 @@ def test_connection_check_reads_each_branch_alone():
         assert rhs == g * (alpha * alone(breve1, r) - beta * alone(breve2, r))
         evaluate(breve1, r)
         assert connection_check(p, mu1, mu2, r) == (lhs, rhs)
+
+
+def test_set_built_on_a_triple_takes_its_plan():
+    # a set built on a triple, by hand or by the Kuipers check, reads the
+    # rows that hyp2f1 and generalized_solutions keep on that triple
+    zmap = ode.CoordinateMap(ode.MapVariant.MAP_I, -1.0, 1.0)
+    by_hand = ode.SolutionBranch(mu1=0.3, mu2=-0.2, extra_power=0.0, hyp=Hyp2F1(0.4, 0.7, 1.9),
+                                 map=zmap, branch_id=BranchId.HAT1)
+    assert ode._member_of(by_hand)[0]._plan is by_hand.hyp._plan
+    t = LegendreTriple(k=1.7, m=0.3, n=0.4)
+    kuipers_reduction_check(t, -1.0, 1.0, 0.3)
+    assert t.__dict__["_kuipers"][1]._plan is t._first._plan
 
 
 class TestSharedMemo:
@@ -384,9 +473,11 @@ def test_error_types_match_the_branch_alone():
                                 seen.add(want.__name__)
                             else:
                                 assert not isinstance(got, type), (p, br.branch_id, r, got)
-    # the sweep reaches every error class a branch can meet
-    assert {"DegenerateC", "DegenerateCase", "DomainError",
-            "ZeroDivisionError", "PoleError"} <= seen
+    # the sweep reaches every error class a branch can meet, each typed; a
+    # gamma pole is always met as a degenerate row first (PoleError came
+    # from Gauss's value at z = 1 of a jet's shifted triple alone)
+    assert {"DegenerateC", "DegenerateCase", "DomainError"} <= seen
+    assert not seen & {"ZeroDivisionError", "PoleError"}
 
 
 def test_each_branch_triple_is_the_one_its_set_sums():

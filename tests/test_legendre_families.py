@@ -25,7 +25,6 @@ from hyplegendre import (
     universal_sum,
 )
 from hyplegendre import hypergeom
-from hyplegendre.hypergeom import hyp2f1
 from hyplegendre.legendre_families import universal_sum_derivatives
 from hyplegendre.ode_solutions import root_residual
 
@@ -167,20 +166,26 @@ def _pair_route_points():
     return points
 
 
+def exact_solutions(t, mu1, mu2, p, r):
+    """(F1, F2) at r from mpmath at 30 digits, every parameter and zb formed
+    from the floats given."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        k, m, n = map(mpmath.mpf, (t.k, t.m, t.n))
+        x, xi1, xi2 = map(mpmath.mpf, (r, p.xi1, p.xi2))
+        zb = (xi2 - x) / (xi2 - xi1)
+        edge = (x - xi1) ** mu1 * (xi2 - x) ** mu2
+        f1 = edge * mpmath.hyp2f1(-k + (n - m) / 2, k + 1 + (n - m) / 2, 1 - m, zb)
+        f2 = (edge * (xi2 - x) ** m
+              * mpmath.hyp2f1(-k + (n + m) / 2, k + 1 + (n + m) / 2, 1 + m, zb))
+        return float(f1), float(f2)
+
+
 @pytest.fixture(scope="module")
 def pair_route_table():
-    """The sweep's points with F2 from mpmath at 30 digits, built once."""
-    mpmath = pytest.importorskip("mpmath")
-    table = []
-    with mpmath.workdps(30):
-        for t, mu1, mu2, p, r in _pair_route_points():
-            k, m, n = map(mpmath.mpf, (t.k, t.m, t.n))
-            x, xi1, xi2 = map(mpmath.mpf, (r, p.xi1, p.xi2))
-            zb = (xi2 - x) / (xi2 - xi1)
-            f2 = ((x - xi1) ** mu1 * (xi2 - x) ** (mu2 + m)
-                  * mpmath.hyp2f1(-k + (n + m) / 2, k + 1 + (n + m) / 2, 1 + m, zb))
-            table.append((t, mu1, mu2, p, r, float(f2)))
-    return table
+    """The sweep's points with F1 and F2 from mpmath, built once."""
+    return [(t, mu1, mu2, p, r, *exact_solutions(t, mu1, mu2, p, r))
+            for t, mu1, mu2, p, r in _pair_route_points()]
 
 
 class TestKummerPairRoute:
@@ -188,13 +193,25 @@ class TestKummerPairRoute:
     F2's series terminates."""
 
     def test_f1_unchanged_f2_within_bound(self, pair_route_table):
-        # F1 is its prefactor times hyp2f1's value, bit for bit; F2 is
-        # within 1e-11 (1 + |F|) of mpmath
-        for t, mu1, mu2, p, r, want in pair_route_table:
+        # F1 and F2 are each within 1e-11 (1 + |F|) of mpmath; past zb = 1/2
+        # F1 is w1's row on w formed from r, not hyp2f1's on 1 - zb
+        for t, mu1, mu2, p, r, want1, want2 in pair_route_table:
             f1, f2 = generalized_solutions(t, mu1, mu2, p, r)
-            zb = (p.xi2 - r) / p.width
-            assert f1 == (r - p.xi1) ** mu1 * (p.xi2 - r) ** mu2 * hyp2f1(t._first, zb)
-            assert abs(f2 - want) <= 1e-11 * (1.0 + abs(want)), (t, p.xi1, r)
+            assert abs(f1 - want1) <= 1e-11 * (1.0 + abs(want1)), (t, p.xi1, r)
+            assert abs(f2 - want2) <= 1e-11 * (1.0 + abs(want2)), (t, p.xi1, r)
+
+    def test_w_formed_from_r_next_to_xi1(self):
+        # the families box at r = -1 + 10^U(-12, -6): zb rounds next to 1,
+        # so a pair summed on 1 - zb would lose up to 1e-5 there unseen
+        rnd = random.Random(7)
+        for _ in range(300):
+            k, m = rnd.uniform(0.2, 6.0), rnd.uniform(-0.9, 0.9)
+            n = rnd.choice((-1.0, 1.0)) * rnd.uniform(0.05, 0.95)
+            r = -1.0 + 10.0 ** rnd.uniform(-12.0, -6.0)
+            t, p = LegendreTriple(k, m, n), classical_params(k)
+            got = generalized_solutions(t, n / 2.0, -m / 2.0, p, r)
+            for g, w in zip(got, exact_solutions(t, n / 2.0, -m / 2.0, p, r)):
+                assert abs(g - w) <= 1e-10 * (1.0 + abs(w)), (k, m, n, r)
 
     def test_series_per_point(self, monkeypatch):
         # a generic pair sums 2 non-terminating series at zb = 0.7 (4 when

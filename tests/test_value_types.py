@@ -176,7 +176,7 @@ class TestConstructionCount:
     def test_each_construction_counts_once(self, count):
         p = Hyp2F1(0.4, 0.7, 1.9)
         assert count[0] == 1
-        for name in ("_shifted", "_pfaff"):
+        for name in ("_pfaff",):
             before = count[0]
             getattr(p, name)
             getattr(p, name)  # kept: no second construction
