@@ -44,6 +44,8 @@ EXIT_NUMERICAL = 4
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a writer a closed pipe ended
 
 _MAX_GRID_POINTS = 1_000_000  # every row is built before any is printed
+_CHUNK_ROWS = 1024  # rows per write to stdout
+_SLOTS = {float: "%.17g", int: "%s", str: "%s"}  # exact types whose %-slot prints _cell's text
 
 
 def fmt17(x: float) -> str:
@@ -62,23 +64,41 @@ def _cell(value, fmt: str) -> str:
 
 
 def emit_table(headers: list[str], rows: list[tuple], fmt: str) -> None:
-    if fmt == "csv":
-        print(",".join(headers))
-        for row in rows:
-            print(",".join(_cell(v, fmt) for v in row))
-    elif fmt == "json":
-        body = []
-        for row in rows:
-            fields = ", ".join(
-                f"{json.dumps(h)}: {_cell(v, fmt)}" for h, v in zip(headers, row)
-            )
-            body.append("  {" + fields + "}")
-        print("[\n" + ",\n".join(body) + "\n]")
+    """Print a table whose rows have one cell per header on stdout.  Each
+    row type signature gets one %-template per table: _SLOTS' slot for an
+    exact float, int or (outside JSON) str, else %s filled by _cell.  Text
+    is padded by one width template; each write takes _CHUNK_ROWS rows."""
+    keys = [json.dumps(h).replace("%", "%%") + ": " if fmt == "json" else "" for h in headers]
+    head, lead, sep, tail = (("[\n", "", ",\n", "\n]\n") if fmt == "json"
+                             else (",".join(headers), "\n", "\n", "\n"))
+    forms = {}
+
+    def form(row):
+        """The row's template (its slots in text) and the values that fill it."""
+        types = tuple(map(type, row))
+        if types not in forms:
+            slots = [None if t is str and fmt == "json" else _SLOTS.get(t) for t in types]
+            keyed = [k + (s or "%s") for k, s in zip(keys, slots)]
+            if fmt != "text":
+                keyed = "  {%s}" % ", ".join(keyed) if fmt == "json" else ",".join(keyed)
+            forms[types] = keyed, (None if all(slots) else slots)
+        template, rare = forms[types]
+        return template, row if rare is None else tuple(
+            v if s else _cell(v, fmt) for s, v in zip(rare, row))
+
+    if fmt == "text":
+        rows = [[s % v for s, v in zip(*form(row))] for row in rows]
+        padded = "  ".join(f"%-{max(map(len, column))}s" for column in zip(headers, *rows))
+        head = (padded % tuple(headers)).rstrip()
+        line = lambda cells: (padded % tuple(cells)).rstrip()
     else:
-        cells = [headers] + [[_cell(v, fmt) for v in row] for row in rows]
-        widths = [max(len(r[i]) for r in cells) for i in range(len(headers))]
-        for r in cells:
-            print("  ".join(val.ljust(w) for val, w in zip(r, widths)).rstrip())
+        line = lambda row: str.__mod__(*form(row))
+    write = sys.stdout.write
+    write(head)
+    for i in range(0, len(rows), _CHUNK_ROWS):
+        write(lead + sep.join(map(line, rows[i:i + _CHUNK_ROWS])))
+        lead = sep
+    write(tail)
 
 
 def _finite(rows: list[tuple]) -> list[tuple]:

@@ -1,13 +1,27 @@
+import io
 import json
+import math
 import operator
+import random
+import struct
 import subprocess
 import sys
 import time
+from contextlib import redirect_stdout
 
 import pytest
 
 from hyplegendre import BranchId, OdeParams, build_branch, indicial_exponents
-from hyplegendre.cli import _MAX_GRID_POINTS, EXIT_BROKEN_PIPE, fmt17, parse_grid
+from hyplegendre.cli import (
+    _CHUNK_ROWS,
+    _MAX_GRID_POINTS,
+    _SLOTS,
+    EXIT_BROKEN_PIPE,
+    _cell,
+    emit_table,
+    fmt17,
+    parse_grid,
+)
 from hyplegendre.errors import InvalidParams, ParseError
 from hyplegendre.ode_solutions import _member_of
 
@@ -89,10 +103,110 @@ class TestGridParsing:
         assert time.monotonic() - start < 10.0
 
 
+def reference_table(headers, rows, fmt):
+    """emit_table as it was before its row templates: every cell through
+    _cell, and one print per line."""
+    if fmt == "csv":
+        print(",".join(headers))
+        for row in rows:
+            print(",".join(_cell(v, fmt) for v in row))
+    elif fmt == "json":
+        body = []
+        for row in rows:
+            fields = ", ".join(
+                f"{json.dumps(h)}: {_cell(v, fmt)}" for h, v in zip(headers, row)
+            )
+            body.append("  {" + fields + "}")
+        print("[\n" + ",\n".join(body) + "\n]")
+    else:
+        cells = [headers] + [[_cell(v, fmt) for v in row] for row in rows]
+        widths = [max(len(r[i]) for r in cells) for i in range(len(headers))]
+        for r in cells:
+            print("  ".join(val.ljust(w) for val, w in zip(r, widths)).rstrip())
+
+
+def printed(table, headers, rows, fmt):
+    with redirect_stdout(io.StringIO()) as out:
+        table(headers, rows, fmt)
+    return out.getvalue()
+
+
+class Halved(float):
+    """A float subclass whose float() is not itself: only _cell prints it."""
+
+    def __float__(self):
+        return float.__float__(self) / 2.0
+
+
+SPECIAL_FLOATS = (0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324,
+                  2.2250738585072014e-308, 1.7976931348623157e308, 1e16, 1e17, 0.1)
+TEXTS = ("", "a,b", 'say "hi"', "back\\slash", "%s %d %%", "Ωμέγα", "日本", " pad ",
+         "tab\tend", "max", "{}", "\u00e9\u0301")
+
+
+def random_float(rnd):
+    return struct.unpack("<d", rnd.getrandbits(64).to_bytes(8, "little"))[0]
+
+
+def random_cell(rnd, kind):
+    if kind == "float":
+        return rnd.choice(SPECIAL_FLOATS) if rnd.random() < 0.2 else random_float(rnd)
+    if kind == "int":
+        return rnd.choice((0, -7, 2**64, -(2**64) - 1, rnd.getrandbits(100) - 2**99))
+    if kind == "bool":
+        return rnd.random() < 0.5
+    if kind == "str":
+        return rnd.choice(TEXTS)
+    return Halved(random_float(rnd))
+
+
+def random_table(rnd):
+    """Headers and rows whose columns mostly keep one kind of cell, so that
+    row type signatures repeat, with cells of other kinds mixed in."""
+    kinds = ("float", "int", "bool", "str", "subclass")
+    width = rnd.randint(1, 6)
+    headers = [rnd.choice(TEXTS + ("r", "hat1", "max_err")) for _ in range(width)]
+    columns = [rnd.choice(kinds) for _ in range(width)]
+    count = rnd.choice((0, 1, 2, 3, 17, 40))
+    rows = [tuple(random_cell(rnd, rnd.choice(kinds) if rnd.random() < 0.15 else kind)
+                  for kind in columns) for _ in range(count)]
+    return headers, rows
+
+
 class TestFormatting:
     def test_17_digits_round_trip(self):
         for x in (0.1, -0.3, 1.0 / 3.0, 2.5e-11, 123456.789):
             assert float(fmt17(x)) == x
+
+    def test_slots_print_what_cell_prints(self):
+        # the exact types emit_table formats by template, outside _cell
+        rnd = random.Random(24)
+        floats = [random_float(rnd) for _ in range(100_000)] + list(SPECIAL_FLOATS)
+        for x in floats:
+            assert _SLOTS[float] % x == _cell(x, "csv")
+        for i in (0, 1, -1, 2**64, -(2**64) - 1, 10**300):
+            assert _SLOTS[int] % i == _cell(i, "json")
+        for text in TEXTS:
+            assert _SLOTS[str] % text == _cell(text, "csv") == _cell(text, "text")
+
+    @pytest.mark.parametrize("fmt", ["csv", "json", "text"])
+    def test_tables_match_the_reference(self, fmt):
+        rnd = random.Random(f"emit_table {fmt}")
+        tables = [random_table(rnd) for _ in range(2000)]
+        tables.append((["r", "value"], []))
+        for headers, rows in tables:
+            assert printed(emit_table, headers, rows, fmt) == printed(
+                reference_table, headers, rows, fmt), (headers, rows)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json", "text"])
+    def test_tables_past_a_chunk_match_the_reference(self, fmt):
+        rnd = random.Random(f"chunks {fmt}")
+        headers = ["r", "label", "flag"]
+        for count in (_CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 1, 2 * _CHUNK_ROWS + 5):
+            rows = [(random_float(rnd), rnd.choice(TEXTS), rnd.random() < 0.5)
+                    for _ in range(count - 1)] + [("max", 1.5, 3)]
+            assert printed(emit_table, headers, rows, fmt) == printed(
+                reference_table, headers, rows, fmt)
 
 
 class TestSolveCommand:
@@ -251,14 +365,15 @@ class TestNonFiniteValues:
         assert res.stderr.startswith("error: InvalidParams") and f"'{key}'" in res.stderr
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json", "text"])
 class TestClosedStdout:
     UNIVERSAL = ("legendre", "universal", "--ell", "9.5", "--mprime", "1.5")
 
-    def piped(self, grid, lines):
+    def piped(self, grid, lines, fmt):
         """The exit code and stderr of the CLI when its reader takes `lines`
         lines of stdout and closes it, as `| head -1` does."""
         proc = subprocess.Popen([sys.executable, "-m", "hyplegendre", *self.UNIVERSAL,
-                                 f"--grid={grid}"],
+                                 f"--grid={grid}", "--format", fmt],
                                 stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
         for _ in range(lines):
             proc.stdout.readline()
@@ -267,14 +382,14 @@ class TestClosedStdout:
         proc.stderr.close()
         return proc.wait(timeout=120), err
 
-    def test_closed_while_printing(self):
-        # about 900 KB of table, past any pipe buffer: print itself fails
-        code, err = self.piped("-0.99:0.99:20000", 1)
+    def test_closed_while_printing(self, fmt):
+        # 20,000 rows, many chunks and past any pipe buffer: a write fails
+        code, err = self.piped("-0.99:0.99:20000", 1, fmt)
         assert (code, err) == (EXIT_BROKEN_PIPE, "")
 
-    def test_closed_before_the_first_write(self):
+    def test_closed_before_the_first_write(self, fmt):
         # three rows stay in stdout's buffer until the flush that fails
-        code, err = self.piped("-0.99:0.99:3", 0)
+        code, err = self.piped("-0.99:0.99:3", 0, fmt)
         assert (code, err) == (EXIT_BROKEN_PIPE, "")
 
 
