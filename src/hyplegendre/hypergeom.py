@@ -18,7 +18,6 @@ import math
 import sys
 from array import array
 from functools import cached_property
-from itertools import islice
 from operator import attrgetter
 
 from .errors import DegenerateCase, DomainError, InvalidParams, NoConvergence, PoleError
@@ -35,7 +34,6 @@ _FLOOR_PER_TOTAL = _REL_TOL / _CANCEL_TOL * (1.0 + 2.0 ** -20)
 
 _SERIES_SPLIT = 0.5  # direct summation for |z| <= split, transforms beyond
 _LOG_MAX = math.log(sys.float_info.max)
-_STEPS = tuple(map(float, range(_MAX_TERMS)))  # k - 1 of the recurrence's c_k, as floats
 _C0 = (1.0,)  # the memo before any evaluation: c_0 alone
 # the cut table's buckets: bucket i holds i/128 <= |x| < (i+1)/128 and is cut
 # at its outer edge; the last one also holds |x| = 0.5
@@ -421,10 +419,11 @@ def _scan(p: Hyp2F1, e: float, jet: bool, z: float = 0.0) -> tuple:
     _REL_TOL times the sum of |c_j e^j| over j <= k, for a jet the same
     holding of the terms of F' and F'' too.  k is 0 when the budget of
     _MAX_TERMS runs out first, and -1 when a sum leaves the float range.
-    coefs is a list of the memo of p and the c_k the scan computed past its
-    end by the recurrence; total is the sum of |c_j e^j| over j <= k.  For
-    values, s is the sum of c_j z^j over j <= k, formed as _series forms it,
-    so a first call needs one pass; for a jet it is None.
+    One loop serves both kinds: each step reads c_k from the memo of p or,
+    past its end, forms it by the recurrence; coefs is the memo and those
+    c_k, and total is the sum of |c_j e^j| over j <= k.  For values, s is
+    the sum of c_j z^j over j <= k, formed in the same step as _series
+    forms it, so a first call needs one pass; for a jet it is None.
     """
     a, b, c = p.a, p.b, p.c
     rel = _REL_TOL
@@ -432,60 +431,34 @@ def _scan(p: Hyp2F1, e: float, jet: bool, z: float = 0.0) -> tuple:
     known = len(coefs)
     s0, s1, s2 = 1.0, 0.0, 0.0
     x0, x1, x2 = e, 1.0, 0.0  # e^k, e^(k-1), e^(k-2)
-    # one loop per kind, and for values one for the memo's c_k and one for
-    # the recurrence's: a test per term of either costs a tenth of the scan
-    if jet:
-        acc = None
-        ck, j = 1.0, 0.0  # j = k - 1, a float: it saves an int->float per use
-        for k in range(1, _MAX_TERMS + 1):
-            if k < known:
-                ck = coefs[k]
-            else:
-                ck *= (a + j) * (b + j) / ((c + j) * (j + 1.0))
-                coefs.append(ck)
-            j += 1.0
-            m = abs(ck)
-            t0, t1, t2 = m * x0, j * m * x1, j * (j - 1.0) * m * x2
-            s0 += t0
+    acc = zk = ck = 1.0
+    j = 0.0  # j = k - 1, a float: it saves an int->float per use
+    for k in range(1, _MAX_TERMS + 1):
+        if k < known:
+            ck = coefs[k]
+        else:
+            ck *= (a + j) * (b + j) / ((c + j) * (j + 1.0))
+            coefs.append(ck)
+        j += 1.0
+        m = abs(ck)
+        t0 = m * x0
+        s0 += t0
+        if jet:
+            t1, t2 = j * m * x1, j * (j - 1.0) * m * x2
             s1 += t1
             s2 += t2
             if t2 <= rel * s2 and t1 <= rel * s1 and t0 <= rel * s0:
                 break
             x0, x1, x2 = x0 * e, x0, x1
         else:
-            k = 0
-        return (k if s0 + s1 + s2 < math.inf else -1), coefs, s0, acc
-    acc = zk = ck = 1.0
-    k = 0
-    for k, ck in enumerate(coefs[1:], 1):
-        zk *= z
-        acc += ck * zk
-        t0 = ck * x0
-        if t0 < 0.0:  # abs(), a call, costs more
-            t0 = -t0
-        s0 += t0
-        if t0 <= rel * s0:
-            break
-        x0 *= e
-    else:
-        grow = coefs.append
-        # j = k - 1 for the c_k formed; islice only past a memo's entries
-        for j in (islice(_STEPS, k, None) if k else _STEPS):
-            ck *= (a + j) * (b + j) / ((c + j) * (j + 1.0))
-            grow(ck)
             zk *= z
             acc += ck * zk
-            t0 = ck * x0
-            if t0 < 0.0:
-                t0 = -t0
-            s0 += t0
             if t0 <= rel * s0:
-                k = int(j) + 1
                 break
             x0 *= e
-        else:
-            k = 0
-    return (k if s0 < math.inf else -1), coefs, s0, acc
+    else:
+        k = 0
+    return (k if s0 + s1 + s2 < math.inf else -1), coefs, s0, (None if jet else acc)
 
 
 def _cut(p: Hyp2F1, x: float, jet: bool) -> tuple:

@@ -528,6 +528,29 @@ class TestLegendreCommands:
         first = res.stdout.strip().split("\n")[1].split(",")
         assert abs(float(first[1]) - (-0.125)) <= 1e-12
 
+    def test_generalized_params_file_prints_the_flag_form(self, tmp_path):
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps({"k": 2.5, "m": 0.5, "n": 1.5}))
+        from_file = run_cli("legendre", "generalized", "--params", str(path),
+                            "--grid=-0.8:0.8:9")
+        from_flags = run_cli("legendre", "generalized", "--k", "2.5", "--m", "0.5",
+                             "--n", "1.5", "--grid=-0.8:0.8:9")
+        assert from_file.returncode == from_flags.returncode == 0, from_file.stderr
+        assert from_file.stdout == from_flags.stdout and from_file.stdout.count("\n") >= 9
+
+    @pytest.mark.parametrize("fields, named", [
+        ({"k": 2.5, "m": 0.5}, "missing field 'n'"),
+        ({"k": 2.5, "m": 0.5, "n": 1.5, "ell": 3.0}, "unknown field 'ell'"),
+    ])
+    def test_generalized_params_file_bad_keys_exit_2(self, tmp_path, fields, named):
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps(fields))
+        res = run_cli("legendre", "generalized", "--params", str(path),
+                      "--grid=-0.8:0.8:9")
+        assert res.returncode == 2
+        assert res.stderr.startswith("error: ParseError") and named in res.stderr
+        assert res.stdout == ""
+
     def test_generalized_degree_past_the_float_range_names_k(self):
         # k(k+1) = inf was reported as the CLI's own field 'lam', which the
         # user never gave

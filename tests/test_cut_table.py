@@ -2,26 +2,32 @@
 takes the term count its 1/128-wide bucket of |z| found once, at the
 bucket's outer edge, and sums without a per-term test (values forward, jets
 by Horner's scheme).  Checked against mpmath, against fresh instances
-bitwise, and for the table's own invariants."""
+bitwise, for the table's own invariants, and the one-loop scan bitwise
+against the split loops it replaced."""
 
+import math
 import random
+import struct
 import sys
 import threading
 from array import array
+from itertools import chain, islice
 
 import pytest
 
-from hyplegendre import Hyp2F1, NoConvergence, hyp2f1
+from hyplegendre import Hyp2F1, NoConvergence, PoleError, hyp2f1
 from hyplegendre.hypergeom import (
     _CANCEL_TOL,
     _CUT_EDGES,
     _CUTS_PER_UNIT,
     _BUCKETS,
+    _C0,
     _FLOOR_PER_TOTAL,
     _MAX_TERMS,
     _NO_CUTS,
     _REL_TOL,
     _hyp2f1_jet,
+    _memo,
     _scan,
 )
 
@@ -225,3 +231,129 @@ def test_cancelled_sum_raises(abc, z):
             hyp2f1(p, z)
     with pytest.raises(NoConvergence):
         _hyp2f1_jet(Hyp2F1(*abc), z)
+
+
+_STEPS = tuple(map(float, range(_MAX_TERMS)))  # k - 1 of the recurrence's c_k, as floats
+
+
+def reference_scan(p, e, jet, z=0.0):
+    """_scan as it was with one loop per kind, and for values one for the
+    memo's c_k and one for the recurrence's: the oracle of the one loop."""
+    a, b, c = p.a, p.b, p.c
+    rel = _REL_TOL
+    coefs = list(p.__dict__.get("_coefs", _C0))
+    known = len(coefs)
+    s0, s1, s2 = 1.0, 0.0, 0.0
+    x0, x1, x2 = e, 1.0, 0.0  # e^k, e^(k-1), e^(k-2)
+    # one loop per kind, and for values one for the memo's c_k and one for
+    # the recurrence's: a test per term of either costs a tenth of the scan
+    if jet:
+        acc = None
+        ck, j = 1.0, 0.0  # j = k - 1, a float: it saves an int->float per use
+        for k in range(1, _MAX_TERMS + 1):
+            if k < known:
+                ck = coefs[k]
+            else:
+                ck *= (a + j) * (b + j) / ((c + j) * (j + 1.0))
+                coefs.append(ck)
+            j += 1.0
+            m = abs(ck)
+            t0, t1, t2 = m * x0, j * m * x1, j * (j - 1.0) * m * x2
+            s0 += t0
+            s1 += t1
+            s2 += t2
+            if t2 <= rel * s2 and t1 <= rel * s1 and t0 <= rel * s0:
+                break
+            x0, x1, x2 = x0 * e, x0, x1
+        else:
+            k = 0
+        return (k if s0 + s1 + s2 < math.inf else -1), coefs, s0, acc
+    acc = zk = ck = 1.0
+    k = 0
+    for k, ck in enumerate(coefs[1:], 1):
+        zk *= z
+        acc += ck * zk
+        t0 = ck * x0
+        if t0 < 0.0:  # abs(), a call, costs more
+            t0 = -t0
+        s0 += t0
+        if t0 <= rel * s0:
+            break
+        x0 *= e
+    else:
+        grow = coefs.append
+        # j = k - 1 for the c_k formed; islice only past a memo's entries
+        for j in (islice(_STEPS, k, None) if k else _STEPS):
+            ck *= (a + j) * (b + j) / ((c + j) * (j + 1.0))
+            grow(ck)
+            zk *= z
+            acc += ck * zk
+            t0 = ck * x0
+            if t0 < 0.0:
+                t0 = -t0
+            s0 += t0
+            if t0 <= rel * s0:
+                k = int(j) + 1
+                break
+            x0 *= e
+        else:
+            k = 0
+    return (k if s0 < math.inf else -1), coefs, s0, acc
+
+
+def _bits(x):
+    return None if x is None else struct.pack("<d", x)
+
+
+def scan_draws(count):
+    """(p, e, jet, z) over a, b in [-40, 40] and c in [-20, 40], one in 20
+    with a, b in [150, 400] (the budget and the float range run out); each
+    memo grown first to 1..501 entries; at a bucket edge with z in its
+    bucket, at z's own |z|, or at z = 0; for values and for jets."""
+    rnd = random.Random(20250)
+    while count:
+        if rnd.random() < 0.05:
+            a, b = rnd.uniform(150.0, 400.0), rnd.uniform(150.0, 400.0)
+        else:
+            a, b = rnd.uniform(-40.0, 40.0), rnd.uniform(-40.0, 40.0)
+        try:
+            p = Hyp2F1(a, b, rnd.uniform(-20.0, 40.0))
+        except PoleError:
+            continue
+        try:
+            _memo(p, rnd.randrange(_MAX_TERMS + 1), 0.0)
+        except NoConvergence:
+            pass  # the memo ends at its first c_k past the float range
+        where = rnd.randrange(3)
+        if where == 0:
+            i = rnd.randrange(_BUCKETS)
+            z = math.copysign(rnd.uniform(i, i + 1) / _CUTS_PER_UNIT, rnd.random() - 0.5)
+            e = _CUT_EDGES[i]
+        else:
+            z = rnd.uniform(-0.5, 0.5) if where == 1 else 0.0
+            e = abs(z)
+        count -= 1
+        yield p, e, rnd.random() < 0.5, z
+
+
+def budget_draws():
+    """(150.3, 150.7; 1.1) at the edge 58/128, where both kinds run out of
+    the budget (few random draws reach it), on a fresh memo and a grown one."""
+    for grown in (0, 300):
+        for jet in (False, True):
+            p = Hyp2F1(150.3, 150.7, 1.1)
+            _memo(p, grown, 0.0)
+            yield p, _CUT_EDGES[57], jet, -0.45
+
+
+def test_one_loop_scan_matches_the_split_loops_bitwise():
+    ends = set()
+    for p, e, jet, z in chain(scan_draws(20_000), budget_draws()):
+        k, coefs, total, s = _scan(p, e, jet, z)
+        want = reference_scan(p, e, jet, z)
+        assert k == want[0], (p, e, jet, z)
+        assert list(map(_bits, coefs)) == list(map(_bits, want[1])), (p, e, jet, z)
+        assert (_bits(total), _bits(s)) == (_bits(want[2]), _bits(want[3])), (p, e, jet, z)
+        ends.add((min(k, 1), jet))
+    # every return, for both kinds: converged, budget run out, float range left
+    assert ends == {(1, False), (0, False), (-1, False), (1, True), (0, True), (-1, True)}

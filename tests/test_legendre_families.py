@@ -521,6 +521,26 @@ class TestUniversalRecurrence:
                     for k, (g, w) in enumerate(zip(got, want)):
                         assert abs(g - w) <= 1e-11 * (1.0 + abs(w)), (mprime, n, r, k)
 
+    # the worst F'' of 450 seeded draws over n_index <= 200, mprime in
+    # [0.1, 5] and 1 - |r| in [1e-6, 1e-3]: off by 2.7e-11 to 3.8e-11 with
+    # the weight formed from 1 - r*r, by under 1.5e-13 from (1 + r)(1 - r)
+    NEXT_TO_AN_END = [(30, 2.8896120277166344, 0.9999989044102038),
+                      (38, 4.857004540992663, -0.9999989705901255),
+                      (121, 4.798041822799184, 0.9999980929549526),
+                      (194, 4.791735653552323, -0.999998656099585)]
+
+    @pytest.mark.parametrize("n, mprime, r", NEXT_TO_AN_END)
+    def test_derivatives_next_to_an_end(self, n, mprime, r):
+        # 0.999 < |r| <= 1 - 1e-6: within 3e-11 (1 + |F'|), 2e-12 (1 + |F''|)
+        mpmath = pytest.importorskip("mpmath")
+        u = UniversalParams.from_degrees(ell=mprime + n, mprime=mprime)
+        got = universal_sum_derivatives(u, r)
+        with mpmath.workdps(50):
+            want = [float(w) for w in mpmath.diffs(
+                lambda x: _universal_rec_at(mpmath, u, x), mpmath.mpf(r), 2)]
+        for k, bound in ((1, 3e-11), (2, 2e-12)):
+            assert abs(got[k] - want[k]) <= bound * (1.0 + abs(want[k])), k
+
     def test_scipy_eval_gegenbauer(self):
         # scipy's own recurrence drifts by up to ~1e-11 at n 1000 next to
         # the ends; for n_index <= 200 and |r| <= 0.99 both agree to
