@@ -138,8 +138,9 @@ def _load_json_fields(path: str, keys: tuple[str, ...]) -> dict:
     return data
 
 
-def load_ode_params(path: str) -> ode.OdeParams:
-    return ode.OdeParams.from_dict(_load_json_fields(path, ode._JSON_KEYS))
+def _load(cls, path: str):
+    """The parameter pack of class cls in the JSON file at path."""
+    return cls.from_dict(_load_json_fields(path, cls._keys))
 
 
 def parse_grid(text: str) -> list[float]:
@@ -172,7 +173,7 @@ def _pick_root(pair: ode.RootPair, which: str, label: str) -> float:
 
 def exponents(params_path, fmt):
     """Indicial roots at both singular points and at infinity."""
-    p = load_ode_params(params_path)
+    p = _load(ode.OdeParams, params_path)
     exps = ode.indicial_exponents(p)
     rows = []
     for name, pair in (("mu1", exps.mu1), ("mu2", exps.mu2),
@@ -216,7 +217,7 @@ def _build_selected(p, mu1_root, mu2_root, branch_options, default_all):
 def _grid_setup(params_path, grid_text, branches, mu1_root, mu2_root):
     """The parameters, grid points and branches of eval and residual, read
     in the order that decides which error is reported first."""
-    p = load_ode_params(params_path)
+    p = _load(ode.OdeParams, params_path)
     points = parse_grid(grid_text)
     _, _, built = _build_selected(p, mu1_root, mu2_root, branches, default_all=False)
     return p, points, built
@@ -224,7 +225,7 @@ def _grid_setup(params_path, grid_text, branches, mu1_root, mu2_root):
 
 def solve(params_path, branches, mu1_root, mu2_root, fmt):
     """Construct the closed-form branches and print their parameters."""
-    p = load_ode_params(params_path)
+    p = _load(ode.OdeParams, params_path)
     mu1, mu2, built = _build_selected(p, mu1_root, mu2_root, branches,
                                       default_all=True)
     rows = []
@@ -266,7 +267,7 @@ def universal(params_path, ell, mprime, a_coef, c_coef, m_coef,
     """Universal polynomial family values on a grid."""
     points = parse_grid(grid_text)
     if params_path is not None:
-        u = lf.UniversalParams.from_dict(_load_json_fields(params_path, lf._UNIVERSAL_KEYS))
+        u = _load(lf.UniversalParams, params_path)
     else:
         if ell is None or mprime is None:
             raise ParseError("give either --params or both --ell and --mprime")
@@ -283,8 +284,7 @@ def generalized(params_path, k_deg, m_ord, n_ord, xi1, xi2, grid_text, fmt):
     """
     points = parse_grid(grid_text)
     if params_path is not None:
-        t = lf.LegendreTriple.from_dict(
-            _load_json_fields(params_path, ("k", "m", "n")))
+        t = _load(lf.LegendreTriple, params_path)
     else:
         if k_deg is None or m_ord is None or n_ord is None:
             raise ParseError("give either --params or all of --k, --m, --n")

@@ -52,8 +52,8 @@ def _dist_to_int(x: float) -> float:
     return abs(x - round(x))
 
 
-def _is_nonpositive_integer(x: float, tol: float) -> bool:
-    return x < 0.5 and _dist_to_int(x) <= tol
+def _is_nonpositive_integer(x: float) -> bool:
+    return x < 0.5 and _dist_to_int(x) <= DEFAULT_POLE_TOL
 
 
 class _Frozen:
@@ -64,7 +64,8 @@ class _Frozen:
 
     def __init_subclass__(cls) -> None:
         cls._fields = tuple(cls.__annotations__)
-        cls._values = property(attrgetter(*cls._fields))
+        if cls._fields:  # _Pack, a base, declares none
+            cls._values = property(attrgetter(*cls._fields))
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -83,6 +84,31 @@ class _Frozen:
 
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"cannot delete field {name!r}")
+
+
+class _Pack(_Frozen):
+    """Base of the parameter packs.  __init__ stores the values it is given
+    as the leading fields, InvalidParams at the first that is not finite;
+    to_dict and from_dict use _keys, the fields' names in the JSON parameter
+    files: the field names, but "lambda" for lam."""
+
+    def __init_subclass__(cls) -> None:
+        super().__init_subclass__()
+        cls._keys = tuple("lambda" if name == "lam" else name for name in cls._fields)
+
+    def __init__(self, *values: float) -> None:
+        d = self.__dict__
+        for name, v in zip(self._fields, values):
+            if not math.isfinite(v):
+                raise InvalidParams(f"field '{name}' must be finite")
+            d[name] = v
+
+    def to_dict(self) -> dict:
+        return dict(zip(self._keys, self._values))
+
+    @classmethod
+    def from_dict(cls, data: dict):
+        return cls(*(float(data[key]) for key in cls._keys))
 
 
 class Hyp2F1(_Frozen):
@@ -117,7 +143,7 @@ class Hyp2F1(_Frozen):
             raise InvalidParams(f"2F1 parameters must be finite, got ({a!r}, {b!r}; {c!r})")
         degree = None
         for upper in (a, b):
-            if _is_nonpositive_integer(upper, DEFAULT_POLE_TOL):
+            if _is_nonpositive_integer(upper):
                 n = int(round(-upper))
                 degree = n if degree is None else min(degree, n)
         d = self.__dict__
@@ -126,7 +152,7 @@ class Hyp2F1(_Frozen):
 
     def __post_init__(self) -> None:
         degree = self.terminating_degree
-        if _is_nonpositive_integer(self.c, DEFAULT_POLE_TOL):
+        if _is_nonpositive_integer(self.c):
             if degree is None or degree >= abs(round(self.c)):
                 raise PoleError(
                     f"lower parameter c={self.c!r} is a non-positive integer "
@@ -260,7 +286,7 @@ class _KummerPlan:
         if table is None:
             table = []
             for k, pair in enumerate(((2, 3), (2, 3), (0, 1), (0, 1))):
-                ends = any(_is_nonpositive_integer(x, DEFAULT_POLE_TOL) for x in self._abc(k)[:2])
+                ends = any(_is_nonpositive_integer(x) for x in self._abc(k)[:2])
                 table.append(pair if side & (1 if k < 2 else 2) and not ends else (k,))
             table = tuple(table)
             self._routes = self._routes[:side] + (table,) + self._routes[side + 1:]
@@ -331,7 +357,7 @@ def gamma(x: float) -> float:
     """
     if not x > -math.inf:
         raise DomainError(f"gamma is undefined at x={x!r}")
-    if _is_nonpositive_integer(x, DEFAULT_POLE_TOL):
+    if _is_nonpositive_integer(x):
         raise PoleError(f"gamma pole at x={x!r}")
     try:
         return math.gamma(x)
@@ -345,7 +371,7 @@ def rgamma(x: float) -> float:
     at -inf and nan, where 1/Gamma has no value, DomainError is raised."""
     if not x > -math.inf:
         raise DomainError(f"rgamma is undefined at x={x!r}")
-    if _is_nonpositive_integer(x, DEFAULT_POLE_TOL):
+    if _is_nonpositive_integer(x):
         return 0.0
     try:
         g = math.gamma(x)  # gamma's own pole check would run a second time
@@ -630,7 +656,7 @@ def hyp2f1(p: Hyp2F1, z: float) -> float:
 def _gauss_by_logs(c: float, cab: float, ca: float, cb: float) -> float:
     """Gamma(c) Gamma(cab) / (Gamma(ca) Gamma(cb)) by math.lgamma and Gamma's
     sign (< 0 on (-1, 0), (-3, -2), ...); 0 at a pole of Gamma(ca) or Gamma(cb)."""
-    if any(_is_nonpositive_integer(x, DEFAULT_POLE_TOL) for x in (ca, cb)):
+    if any(_is_nonpositive_integer(x) for x in (ca, cb)):
         return 0.0
     sign = math.prod(-1.0 if x < 0.0 and math.floor(x) % 2 else 1.0 for x in (c, cab, ca, cb))
     try:

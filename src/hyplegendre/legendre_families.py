@@ -18,8 +18,8 @@ from .errors import (
 from .hypergeom import (
     _UNKNOWN,
     Hyp2F1,
-    _Frozen,
     _dist_to_int,
+    _Pack,
     _series_magnitude,
     gamma,
     hyp2f1,
@@ -43,7 +43,7 @@ _MAX_N_INDEX = 1000  # the recurrence is O(n_index); its bound is tested up to h
 _MAX_MPRIME = 1000.0  # lgamma's rounding costs K 5e-13 here, 3e-11 at 1e4
 
 
-class LegendreTriple(_Frozen):
+class LegendreTriple(_Pack):
     """Degree k and the two order parameters (m, n).
 
     The 2F1 triples of the two generalized solutions are built on first use
@@ -56,10 +56,7 @@ class LegendreTriple(_Frozen):
     n: float
 
     def __init__(self, k: float, m: float, n: float) -> None:
-        for name, v in zip(self._fields, (k, m, n)):
-            if not math.isfinite(v):
-                raise InvalidParams(f"field '{name}' must be finite")
-            self.__dict__[name] = v
+        super().__init__(k, m, n)
 
     @cached_property
     def _first(self) -> Hyp2F1:
@@ -77,18 +74,8 @@ class LegendreTriple(_Frozen):
         except PoleError as exc:
             raise DegenerateC(str(exc)) from exc
 
-    def to_dict(self) -> dict:
-        return dict(zip(self._fields, self._values))
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "LegendreTriple":
-        return cls(*(float(data[name]) for name in cls._fields))
-
-
-_UNIVERSAL_KEYS = ("ell", "mprime", "a", "b", "c", "m", "lambda", "n_index")
-
-
-class UniversalParams(_Frozen):
+class UniversalParams(_Pack):
     """Parameter pack of the universal polynomial family.
 
     The fields are linked: b = 0, mprime = sqrt(a + c + m^2),
@@ -109,10 +96,7 @@ class UniversalParams(_Frozen):
 
     def __init__(self, ell: float, mprime: float, a: float, b: float, c: float, m: float,
                  lam: float, n_index: int) -> None:
-        for name, v in zip(self._fields, (ell, mprime, a, b, c, m, lam)):
-            if not math.isfinite(v):
-                raise InvalidParams(f"field '{name}' must be finite")
-            self.__dict__[name] = v
+        super().__init__(ell, mprime, a, b, c, m, lam)  # n_index is stored once checked
         if b != 0.0:
             raise InvalidParams("universal family requires b = 0")
         if not (isinstance(n_index, int) and 0 <= n_index <= _MAX_N_INDEX):
@@ -163,9 +147,6 @@ class UniversalParams(_Frozen):
             n_index=int(round(n_float)),
         )
 
-    def to_dict(self) -> dict:
-        return dict(zip(_UNIVERSAL_KEYS, self._values))
-
     @cached_property
     def _sum_form(self) -> tuple[float, list[tuple[float, float]]]:
         """K*norm, in log space, and the steps (a_k, b_k) of the recurrence
@@ -208,7 +189,7 @@ class UniversalParams(_Frozen):
     @classmethod
     def from_dict(cls, data: dict) -> "UniversalParams":
         n = data["n_index"]
-        floats = (float(data[key]) for key in _UNIVERSAL_KEYS[:-1])
+        floats = (float(data[key]) for key in cls._keys[:-1])
         return cls(*floats, int(n) if n % 1 == 0 else n)  # n_index 2.7, nan: rejected, not cut
 
 

@@ -23,14 +23,12 @@ from .errors import (
     PoleError,
     RootMismatch,
 )
-from .hypergeom import _UNKNOWN, DEFAULT_POLE_TOL, Hyp2F1, _Frozen, _KummerPlan, hyp2f1
+from .hypergeom import _UNKNOWN, DEFAULT_POLE_TOL, Hyp2F1, _Frozen, _KummerPlan, _Pack, hyp2f1
 
 _ROOT_RESIDUAL_TOL = 1e-8
 
-_JSON_KEYS = ("a1", "b1", "a2", "b2", "a3", "b3", "c3", "lambda", "xi1", "xi2")
 
-
-class OdeParams(_Frozen):
+class OdeParams(_Pack):
     """The nine real coefficients, spectral parameter and singular points.
 
     build_branch keeps the Kummer set its branches share, connection_check
@@ -53,11 +51,7 @@ class OdeParams(_Frozen):
 
     def __init__(self, a1: float, b1: float, a2: float, b2: float, a3: float, b3: float,
                  c3: float, lam: float, xi1: float, xi2: float) -> None:
-        d = self.__dict__
-        for name, v in zip(self._fields, (a1, b1, a2, b2, a3, b3, c3, lam, xi1, xi2)):
-            if not math.isfinite(v):
-                raise InvalidParams(f"field '{name}' must be finite")
-            d[name] = v
+        super().__init__(a1, b1, a2, b2, a3, b3, c3, lam, xi1, xi2)
         if not xi1 < xi2:
             raise InvalidParams(
                 f"singular points must satisfy xi1 < xi2, got {xi1!r} >= {xi2!r}"
@@ -66,13 +60,6 @@ class OdeParams(_Frozen):
     @property
     def width(self) -> float:
         return self.xi2 - self.xi1
-
-    def to_dict(self) -> dict:
-        return dict(zip(_JSON_KEYS, self._values))
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "OdeParams":
-        return cls(*(float(data[k]) for k in _JSON_KEYS))
 
 
 class RootPair(_Frozen):

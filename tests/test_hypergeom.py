@@ -19,7 +19,13 @@ from hyplegendre import (
     pochhammer,
     rgamma,
 )
-from hyplegendre.hypergeom import _MAX_TERMS, _UNKNOWN, DEFAULT_POLE_TOL, _hyp2f1_jet
+from hyplegendre.hypergeom import (
+    _MAX_TERMS,
+    _UNKNOWN,
+    DEFAULT_POLE_TOL,
+    _hyp2f1_jet,
+    _zeros_overflow,
+)
 from hyplegendre.rng import SplitMix64
 
 from identities import inversion_15_8_6, quadratic_15_8_20
@@ -194,6 +200,14 @@ class TestHyp2F1Type:
 class TestHyp2F1Eval:
     def test_at_zero(self):
         assert hyp2f1(Hyp2F1(1.7, -0.3, 2.2), 0.0) == 1.0
+
+    @pytest.mark.parametrize("z", [math.nan, math.inf, -math.inf])
+    def test_non_finite_argument_typed(self, z):
+        # named before a route is chosen: a terminating sum would be nan,
+        # and the other routes would reject z for their domain alone
+        for p in (Hyp2F1(-2.0, 3.0, 1.0), Hyp2F1(0.4, 0.7, 1.9)):
+            with pytest.raises(DomainError, match=f"^argument must be finite, got z={z!r}$"):
+                hyp2f1(p, z)
 
     def test_polynomial_oracle(self):
         # 2F1(-2,3;1;z) = 1 - 6z + 6z^2
@@ -533,6 +547,25 @@ class TestSeriesMemo:
             with pytest.raises(NoConvergence, match="leaves the float range"):
                 _hyp2f1_jet(q, z)
         assert len(vars(q)["_coefs"]) <= 400
+
+    def test_zeros_overflow_matches_the_direct_product(self):
+        # next to |z| = max^(1/n) the logarithms alone cannot tell whether
+        # z^n, formed one factor at a time as the sums form it, overflows:
+        # there the products decide, and every answer is the product's
+        log_max = math.log(sys.float_info.max)
+        answers, logs_wrong = set(), 0
+        for n in [*range(2, 40), 100, 499]:
+            edge = math.exp(log_max / n)
+            below, above = [edge], [edge]
+            for _ in range(20):  # 20 floats on each side
+                below.append(math.nextafter(below[-1], 0.0))
+                above.append(math.nextafter(above[-1], math.inf))
+            for z in below + above[1:]:
+                want = math.prod([z] * n) == math.inf
+                assert _zeros_overflow(z, n) is want is _zeros_overflow(-z, n), (z, n)
+                answers.add(want)
+                logs_wrong += want != (n * math.log(z) > log_max)
+        assert answers == {True, False} and logs_wrong > 0
 
     def test_equality_and_hash_ignore_memo(self):
         p, q = Hyp2F1(0.4, 0.7, 1.9), Hyp2F1(0.4, 0.7, 1.9)

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import pytest
 
@@ -143,6 +144,15 @@ class TestGeneralizedSolutions:
         with pytest.raises(DomainError, match="float range"):
             generalized_solutions(t, 0.0, 0.0, shifted_params(1.3, 0.0, 1e6), 3e5)
 
+    @pytest.mark.parametrize("r, mu1, mu2", [(-1.0, -0.5, 0.0), (1.0, 0.0, -0.25)])
+    def test_zero_to_a_negative_power_at_an_end_typed(self, r, mu1, mu2):
+        # 0^e with e < 0 diverges: DomainError, not the ZeroDivisionError
+        # of 0.0 ** e
+        t = LegendreTriple(k=2.0, m=0.3, n=0.5)
+        message = r"^prefactor 0\^-0\.\d+ diverges at the interval edge$"
+        with pytest.raises(DomainError, match=message):
+            generalized_solutions(t, mu1, mu2, classical_params(2.0), r)
+
 
 def _pair_route_points():
     """(t, mu1, mu2, p, r) over the benchmark's families box (k in [0.2, 6],
@@ -275,6 +285,28 @@ class TestKuipersReduction:
         assert kuipers_reduction_check(t, -1.0, 1.0, 0.3) <= 1e-8
 
 
+@pytest.mark.parametrize("family, r", [
+    (generalized_solutions, 1.25), (generalized_solutions, -1.0000000000000002),
+    (kuipers_reduction_check, -1.0), (kuipers_reduction_check, 1.5),
+    (universal_sum_derivatives, 1.0), (universal_sum_derivatives, -1.5),
+    (universal_hypergeometric, 1.0000000000000002), (universal_hypergeometric, -2.0),
+], ids=lambda v: v.__name__ if callable(v) else None)
+def test_r_outside_the_interval_typed(family, r):
+    # each family names r and its own interval, closed where the edge
+    # values are defined, before anything is summed
+    t = LegendreTriple(k=2.0, m=0.3, n=0.5)
+    u = UniversalParams.from_degrees(ell=3.0, mprime=1.0)  # n_index 2, even
+    args, interval = {
+        generalized_solutions: ((t, 0.25, 0.15, classical_params(2.0), r), "[-1.0, 1.0]"),
+        kuipers_reduction_check: ((t, -1.0, 1.0, r), "(-1.0, 1.0)"),
+        universal_sum_derivatives: ((u, r), "(-1, 1)"),
+        universal_hypergeometric: ((u, r), "[-1, 1]"),
+    }[family]
+    message = f"^r={re.escape(repr(r))} outside {re.escape(interval)}$"
+    with pytest.raises(DomainError, match=message):
+        family(*args)
+
+
 class TestUniversalParams:
     def test_from_degrees(self):
         u = UniversalParams.from_degrees(ell=3.0, mprime=1.0)
@@ -291,6 +323,19 @@ class TestUniversalParams:
                             lam=12.0, n_index=2)
         with pytest.raises(InvalidParams):
             UniversalParams.from_degrees(ell=3.3, mprime=1.0)
+        # each pack below breaks one link alone
+        for kwargs, why in [
+            (dict(ell=1.0, mprime=-1.0, lam=2.0), "nonnegative square root"),
+            (dict(a=1.0), r"sqrt\(a \+ c \+ m\^2\)"),
+            (dict(n_index=1), r"mprime \+ n_index"),
+        ]:
+            with pytest.raises(InvalidParams, match=why):
+                UniversalParams(**{**dict(ell=3.0, mprime=1.0, a=0.0, b=0.0, c=0.0, m=1.0,
+                                          lam=12.0, n_index=2), **kwargs})
+        # with m = mprime taken for the missing m, a + c = 0 would pass
+        for a, c in ((1.0, 0.0), (0.0, 0.5), (1.0, -1.0)):
+            with pytest.raises(InvalidParams, match="give m explicitly"):
+                UniversalParams.from_degrees(ell=3.0, mprime=1.0, a=a, c=c)
 
     def test_potential_split(self):
         u = UniversalParams.from_degrees(ell=3.0, mprime=2.0, a=1.0, c=2.0, m=1.0)

@@ -13,6 +13,7 @@ from hyplegendre import (
     MapVariant,
     OdeParams,
     RootMismatch,
+    SolutionBranch,
     build_branch,
     connection_check,
     evaluate,
@@ -226,6 +227,20 @@ class TestEvaluate:
         for call in (evaluate, value_and_derivatives):
             with pytest.raises(DomainError, match="float range"):
                 call(br, 4.9)
+
+    def test_extra_power_of_an_underflowed_z_typed(self):
+        # a branch built by hand carries z^extra_power; next to xi1 = 0 on
+        # a width of 4, z = r/4 underflows to 0.0 and z^-0.5 diverges:
+        # DomainError, not the ZeroDivisionError of the power
+        p = OdeParams(a1=0.0, b1=6.0, a2=0.0, b2=0.0, a3=0.0, b3=0.0, c3=0.0,
+                      lam=1.0, xi1=0.0, xi2=4.0)
+        built = build_branch(p, 0.0, 0.0, BranchId.HAT2)
+        br = SolutionBranch(mu1=0.0, mu2=0.0, extra_power=built.extra_power, hyp=built.hyp,
+                            map=built.map, branch_id=BranchId.HAT2)
+        assert br.extra_power == -0.5
+        with pytest.raises(DomainError, match=r"^z\^-0\.5 diverges at r=5e-324$"):
+            evaluate(br, 5e-324)
+        assert evaluate(br, 0.5) == pytest.approx(evaluate(built, 0.5), rel=1e-14)
 
     def test_member_power_past_the_float_range_typed(self):
         # hat2 carries z^(1-c_hat) = z^-200.5, past the float range at

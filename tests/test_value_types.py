@@ -116,17 +116,43 @@ def test_the_cli_import_loads_no_dataclasses_or_inspect():
     assert not added & {"dataclasses", "inspect", "ast", "dis", "tokenize"}
 
 
+# the parameter packs, the JSON names of their fields in order, and their
+# fields that must be finite: UniversalParams' n_index has its own rule
+PACKS = [
+    (OdeParams, PARAMS,
+     ("a1", "b1", "a2", "b2", "a3", "b3", "c3", "lambda", "xi1", "xi2"), OdeParams._fields),
+    (LegendreTriple, dict(k=2.5, m=0.5, n=-1.5), ("k", "m", "n"), ("k", "m", "n")),
+    (UniversalParams, dict(vars(UniversalParams.from_degrees(3.5, 1.5))),
+     ("ell", "mprime", "a", "b", "c", "m", "lambda", "n_index"),
+     ("ell", "mprime", "a", "b", "c", "m", "lam")),
+]
+
+
+def finite_fields():
+    """(pack, its keyword arguments, one field that must be finite); an
+    OdeParams case is named by its field alone, the others by pack.field."""
+    return [pytest.param(cls, kwargs, name,
+                         id=name if cls is OdeParams else f"{cls.__name__}.{name}")
+            for cls, kwargs, _, names in PACKS for name in names]
+
+
 class TestOdeParams:
     def test_from_dict_round_trip(self):
-        p = OdeParams(**PARAMS)
-        assert OdeParams.from_dict(p.to_dict()) == p
-        assert p.to_dict()["lambda"] == PARAMS["lam"]
+        # every pack: to_dict names the fields by the keys of its JSON
+        # file, in field order, and from_dict reads them back
+        for cls, kwargs, keys, _ in PACKS:
+            p = cls(**kwargs)
+            d = p.to_dict()
+            assert list(d) == list(keys), cls
+            assert list(d.values()) == list(kwargs.values()), cls
+            assert cls.from_dict(d) == p, cls
+        assert OdeParams(**PARAMS).to_dict()["lambda"] == PARAMS["lam"]
 
-    @pytest.mark.parametrize("name", OdeParams._fields)
+    @pytest.mark.parametrize("cls, kwargs, name", finite_fields())
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    def test_non_finite_field_is_named(self, name, bad):
+    def test_non_finite_field_is_named(self, cls, kwargs, name, bad):
         with pytest.raises(InvalidParams, match=f"^field '{name}' must be finite$"):
-            OdeParams(**{**PARAMS, name: bad})
+            cls(**{**kwargs, name: bad})
 
     def test_first_non_finite_field_is_named(self):
         with pytest.raises(InvalidParams, match="'b2'"):
