@@ -23,6 +23,8 @@ import math
 import os
 import re
 import sys
+from itertools import repeat
+from operator import itemgetter
 
 from . import legendre_families as lf
 from . import ode_solutions as ode
@@ -64,39 +66,40 @@ def _cell(value, fmt: str) -> str:
 
 
 def emit_table(headers: list[str], rows: list[tuple], fmt: str) -> None:
-    """Print a table whose rows have one cell per header on stdout.  Each
-    row type signature gets one %-template per table: _SLOTS' slot for an
-    exact float, int or (outside JSON) str, else %s filled by _cell.  Text
-    is padded by one width template; each write takes _CHUNK_ROWS rows."""
-    keys = [json.dumps(h).replace("%", "%%") + ": " if fmt == "json" else "" for h in headers]
-    head, lead, sep, tail = (("[\n", "", ",\n", "\n]\n") if fmt == "json"
-                             else (",".join(headers), "\n", "\n", "\n"))
-    forms = {}
+    """Print a table whose rows have one cell per header on stdout, through
+    one %-template per table.  A column whose cells are all of one exact
+    float, int or (outside JSON) str type gets that type's _SLOTS slot; any
+    other gets %s, filled with _cell's text a chunk at a time (text formats
+    every cell first, to pad the columns by one width template).  Each write
+    takes _CHUNK_ROWS rows."""
+    typed = {t: slot for t, slot in _SLOTS.items() if t is not str or fmt != "json"}
+    kinds = [set(map(type, map(itemgetter(i), rows))) for i in range(len(headers))]
+    slots = [typed.get(*types) if len(types) == 1 else None for types in kinds]
 
-    def form(row):
-        """The row's template (its slots in text) and the values that fill it."""
-        types = tuple(map(type, row))
-        if types not in forms:
-            slots = [None if t is str and fmt == "json" else _SLOTS.get(t) for t in types]
-            keyed = [k + (s or "%s") for k, s in zip(keys, slots)]
-            if fmt != "text":
-                keyed = "  {%s}" % ", ".join(keyed) if fmt == "json" else ",".join(keyed)
-            forms[types] = keyed, (None if all(slots) else slots)
-        template, rare = forms[types]
-        return template, row if rare is None else tuple(
-            v if s else _cell(v, fmt) for s, v in zip(rare, row))
+    def filled(chunk):
+        """The chunk's columns, _cell's text in each without a slot."""
+        return [map(itemgetter(i), chunk) if slot else
+                map(_cell, map(itemgetter(i), chunk), repeat(fmt)) for i, slot in enumerate(slots)]
 
     if fmt == "text":
-        rows = [[s % v for s, v in zip(*form(row))] for row in rows]
-        padded = "  ".join(f"%-{max(map(len, column))}s" for column in zip(headers, *rows))
-        head = (padded % tuple(headers)).rstrip()
-        line = lambda cells: (padded % tuple(cells)).rstrip()
+        cells = [list(map((slot or "%s").__mod__, column))
+                 for slot, column in zip(slots, filled(rows))]
+        template = "  ".join(f"%-{max(map(len, (h, *column)))}s"
+                             for h, column in zip(headers, cells))
+        head, lead, sep, tail = (template % tuple(headers)).rstrip(), "\n", "\n", "\n"
+        rows, slots = list(zip(*cells)), ["%s"] * len(cells)  # rows of text, nothing to fill
     else:
-        line = lambda row: str.__mod__(*form(row))
+        keys = [json.dumps(h).replace("%", "%%") + ": " if fmt == "json" else "" for h in headers]
+        keyed = [key + (slot or "%s") for key, slot in zip(keys, slots)]
+        template = "  {%s}" % ", ".join(keyed) if fmt == "json" else ",".join(keyed)
+        head, lead, sep, tail = (("[\n", "", ",\n", "\n]\n") if fmt == "json"
+                                 else (",".join(headers), "\n", "\n", "\n"))
     write = sys.stdout.write
     write(head)
     for i in range(0, len(rows), _CHUNK_ROWS):
-        write(lead + sep.join(map(line, rows[i:i + _CHUNK_ROWS])))
+        chunk = rows[i:i + _CHUNK_ROWS]
+        lines = map(template.__mod__, chunk if all(slots) else zip(*filled(chunk)))
+        write(lead + sep.join(map(str.rstrip, lines) if fmt == "text" else lines))
         lead = sep
     write(tail)
 
@@ -132,7 +135,8 @@ def _load_json_fields(path: str, keys: tuple[str, ...]) -> dict:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ParseError(f"'{path}': field '{key}' must be a number")
         try:
-            float(value)  # a JSON integer has no size limit
+            if not math.isfinite(value):  # a JSON integer has no size limit
+                raise InvalidParams(f"'{path}': field '{key}' must be finite")
         except OverflowError as exc:
             raise InvalidParams(f"'{path}': field '{key}' is past the float range") from exc
     return data
@@ -252,13 +256,8 @@ def eval_cmd(params_path, grid_text, branches, mu1_root, mu2_root, fmt):
 def residual(params_path, grid_text, branches, mu1_root, mu2_root, fmt):
     """Per-point normalized equation residuals of a branch, plus the max."""
     p, points, built = _grid_setup(params_path, grid_text, branches, mu1_root, mu2_root)
-    rows = []
-    worst = [0.0] * len(built)
-    for r in points:
-        vals = [ode.residual(br, p, r) for _, br in built]
-        worst = [max(w, v) for w, v in zip(worst, vals)]
-        rows.append((r, *vals))
-    rows.append(("max", *worst))
+    rows = [(r, *(ode.residual(br, p, r) for _, br in built)) for r in points]
+    rows.append(("max", *(max(map(itemgetter(i), rows)) for i in range(1, len(built) + 1))))
     emit_table(["r"] + [bid.value for bid, _ in built], _finite(rows), fmt)
 
 

@@ -56,6 +56,15 @@ def _is_nonpositive_integer(x: float) -> bool:
     return x < 0.5 and _dist_to_int(x) <= DEFAULT_POLE_TOL
 
 
+def _isfinite(name: str, v) -> bool:
+    """math.isfinite(v), or InvalidParams naming the field when v is not a
+    number it takes: a str, or an int past the float range."""
+    try:
+        return math.isfinite(v)
+    except (TypeError, OverflowError) as exc:
+        raise InvalidParams(f"field '{name}' must be a number in the float range") from exc
+
+
 class _Frozen:
     """Base of the frozen value types, whose __init__ fills the instance
     __dict__: the fields are the annotated names in order; equality (same
@@ -99,7 +108,7 @@ class _Pack(_Frozen):
     def __init__(self, *values: float) -> None:
         d = self.__dict__
         for name, v in zip(self._fields, values):
-            if not math.isfinite(v):
+            if not _isfinite(name, v):
                 raise InvalidParams(f"field '{name}' must be finite")
             d[name] = v
 
@@ -108,7 +117,13 @@ class _Pack(_Frozen):
 
     @classmethod
     def from_dict(cls, data: dict):
-        return cls(*(float(data[key]) for key in cls._keys))
+        return cls(*map(cls._from_json, cls._keys, map(data.__getitem__, cls._keys)))
+
+    @staticmethod
+    def _from_json(key: str, v):
+        """The field of key from its JSON value v: float(v), or v where it is
+        not finite, for __init__ to name."""
+        return float(v) if _isfinite(key, v) else v
 
 
 class Hyp2F1(_Frozen):
@@ -139,7 +154,7 @@ class Hyp2F1(_Frozen):
     terminating_degree: int | None
 
     def __init__(self, a: float, b: float, c: float) -> None:
-        if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(c)):
+        if not (_isfinite("a", a) & _isfinite("b", b) & _isfinite("c", c)):  # & types all three
             raise InvalidParams(f"2F1 parameters must be finite, got ({a!r}, {b!r}; {c!r})")
         degree = None
         for upper in (a, b):

@@ -19,6 +19,7 @@ from .hypergeom import (
     _UNKNOWN,
     Hyp2F1,
     _dist_to_int,
+    _isfinite,
     _Pack,
     _series_magnitude,
     gamma,
@@ -126,6 +127,8 @@ class UniversalParams(_Pack):
         m = mprime.  An explicit (a, c, m) combination must reproduce
         mprime; lambda is always derived.
         """
+        for name, v in (("ell", ell), ("mprime", mprime), ("c", c)):  # the arithmetic's inputs
+            _isfinite(name, v)  # a str or an int past the float range: InvalidParams
         n_float = ell - mprime
         if (not -_CONSISTENCY_TOL <= n_float <= _MAX_N_INDEX + 0.5  # nan, inf fail
                 or _dist_to_int(n_float) > _CONSISTENCY_TOL):
@@ -186,11 +189,11 @@ class UniversalParams(_Pack):
                 f"closed-form constant at n_index={n} leaves the float range") from exc
         return pref, Hyp2F1((1.0 + ell + self.mprime) / 2.0, -float(half), 0.5)
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "UniversalParams":
-        n = data["n_index"]
-        floats = (float(data[key]) for key in cls._keys[:-1])
-        return cls(*floats, int(n) if n % 1 == 0 else n)  # n_index 2.7, nan: rejected, not cut
+    @staticmethod
+    def _from_json(key: str, v):
+        if key == "n_index" and _isfinite(key, v) and v % 1 == 0:
+            return int(v)
+        return _Pack._from_json(key, v)  # n_index 2.7, nan: rejected, not cut
 
 
 def map_to_triple(p: OdeParams, mu1: float, mu2: float) -> LegendreTriple:
@@ -208,14 +211,10 @@ def map_to_triple(p: OdeParams, mu1: float, mu2: float) -> LegendreTriple:
 
 def _edge_power(base: float, e: float) -> float:
     # closed-interval evaluation: 0^0 = 1, 0^positive = 0, 0^negative fails
-    if base == 0.0:
-        if e == 0.0:
-            return 1.0
-        if e > 0.0:
-            return 0.0
-        raise DomainError(f"prefactor 0^{e!r} diverges at the interval edge")
     try:
         return base ** e
+    except ZeroDivisionError as exc:
+        raise DomainError(f"prefactor 0^{e!r} diverges at the interval edge") from exc
     except OverflowError as exc:
         raise DomainError(f"prefactor {base!r}^{e!r} leaves the float range") from exc
 

@@ -7,6 +7,7 @@ import struct
 import subprocess
 import sys
 import time
+import tracemalloc
 from contextlib import redirect_stdout
 
 import pytest
@@ -208,6 +209,24 @@ class TestFormatting:
             assert printed(emit_table, headers, rows, fmt) == printed(
                 reference_table, headers, rows, fmt)
 
+    def test_a_mixed_column_is_filled_a_chunk_at_a_time(self):
+        # residual's shape: a first column of floats and one "max".  Its
+        # text, filled for the whole column at once, takes about 4 MB here
+        rnd = random.Random(27)
+        rows = [(random_float(rnd), rnd.random()) for _ in range(50_000)] + [("max", 1.0)]
+
+        class Discard:
+            write = staticmethod(len)
+
+        tracemalloc.start()
+        try:
+            with redirect_stdout(Discard()):
+                emit_table(["r", "hat1"], rows, "csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1_000_000
+
 
 class TestSolveCommand:
     def test_prints_the_triples_evaluate_sums(self, tmp_path):
@@ -363,6 +382,24 @@ class TestNonFiniteValues:
         res = run_cli(*command, "--params", str(path))
         assert res.returncode == 3, res.stderr
         assert res.stderr.startswith("error: InvalidParams") and f"'{key}'" in res.stderr
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("command, data, key", [
+        (("exponents",), CLASSICAL, "lambda"),
+        (("legendre", "universal", "--grid", "-0.5:0.5:5"),
+         {"ell": 3.0, "mprime": 1.0, "a": 0.0, "b": 0.0, "c": 0.0, "m": 1.0,
+          "lambda": 12.0, "n_index": 2}, "ell"),
+    ])
+    def test_params_file_non_finite_field_is_named_by_its_key(self, tmp_path, command,
+                                                             data, key, bad):
+        # "lambda": NaN was reported as the pack's field 'lam', a key the
+        # file does not have, and neither message named the file
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps({**data, key: bad}))
+        res = run_cli(*command, "--params", str(path))
+        assert res.returncode == 3, res.stderr
+        assert res.stderr == f"error: InvalidParams: '{path}': field '{key}' must be finite\n"
+        assert res.stdout == ""
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json", "text"])

@@ -164,6 +164,31 @@ class TestOdeParams:
             OdeParams(**{**PARAMS, "xi2": xi2})
 
 
+UNIVERSAL = UniversalParams.from_degrees(3.0, 1.0).to_dict()
+
+
+@pytest.mark.parametrize("make, name", [
+    pytest.param(lambda: LegendreTriple(10**400, 0.0, 0.0), "k", id="LegendreTriple-int"),
+    pytest.param(lambda: Hyp2F1(10**400, 1, 1), "a", id="Hyp2F1-int"),
+    # the non-finite message would print b, past int's str() digit limit
+    pytest.param(lambda: Hyp2F1(math.nan, 10**5000, 1), "b", id="Hyp2F1-nan-int"),
+    pytest.param(lambda: UniversalParams.from_degrees(ell=10**400, mprime=1.0), "ell",
+                 id="from_degrees-int"),
+    pytest.param(lambda: UniversalParams.from_degrees(3.0, 1.0, a=1.0, c=10**400, m=1.0), "c",
+                 id="from_degrees-c-int"),
+    pytest.param(lambda: UniversalParams.from_dict({**UNIVERSAL, "n_index": "2"}), "n_index",
+                 id="UniversalParams.from_dict-str"),
+    pytest.param(lambda: OdeParams.from_dict({**OdeParams(**PARAMS).to_dict(), "b2": "x"}),
+                 "b2", id="OdeParams.from_dict-str"),
+])
+def test_a_field_that_is_no_float_is_named(make, name):
+    # an int past the float range or a str: math.isfinite and float() raised
+    # OverflowError, TypeError or ValueError, naming no field
+    message = f"^field '{name}' must be a number in the float range$"
+    with pytest.raises(InvalidParams, match=message):
+        make()
+
+
 class TestHyp2F1Fields:
     @pytest.mark.parametrize("a, b, degree", [
         (-3.0, -1.0, 1), (-1.0, -3.0, 1), (-2.0, 0.5, 2), (0.5, -4.0, 4),
