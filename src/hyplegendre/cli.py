@@ -300,10 +300,6 @@ def generalized(params_path, k_deg, m_ord, n_ord, xi1, xi2, grid_text, fmt):
 
 def verify(seed, cases, tol, suites, fmt):
     """Seeded property suites; exits 0 only if every case passes."""
-    if cases < 1:
-        raise InvalidParams("cases must be at least 1")
-    if not tol > 0.0:
-        raise InvalidParams("tol must be positive")
     chosen = tuple(suites) if suites else SUITE_NAMES
     results = run_all(seed=seed, cases=cases, tol=tol, suites=chosen)
     rows = [(r.name, r.cases, r.passed, r.failed, r.max_err) for r in results]

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import sys
+import weakref
 from array import array
 from functools import cached_property
 from operator import attrgetter
@@ -126,6 +127,16 @@ class _Pack(_Frozen):
         return float(v) if _isfinite(key, v) else v
 
 
+class _PlanOf:
+    """Hyp2F1._plan, the plan of the triple's Kummer set.  A plan's w1 triple
+    reads that plan through a weak link while it lives; any other triple, and
+    w1 once its plan is gone, builds its own and keeps it in its __dict__."""
+
+    def __get__(self, p: "Hyp2F1", owner: type | None = None) -> "_KummerPlan":
+        link = p.__dict__.get("_link")
+        return link and link() or p.__dict__.setdefault("_plan", _KummerPlan(p.a, p.b, p.c))
+
+
 class Hyp2F1(_Frozen):
     """A 2F1 parameter triple (a, b; c).
 
@@ -139,7 +150,7 @@ class Hyp2F1(_Frozen):
     instance __dict__, where equality and hashing, which compare the fields
     only, never see it: the Pfaff triple, the plan of its Kummer set, the
     memo of series coefficients c_k = (a)_k (b)_k / ((c)_k k!), and the cut
-    tables of _cut.
+    tables of _cut (a plan's w1 triple reads that plan while it lives).
     The memo is a tuple of floats that every summation reads, and that the
     scan filling a cut entry (or a terminating sum) extends; it holds at most
     _MAX_TERMS + 1 entries, or for a terminating series degree + 1, fewer
@@ -181,11 +192,7 @@ class Hyp2F1(_Frozen):
         a, b = (self.a, self.b) if self.a <= self.b else (self.b, self.a)
         return Hyp2F1(a, self.c - b, self.c)
 
-    @cached_property
-    def _plan(self) -> "_KummerPlan":
-        """The plan of this triple's Kummer set: that of (b, a; c) too, bit
-        for bit, as the plan is formed from the sorted floats alone."""
-        return _KummerPlan(self.a, self.b, self.c)
+    _plan = _PlanOf()
 
 
 _UNKNOWN = (None, None, None, None)  # no member of a Kummer set summed yet
@@ -217,13 +224,14 @@ class _KummerPlan:
     is formed from it, so (b, a; c) has the same plan bit for bit, and near
     an integer x a row cancels to the accuracy of its series, both formed
     from the same floats.  Triples and rows are built on first use and
-    kept.  One that cannot be built raises each time it is asked for:
-    DegenerateCase for an integer x, DomainError for a coefficient past the
-    float range, PoleError for a lower parameter at a pole.  A plain slotted
-    class: it is never compared or hashed.
+    kept, w1 with a weak link back to this plan, its _plan while it lives
+    (a strong one is a cycle).  One that cannot be built raises each time
+    it is asked for: DegenerateCase for an integer x, DomainError for a
+    coefficient past the float range, PoleError for a lower parameter at a
+    pole.  A plain slotted class: it is never compared or hashed.
     """
 
-    __slots__ = ("abc", "powers", "_triples", "_rows", "_routes")
+    __slots__ = ("abc", "powers", "_triples", "_rows", "_routes", "__weakref__")
 
     def __init__(self, a: float, b: float, c: float) -> None:
         if a > b:
@@ -239,7 +247,10 @@ class _KummerPlan:
     def triple(self, k: int) -> Hyp2F1:
         t = self._triples[k]
         if t is None:
-            t = self._triples[k] = Hyp2F1(*self._abc(k))
+            t = Hyp2F1(*self._abc(k))
+            if k == 0:
+                t.__dict__["_link"] = weakref.ref(self)
+            self._triples[k] = t
         return t
 
     def _abc(self, k: int) -> tuple[float, float, float]:

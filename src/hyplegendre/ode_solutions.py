@@ -515,8 +515,8 @@ def connection_check(
     evaluate uses (_KummerPlan.row), and each branch summed on its own by
     hyp2f1.  HAT1 gives the first-kind identity, HAT2 the second-kind one.
     The sides are independent only where hyp2f1 sums the hat directly: at
-    z > 1/2 hat1's value is this same row over the same breve values, so
-    the two sides agree to rounding whatever the coefficients.
+    z > 1/2 hat1's value is this row over the very Hyp2F1 objects of breve1
+    and breve2, so the sides agree to rounding whatever the coefficients.
     """
     if hat not in (BranchId.HAT1, BranchId.HAT2):
         raise InvalidParams(f"connection identities exist for hat1 and hat2, not {hat!r}")

@@ -10,6 +10,7 @@ from __future__ import annotations
 from . import hypergeom as hg
 from . import legendre_families as lf
 from . import ode_solutions as ode
+from .errors import InvalidParams
 from .rng import SplitMix64, draw_nondegenerate
 
 _SAMPLE_FRACTIONS = (0.15, 0.3, 0.5, 0.7, 0.85)
@@ -102,8 +103,15 @@ SUITE_NAMES = tuple(_CASE_RUNNERS)
 
 def run_suite(name: str, seed: int, cases: int, tol: float) -> SuiteResult:
     """Run one named suite; the per-suite stream is decorrelated from the
-    base seed by the suite's index."""
-    runner = _CASE_RUNNERS[name]
+    base seed by the suite's index.  InvalidParams for fewer than one case,
+    a tol that is not positive (nan included) or an unknown suite."""
+    if cases < 1:
+        raise InvalidParams("cases must be at least 1")
+    if not tol > 0.0:
+        raise InvalidParams("tol must be positive")
+    runner = _CASE_RUNNERS.get(name)
+    if runner is None:
+        raise InvalidParams(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
     rng = SplitMix64(seed + SUITE_NAMES.index(name))
     passed = failed = 0
     max_err = 0.0

@@ -624,6 +624,17 @@ class TestVerifyCommand:
                       "--tol", "1e-300")
         assert res.returncode == 1
 
+    @pytest.mark.parametrize("args, message", [
+        (("--cases", "0"), "cases must be at least 1"),
+        (("--tol", "-1"), "tol must be positive"),
+        (("--cases", "0", "--tol", "-1"), "cases must be at least 1"),
+    ])
+    def test_bad_cases_or_tol_exit_3(self, args, message):
+        res = run_cli("verify", *args)
+        assert res.returncode == 3
+        assert res.stdout == ""
+        assert res.stderr == f"error: InvalidParams: {message}\n"
+
     def test_clean_stdout_stderr_contract(self):
         res = run_cli("verify", "--seed", "3", "--cases", "3", "--format", "csv")
         assert res.returncode == 0

@@ -2,10 +2,12 @@
 against mpmath, the one-triple rule, and the invariants of the shared
 point memo (call order, error types, threads)."""
 
+import gc
 import math
 import random
 import sys
 import threading
+import weakref
 
 import pytest
 
@@ -193,6 +195,11 @@ def outcome(fn, *args):
         return type(exc)
 
 
+def bits(v):
+    """A float's bits, or what outcome gave in its place."""
+    return v.hex() if isinstance(v, float) else v
+
+
 def build_all(p, mu1, mu2):
     return [build_branch(p, mu1, mu2, bid) for bid in BranchId]
 
@@ -332,6 +339,75 @@ def test_set_built_on_a_triple_takes_its_plan():
     t = LegendreTriple(k=1.7, m=0.3, n=0.4)
     kuipers_reduction_check(t, -1.0, 1.0, 0.3)
     assert t.__dict__["_kuipers"][1]._plan is t._first._plan
+
+
+class TestWeakLink:
+    """The w1 triple of a Kummer plan reads that plan back through a weak
+    link: the one plan while it lives, no cycle to keep it alive, and the
+    triple's own plan, with the same bits, once it is gone."""
+
+    @staticmethod
+    def linked(seed=3):
+        p, exps = draw_nondegenerate(SplitMix64(seed))
+        branches = build_all(p, exps.mu1.second, exps.mu2.second)
+        return p, branches, ode._member_of(branches[0])[0]._plan
+
+    def test_no_cycle_keeps_the_plan_alive(self):
+        gc.disable()
+        try:
+            p, branches, plan = self.linked()
+            hyp2f1(branches[0].hyp, 0.8)
+            link = weakref.ref(plan)
+            del p, branches, plan
+            assert link() is None  # freed by reference counting alone
+        finally:
+            gc.enable()
+
+    def test_w1_reads_its_sets_plan(self):
+        p, (hat1, _, breve1, breve2), plan = self.linked()
+        hyp2f1(hat1.hyp, 0.8)
+        assert hat1.hyp._plan is plan
+        assert "_plan" not in vars(hat1.hyp)
+        # the route summed the breve branches' own triples, their memos kept
+        assert breve1.hyp is plan.triple(2) and breve2.hyp is plan.triple(3)
+        assert "_coefs" in vars(breve1.hyp) and "_coefs" in vars(breve2.hyp)
+
+    def test_w1_builds_its_own_plan_once_its_set_is_gone(self):
+        p, branches, plan = self.linked()
+        t = branches[0].hyp
+        rnd = random.Random(5)
+        zs = [0.5 + 0.5 * rnd.random() for _ in range(50)]
+        linked = [hyp2f1(t, z) for z in zs]
+        link = weakref.ref(plan)
+        del p, branches, plan
+        gc.collect()
+        assert link() is None
+        own = t._plan
+        assert own is t._plan and vars(t)["_plan"] is own
+        got = [hyp2f1(t, z) for z in zs]
+        assert [v.hex() for v in got] == [v.hex() for v in linked]
+        fresh = Hyp2F1(t.a, t.b, t.c)
+        assert [hyp2f1(fresh, z).hex() for z in zs] == [v.hex() for v in linked]
+
+    def test_linked_values_match_a_fresh_triple_bitwise(self):
+        rng, rnd = SplitMix64(29), random.Random(29)
+        checked = 0
+        for i in range(500):
+            p, exps = draw_nondegenerate(rng)
+            z = 0.5 + 0.5 * rnd.random()
+            try:
+                hat1, _, breve1, breve2 = build_all(p, exps.mu1.second, exps.mu2.second)
+            except Error:
+                continue
+            if i % 2:  # the breves first, so the memos hat1's route shares are warm
+                outcome(hyp2f1, breve1.hyp, 1.0 - z)
+                outcome(hyp2f1, breve2.hyp, 1.0 - z)
+            t = hat1.hyp
+            got = outcome(hyp2f1, t, z)
+            want = outcome(hyp2f1, Hyp2F1(t.a, t.b, t.c), z)
+            assert bits(got) == bits(want), (p, z, got, want)
+            checked += isinstance(got, float)
+        assert checked > 400
 
 
 class TestSharedMemo:

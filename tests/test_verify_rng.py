@@ -1,5 +1,7 @@
 import pytest
 
+from hyplegendre.errors import InvalidParams
+
 from hyplegendre.rng import SplitMix64, draw_nondegenerate, draw_ode_params
 from hyplegendre.verify import SUITE_NAMES, run_all, run_suite
 
@@ -110,3 +112,23 @@ class TestVerifySuites:
         r = run_suite("pfaff", seed=1, cases=5, tol=1e-30)
         assert r.failed > 0
         assert r.passed + r.failed == 5
+
+    def test_unknown_suite_typed(self):
+        with pytest.raises(InvalidParams, match="unknown suite 'bogus'"):
+            run_all(1, 2, 1e-8, suites=("bogus",))
+
+    @pytest.mark.parametrize("cases", [0, -3])
+    def test_fewer_than_one_case_typed(self, cases):
+        with pytest.raises(InvalidParams, match="^cases must be at least 1$"):
+            run_suite("pfaff", 1, cases, 1e-8)
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan")])
+    def test_tol_not_positive_typed(self, tol):
+        with pytest.raises(InvalidParams, match="^tol must be positive$"):
+            run_suite("pfaff", 1, 3, tol)
+
+    def test_cases_checked_before_tol_and_suite(self):
+        with pytest.raises(InvalidParams, match="^cases must be at least 1$"):
+            run_suite("bogus", 1, 0, float("nan"))
+        with pytest.raises(InvalidParams, match="^tol must be positive$"):
+            run_suite("bogus", 1, 1, float("nan"))
