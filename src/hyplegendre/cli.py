@@ -300,8 +300,7 @@ def generalized(params_path, k_deg, m_ord, n_ord, xi1, xi2, grid_text, fmt):
 
 def verify(seed, cases, tol, suites, fmt):
     """Seeded property suites; exits 0 only if every case passes."""
-    chosen = tuple(suites) if suites else SUITE_NAMES
-    results = run_all(seed=seed, cases=cases, tol=tol, suites=chosen)
+    results = run_all(seed=seed, cases=cases, tol=tol, suites=suites or SUITE_NAMES)
     rows = [(r.name, r.cases, r.passed, r.failed, r.max_err) for r in results]
     emit_table(["suite", "cases", "passed", "failed", "max_err"], rows, fmt)
     return EXIT_OK if all(r.failed == 0 for r in results) else EXIT_VERIFY_FAILED

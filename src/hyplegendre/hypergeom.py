@@ -66,6 +66,17 @@ def _isfinite(name: str, v) -> bool:
         raise InvalidParams(f"field '{name}' must be a number in the float range") from exc
 
 
+def _power(x: float, e: float) -> float:
+    """x ** e, the one rule of every power a value carries: DomainError naming
+    x and e where it divides by zero (0.0 ** e < 0) or leaves the float range."""
+    try:
+        return x ** e
+    except ZeroDivisionError as exc:
+        raise DomainError(f"{x!r}^{e!r} diverges") from exc
+    except OverflowError as exc:
+        raise DomainError(f"{x!r}^{e!r} leaves the float range") from exc
+
+
 class _Frozen:
     """Base of the frozen value types, whose __init__ fills the instance
     __dict__: the fields are the annotated names in order; equality (same
@@ -334,10 +345,7 @@ class _KummerPlan:
                     found[m] = _hyp2f1_jet(t, x)
                     continue
                 f = hyp2f1(t, x)
-                try:
-                    found[m] = f * x ** e if e != 0.0 else f
-                except (OverflowError, ZeroDivisionError) as exc:  # 0.0 ** e < 0 divides
-                    raise DomainError(f"member power {x!r}**{e!r} leaves the float range") from exc
+                found[m] = f * _power(x, e) if e != 0.0 else f
         return found
 
     def value(self, k: int, known: tuple) -> float:
@@ -661,11 +669,7 @@ def hyp2f1(p: Hyp2F1, z: float) -> float:
     if -1.0 < z < -_SERIES_SPLIT:
         # 2F1(a,b;c;z) = (1-z)^(-a) 2F1(a, c-b; c; z/(z-1))
         q = p._pfaff
-        try:
-            pref = (1.0 - z) ** (-q.a)
-        except OverflowError as exc:
-            raise DomainError(f"Pfaff prefactor at z={z!r} leaves the float range") from exc
-        return pref * _series(q, z / (z - 1.0), None)
+        return _power(1.0 - z, -q.a) * _series(q, z / (z - 1.0), None)
     if z == 1.0:
         cab = p.c - p.a - p.b
         if cab <= 0.0:

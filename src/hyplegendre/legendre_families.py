@@ -21,6 +21,7 @@ from .hypergeom import (
     _dist_to_int,
     _isfinite,
     _Pack,
+    _power,
     _series_magnitude,
     gamma,
     hyp2f1,
@@ -104,7 +105,7 @@ class UniversalParams(_Pack):
             raise InvalidParams(f"n_index must be an integer from 0 to {_MAX_N_INDEX}")
         if mprime < 0.0:
             raise InvalidParams("mprime must be the nonnegative square root")
-        if abs(mprime ** 2 - (a + c + m ** 2)) > _CONSISTENCY_TOL:
+        if abs(_power(mprime, 2) - (a + c + _power(m, 2))) > _CONSISTENCY_TOL:
             raise InvalidParams("mprime must equal sqrt(a + c + m^2)")
         if abs(lam - (ell * (ell + 1.0) - c)) > _CONSISTENCY_TOL:
             raise InvalidParams("lambda must equal ell(ell+1) - c")
@@ -209,16 +210,6 @@ def map_to_triple(p: OdeParams, mu1: float, mu2: float) -> LegendreTriple:
     return LegendreTriple(k=-0.5 - s, m=1.0 - c_breve, n=c_hat - 1.0)
 
 
-def _edge_power(base: float, e: float) -> float:
-    # closed-interval evaluation: 0^0 = 1, 0^positive = 0, 0^negative fails
-    try:
-        return base ** e
-    except ZeroDivisionError as exc:
-        raise DomainError(f"prefactor 0^{e!r} diverges at the interval edge") from exc
-    except OverflowError as exc:
-        raise DomainError(f"prefactor {base!r}^{e!r} leaves the float range") from exc
-
-
 def generalized_solutions(
     t: LegendreTriple,
     mu1: float,
@@ -236,8 +227,9 @@ def generalized_solutions(
     (past zb = 1/2, unless a series terminates) each is its row over one pair
     (w3, w4) summed on w = (r-xi1)/(xi2-xi1) formed from r, else hyp2f1 at
     zb.  The interval edges are admitted whenever the corresponding prefactor
-    power is nonnegative; a non-finite exponent raises InvalidParams, a
-    prefactor past the float range DomainError.
+    power is nonnegative; a non-finite exponent raises InvalidParams, a power
+    that diverges or leaves the float range (_power) DomainError, and so does
+    a solution that comes out inf or nan.
     """
     _check_finite(mu1, mu2)
     if not (p.xi1 <= r <= p.xi2):
@@ -245,17 +237,21 @@ def generalized_solutions(
     width, d1, d2 = p.width, r - p.xi1, p.xi2 - r
     zb, w = d2 / width, d1 / width
     h1, h2 = t._first, t._second
-    left = _edge_power(d1, mu1)
-    edge = left * _edge_power(d2, mu2)
+    left = _power(d1, mu1)
+    edge = left * _power(d2, mu2)
     plan = h1._plan
     routes = plan.routes(zb, w)
     if routes[1] == (1,):
         f1 = (hyp2f1(h1, zb) if routes[0] == (0,)
               else plan.value(0, plan.summed(0, routes[0], zb, w, _UNKNOWN, False)))
-        return edge * f1, left * _edge_power(d2, mu2 + t.m) * hyp2f1(h2, zb)
-    pair = plan.summed(1, routes[1], zb, w, _UNKNOWN, False)  # row 1 before any sum
-    f1 = hyp2f1(h1, zb) if routes[0] == (0,) else plan.value(0, pair)
-    return edge * f1, edge * plan.value(1, pair) * _edge_power(width, t.m)
+        f1, f2 = edge * f1, left * _power(d2, mu2 + t.m) * hyp2f1(h2, zb)
+    else:
+        pair = plan.summed(1, routes[1], zb, w, _UNKNOWN, False)  # row 1 before any sum
+        f1 = hyp2f1(h1, zb) if routes[0] == (0,) else plan.value(0, pair)
+        f1, f2 = edge * f1, edge * plan.value(1, pair) * _power(width, t.m)
+    if not math.isfinite(f1) or not math.isfinite(f2):
+        raise DomainError(f"generalized solutions at r={r!r} are not finite: ({f1!r}, {f2!r})")
+    return f1, f2
 
 
 def kuipers_reduction_check(t: LegendreTriple, xi1: float, xi2: float, r: float) -> float:

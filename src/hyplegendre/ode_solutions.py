@@ -23,7 +23,8 @@ from .errors import (
     PoleError,
     RootMismatch,
 )
-from .hypergeom import _UNKNOWN, DEFAULT_POLE_TOL, Hyp2F1, _Frozen, _KummerPlan, _Pack, hyp2f1
+from .hypergeom import (_UNKNOWN, DEFAULT_POLE_TOL, Hyp2F1, _Frozen, _KummerPlan, _Pack, _power,
+                        hyp2f1)
 
 _ROOT_RESIDUAL_TOL = 1e-8
 
@@ -115,21 +116,21 @@ def _solve_monic(b: float, c: float) -> RootPair:
 def _quadratic_coeffs(p: OdeParams) -> tuple[tuple[float, float], ...]:
     """Monic (B, C) coefficient pairs of the three indicial quadratics."""
     d = p.width
-    u1 = (p.a3 * p.xi1 ** 2 + (p.a2 + p.b3) * p.xi1 + p.b2 + p.c3) / d ** 2
-    u2 = (p.a3 * p.xi2 ** 2 + (p.a2 + p.b3) * p.xi2 + p.b2 + p.c3) / d ** 2
+    u1 = (p.a3 * _power(p.xi1, 2) + (p.a2 + p.b3) * p.xi1 + p.b2 + p.c3) / _power(d, 2)
+    u2 = (p.a3 * _power(p.xi2, 2) + (p.a2 + p.b3) * p.xi2 + p.b2 + p.c3) / _power(d, 2)
     t1 = (p.a1 * p.xi1 + p.b1) / d
     t2 = (p.a1 * p.xi2 + p.b1) / d
     return ((t1 - 1.0, u1), (-(t2 + 1.0), u2), (1.0 + p.a1, p.a3 - p.lam))
 
 
 def indicial_exponents(p: OdeParams) -> IndicialExponents:
-    """Roots of the three indicial quadratics (at xi1, at xi2, at infinity)."""
-    (b1c, c1c), (b2c, c2c), (binf, cinf) = _quadratic_coeffs(p)
-    return IndicialExponents(
-        mu1=_solve_monic(b1c, c1c),
-        mu2=_solve_monic(b2c, c2c),
-        mu_inf=_solve_monic(binf, cinf),
-    )
+    """Roots of the three indicial quadratics (at xi1, at xi2, at infinity);
+    DomainError where a root is not finite."""
+    pairs = [_solve_monic(b, c) for b, c in _quadratic_coeffs(p)]
+    for name, pair in zip(IndicialExponents._fields, pairs):
+        if not (math.isfinite(pair.first) and math.isfinite(pair.second)):
+            raise DomainError(f"{name} roots ({pair.first!r}, {pair.second!r}) are not finite")
+    return IndicialExponents(*pairs)
 
 
 def root_residual(p: OdeParams, which: str, mu: float | complex) -> float:
@@ -232,7 +233,7 @@ class SolutionBranch(_Frozen):
 def _branch_data(p: OdeParams, mu1: float, mu2: float) -> tuple[float, float, float, float]:
     """(s, M, c_hat, c_breve): the square root, the parameter midpoint and
     the two lower parameters every branch is assembled from."""
-    arg = p.lam - p.a3 + ((p.a1 + 1.0) / 2.0) ** 2
+    arg = p.lam - p.a3 + _power((p.a1 + 1.0) / 2.0, 2)
     if arg < 0.0:
         raise ComplexExponent(
             f"negative square-root argument {arg!r}: branch exponents are complex"
@@ -352,10 +353,7 @@ class _KummerSet:
             raise DomainError(f"r={r!r} outside the open interval ({xi1!r}, {xi2!r})")
         left = r - xi1
         right = xi2 - r
-        try:
-            edge = left ** self.mu1 * right ** self.mu2
-        except OverflowError as exc:
-            raise DomainError(f"edge factor at r={r!r} leaves the float range") from exc
+        edge = _power(left, self.mu1) * _power(right, self.mu2)
         d = xi2 - xi1
         z, w = left / d, right / d
         if self.zmap.variant is MapVariant.MAP_II:
@@ -363,7 +361,7 @@ class _KummerSet:
         return (r, z, w, edge, self._plan.routes(z, w), _UNKNOWN, _UNKNOWN)
 
     def value(self, k: int, r: float) -> float:
-        """The edge factor times member k at r, times z^extra."""
+        """The edge factor times member k at r, times z^extra; DomainError if inf or nan."""
         memo = self._point
         if memo is None or memo[0] != r:
             memo = self._fresh(r)
@@ -376,11 +374,11 @@ class _KummerSet:
         if f is None:
             f = self._plan.value(k, known)
         if self.extra != 0.0:
-            try:
-                f *= z ** self.extra
-            except ZeroDivisionError as exc:  # z underflowed to 0.0
-                raise DomainError(f"z^{self.extra!r} diverges at r={r!r}") from exc
-        return edge * f
+            f *= _power(z, self.extra)
+        f = edge * f
+        if not math.isfinite(f):
+            raise DomainError(f"value of member {k} at r={r!r} is not finite")
+        return f
 
     def jet(self, k: int, r: float) -> tuple[float, float, float]:
         """The jet in r of the edge factor times member k at r, times
@@ -410,10 +408,7 @@ class _KummerSet:
         if m > 1:  # a jet in w = 1 - z
             h = (h[0], -h[1], h[2])
         pz, pw, m1, m2 = self.joined[m]
-        try:
-            edge *= z ** pz * w ** pw  # x ** 0.0 is 1.0, at x = 0.0 too
-        except ZeroDivisionError as exc:  # z or w underflowed to 0.0
-            raise DomainError(f"power of member {m} diverges at r={r!r}") from exc
+        edge *= _power(z, pz) * _power(w, pw)  # x ** 0.0 is 1.0, at x = 0.0 too
         p0, p1, p2 = _power_jet(edge, r - self.zmap.xi1, self.zmap.xi2 - r, m1, m2)
         u = self.dz_dr
         g0, g1, g2 = h[0], u * h[1], u * u * h[2]
@@ -447,11 +442,7 @@ def _member_of(s: SolutionBranch) -> tuple[_KummerSet, int]:
 def _f_part(s: SolutionBranch, r: float) -> float:
     """z^extra_power * 2F1(...; z(r)), the branch without the edge prefactor."""
     z = s.map.z(r)
-    f = hyp2f1(s.hyp, z)
-    try:
-        return f * z ** s.extra_power  # x ** 0.0 is 1.0, at x = 0.0 too
-    except ZeroDivisionError as exc:  # z underflowed to 0.0
-        raise DomainError(f"z^{s.extra_power!r} diverges at r={r!r}") from exc
+    return hyp2f1(s.hyp, z) * _power(z, s.extra_power)  # x ** 0.0 is 1.0, at x = 0.0 too
 
 
 def evaluate(s: SolutionBranch, r: float) -> float:

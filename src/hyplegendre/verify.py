@@ -103,10 +103,15 @@ SUITE_NAMES = tuple(_CASE_RUNNERS)
 
 def run_suite(name: str, seed: int, cases: int, tol: float) -> SuiteResult:
     """Run one named suite; the per-suite stream is decorrelated from the
-    base seed by the suite's index.  InvalidParams for fewer than one case,
-    a tol that is not positive (nan included) or an unknown suite."""
+    base seed by the suite's index.  InvalidParams, in this order, for cases
+    that is no int (a bool is none) or below 1, a tol that is no int or float
+    or not positive (nan included), or an unknown suite."""
+    if isinstance(cases, bool) or not isinstance(cases, int):
+        raise InvalidParams(f"cases must be an integer, got {cases!r}")
     if cases < 1:
         raise InvalidParams("cases must be at least 1")
+    if isinstance(tol, bool) or not isinstance(tol, (int, float)):
+        raise InvalidParams(f"tol must be a real number, got {tol!r}")
     if not tol > 0.0:
         raise InvalidParams("tol must be positive")
     runner = _CASE_RUNNERS.get(name)
@@ -132,4 +137,12 @@ def run_all(
     tol: float,
     suites: tuple[str, ...] = SUITE_NAMES,
 ) -> list[SuiteResult]:
+    """run_suite of each suite named in the sequence suites (one str is
+    InvalidParams), once every argument has passed run_suite's checks."""
+    if isinstance(suites, str):
+        raise InvalidParams(f"suites must be a sequence of suite names, not the str {suites!r}")
+    suites = tuple(suites)
+    for name in suites:  # an unknown name: run_suite raises, at cases or tol first
+        if name not in SUITE_NAMES:
+            run_suite(name, seed, cases, tol)
     return [run_suite(name, seed, cases, tol) for name in suites]

@@ -368,6 +368,35 @@ class TestNonFiniteValues:
         assert "leaves the float range" in res.stderr and "Traceback" not in res.stderr
         assert res.stdout == ""
 
+    @pytest.mark.parametrize("command", ["eval", "residual"])
+    def test_member_power_overflow_typed_for_values_and_jets(self, overflow_file, command):
+        # hat2's z^-299 at z = 1e-3: residual, through the jets, printed the
+        # bare OverflowError where eval printed a DomainError of its own words
+        res = run_cli(command, "--params", overflow_file, "--branch", "hat2",
+                      "--grid=-0.998:-0.99:2")
+        assert res.returncode == 4
+        assert res.stderr == ("error: DomainError: 0.0010000000000000009^-299.0 "
+                              "leaves the float range\n")
+        assert res.stdout == ""
+
+    @pytest.mark.parametrize("command, data, message", [
+        # B^2 of the monic quadratic at xi1: printed roots inf, residuals nan, exit 0
+        (("exponents",), {**CLASSICAL, "a1": 1e200}, "mu1 roots (0.0, inf) are not finite"),
+        (("legendre", "universal", "--grid", "-0.5:0.5:5"),  # m^2: a bare OverflowError
+         None, "1e+200^2 leaves the float range"),
+    ])
+    def test_squares_past_the_float_range_exit_4(self, tmp_path, command, data, message):
+        if data is None:
+            args = (*command, "--ell", "3", "--mprime", "1", "--m", "1e200")
+        else:
+            path = tmp_path / "big.json"
+            path.write_text(json.dumps(data))
+            args = (*command, "--params", str(path))
+        res = run_cli(*args)
+        assert res.returncode == 4
+        assert res.stderr == f"error: DomainError: {message}\n"
+        assert res.stdout == ""
+
     @pytest.mark.parametrize("command, data, key", [
         (("exponents",), CLASSICAL, "a1"),
         (("legendre", "universal", "--grid", "-0.5:0.5:5"),

@@ -144,12 +144,21 @@ class TestGeneralizedSolutions:
         with pytest.raises(DomainError, match="float range"):
             generalized_solutions(t, 0.0, 0.0, shifted_params(1.3, 0.0, 1e6), 3e5)
 
+    def test_product_past_the_float_range_typed(self):
+        # each power, 5e-4^-60.3, is in range, their product is not: the
+        # pair came back (-inf, inf)
+        p = OdeParams(a1=-2.0, b1=0.0, a2=0.0, b2=0.0, a3=0.0, b3=0.0, c3=0.0,
+                      lam=2.99, xi1=0.0, xi2=1e-3)
+        message = r"^generalized solutions at r=0\.0005 are not finite: \(-inf, inf\)$"
+        with pytest.raises(DomainError, match=message):
+            generalized_solutions(LegendreTriple(1.3, 0.3, 0.4), -60.3, -60.3, p, 5e-4)
+
     @pytest.mark.parametrize("r, mu1, mu2", [(-1.0, -0.5, 0.0), (1.0, 0.0, -0.25)])
     def test_zero_to_a_negative_power_at_an_end_typed(self, r, mu1, mu2):
         # 0^e with e < 0 diverges: DomainError, not the ZeroDivisionError
         # of 0.0 ** e
         t = LegendreTriple(k=2.0, m=0.3, n=0.5)
-        message = r"^prefactor 0\^-0\.\d+ diverges at the interval edge$"
+        message = r"^0\.0\^-0\.\d+ diverges$"
         with pytest.raises(DomainError, match=message):
             generalized_solutions(t, mu1, mu2, classical_params(2.0), r)
 
@@ -336,6 +345,11 @@ class TestUniversalParams:
         for a, c in ((1.0, 0.0), (0.0, 0.5), (1.0, -1.0)):
             with pytest.raises(InvalidParams, match="give m explicitly"):
                 UniversalParams.from_degrees(ell=3.0, mprime=1.0, a=a, c=c)
+
+    def test_square_past_the_float_range_typed(self):
+        # m^2 of the consistency check: was a bare OverflowError
+        with pytest.raises(DomainError, match=r"^1e\+200\^2 leaves the float range$"):
+            UniversalParams.from_degrees(ell=3.0, mprime=1.0, m=1e200)
 
     def test_potential_split(self):
         u = UniversalParams.from_degrees(ell=3.0, mprime=2.0, a=1.0, c=2.0, m=1.0)

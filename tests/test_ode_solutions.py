@@ -9,6 +9,7 @@ from hyplegendre import (
     DegenerateC,
     DegenerateCase,
     DomainError,
+    Hyp2F1,
     InvalidParams,
     MapVariant,
     OdeParams,
@@ -105,6 +106,17 @@ class TestIndicial:
         z = complex(re, im)
         assert abs(z * z + b * z + c) <= 1e-10
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("xi2", 1e200, r"^1e\+200\^2 leaves the float range$"),  # the squared width
+        ("a1", 1e200, r"^mu2 roots \(0\.0, inf\) are not finite$"),  # B^2 of a monic
+    ])
+    def test_past_the_float_range_typed(self, field, value, message):
+        # a bare OverflowError, and roots inf with residuals nan, before
+        p = OdeParams(**{**dict(a1=-2.0, b1=0.0, a2=0.0, b2=0.0, a3=0.0, b3=0.0, c3=0.0,
+                                lam=1.0, xi1=0.0, xi2=1.0), field: value})
+        with pytest.raises(DomainError, match=message):
+            indicial_exponents(p)
+
 
 class TestReducedCoefficients:
     def test_classical(self):
@@ -154,6 +166,13 @@ class TestBuildBranch:
         br = build_branch(classical_params(2), 0.0, 0.0, BranchId.BREVE1)
         assert (br.hyp.a, br.hyp.b, br.hyp.c) == (3.0, -2.0, 1.0)
         assert br.map.variant is MapVariant.MAP_II
+
+    def test_square_past_the_float_range_typed(self):
+        # ((a1 + 1)/2)^2 of the square root's argument: was a bare OverflowError
+        p = OdeParams(a1=1e200, b1=0.0, a2=0.0, b2=0.0, a3=0.0, b3=0.0, c3=0.0,
+                      lam=1.0, xi1=-1.0, xi2=1.0)
+        with pytest.raises(DomainError, match=r"^5e\+199\^2 leaves the float range$"):
+            build_branch(p, 0.0, 0.0, BranchId.HAT1)
 
     def test_classical_hat2_degenerate(self):
         with pytest.raises(DegenerateC):
@@ -238,20 +257,47 @@ class TestEvaluate:
         br = SolutionBranch(mu1=0.0, mu2=0.0, extra_power=built.extra_power, hyp=built.hyp,
                             map=built.map, branch_id=BranchId.HAT2)
         assert br.extra_power == -0.5
-        with pytest.raises(DomainError, match=r"^z\^-0\.5 diverges at r=5e-324$"):
+        with pytest.raises(DomainError, match=r"^0\.0\^-0\.5 diverges$"):
             evaluate(br, 5e-324)
         assert evaluate(br, 0.5) == pytest.approx(evaluate(built, 0.5), rel=1e-14)
 
     def test_member_power_past_the_float_range_typed(self):
         # hat2 carries z^(1-c_hat) = z^-200.5, past the float range at
-        # z = 0.001: DomainError, for values alone (a jet joins the power
-        # to the edge factor's)
+        # z = 0.001: DomainError naming the power, for values and for jets,
+        # where it joins the edge factor's, alike
         p = OdeParams(a1=0.0, b1=3.0, a2=0.0, b2=0.0, a3=0.0, b3=0.0, c3=0.0,
                       lam=1.0, xi1=-1.0, xi2=1.0)
         br = build_branch(p, 100.0, 0.0, BranchId.HAT2)
         assert br.extra_power == -200.5
         with pytest.raises(DomainError, match="float range"):
             evaluate(br, -1.0 + 0.002)
+        message = r"^0\.0010000000000000009\^-200\.5 leaves the float range$"
+        with pytest.raises(DomainError, match=message):
+            value_and_derivatives(br, -0.998)
+        with pytest.raises(DomainError, match=message):
+            residual(br, p, -0.998)
+
+    @pytest.mark.parametrize("call", [evaluate, value_and_derivatives])
+    def test_extra_power_past_the_float_range_typed(self, call):
+        # a branch built by hand carries z^-2, past the float range at the
+        # least subnormal z: DomainError, not the OverflowError of the power
+        br = SolutionBranch(0.0, 0.0, -2.0, Hyp2F1(0.3, 0.7, 1.9),
+                            CoordinateMap(MapVariant.MAP_I, 0.0, 1.0), BranchId.HAT1)
+        with pytest.raises(DomainError, match=r"^5e-324\^-2\.0 leaves the float range$"):
+            call(br, 5e-324)
+
+    @pytest.mark.parametrize("bid, k", [(BranchId.HAT1, 0), (BranchId.HAT2, 1)])
+    def test_value_past_the_float_range_typed(self, bid, k):
+        # each power is in range, but their product, the edge factor
+        # 0.1^-299 1.9^301, is not: evaluate returned inf for hat1 and nan
+        # for hat2, where the jet already raised
+        p = OdeParams(a1=0.0, b1=600.0, a2=0.0, b2=0.0, a3=0.0, b3=0.0, c3=0.0,
+                      lam=2.0, xi1=-1.0, xi2=1.0)
+        br = build_branch(p, -299.0, 301.0, bid)
+        with pytest.raises(DomainError, match=rf"^value of member {k} at r=-0\.9 is not finite$"):
+            evaluate(br, -0.9)
+        with pytest.raises(DomainError, match=rf"^jet of member {k} at r=-0\.9 is not finite$"):
+            value_and_derivatives(br, -0.9)
 
     def test_jet_on_an_interval_past_1e154(self):
         # (r-xi1)^2 and (xi2-r)^2 of the edge factor's jet leave the float
@@ -361,6 +407,14 @@ class TestConnectionCheck:
         assert br.hyp.terminating_degree == 2
         lhs, rhs = connection_check(p, mu1, mu2, 0.2)
         assert abs(lhs - rhs) <= 1e-10 * (1.0 + abs(lhs))
+
+    def test_member_power_past_the_float_range_typed(self):
+        # hat2's z^-104.5 at z = 1e-4: was a bare OverflowError
+        p = OdeParams(a1=0.0, b1=3.0, a2=0.0, b2=0.0, a3=0.0, b3=0.0, c3=0.0,
+                      lam=1.0, xi1=-1.0, xi2=1.0)
+        message = r"^9\.999999999998899e-05\^-104\.5 leaves the float range$"
+        with pytest.raises(DomainError, match=message):
+            connection_check(p, 52.0, 0.0, -1.0 + 2e-4, hat=BranchId.HAT2)
 
     def test_gamma_pole_of_a_terminating_hat_is_degenerate(self):
         # hat1 is F(-1.3, -1; -3), a polynomial that stops before its pole

@@ -1,5 +1,8 @@
+import re
+
 import pytest
 
+from hyplegendre import verify
 from hyplegendre.errors import InvalidParams
 
 from hyplegendre.rng import SplitMix64, draw_nondegenerate, draw_ode_params
@@ -126,6 +129,35 @@ class TestVerifySuites:
     def test_tol_not_positive_typed(self, tol):
         with pytest.raises(InvalidParams, match="^tol must be positive$"):
             run_suite("pfaff", 1, 3, tol)
+
+    @pytest.mark.parametrize("field, value", [
+        ("cases", 2.5), ("cases", "3"), ("cases", True),
+        ("tol", "1e-8"), ("tol", False),
+    ])
+    def test_argument_of_the_wrong_type_typed(self, field, value):
+        # were TypeError from range, < or >, or (cases=True) a one-case run
+        kwargs = {"seed": 1, "cases": 3, "tol": 1e-8, field: value}
+        word = "a real number" if field == "tol" else "an integer"
+        message = f"^{field} must be {word}, got {re.escape(repr(value))}$"
+        with pytest.raises(InvalidParams, match=message):
+            run_suite("pfaff", **kwargs)
+        with pytest.raises(InvalidParams, match=message):
+            run_all(**kwargs, suites=("pfaff",))
+
+    def test_suites_given_as_one_str_typed(self):
+        # was iterated letter by letter: "unknown suite 'p'"
+        message = r"^suites must be a sequence of suite names, not the str 'pfaff'$"
+        with pytest.raises(InvalidParams, match=message):
+            run_all(1, 2, 1e-8, suites="pfaff")
+
+    def test_every_suite_name_checked_before_any_suite_runs(self, monkeypatch):
+        # connection ran to the end before bogus raised
+        ran = []
+        monkeypatch.setitem(verify._CASE_RUNNERS, "connection", lambda rng: ran.append(rng) or 0.0)
+        message = f"^unknown suite 'bogus'; choose from {', '.join(SUITE_NAMES)}$"
+        with pytest.raises(InvalidParams, match=message):
+            run_all(1, 2, 1e-8, suites=("connection", "bogus"))
+        assert ran == []
 
     def test_cases_checked_before_tol_and_suite(self):
         with pytest.raises(InvalidParams, match="^cases must be at least 1$"):
