@@ -54,7 +54,7 @@ def _dist_to_int(x: float) -> float:
 
 
 def _is_nonpositive_integer(x: float) -> bool:
-    return x < 0.5 and _dist_to_int(x) <= DEFAULT_POLE_TOL
+    return x < 0.5 and abs(x - round(x)) <= DEFAULT_POLE_TOL
 
 
 def _isfinite(name: str, v) -> bool:
@@ -118,11 +118,15 @@ class _Pack(_Frozen):
         cls._keys = tuple("lambda" if name == "lam" else name for name in cls._fields)
 
     def __init__(self, *values: float) -> None:
-        d = self.__dict__
-        for name, v in zip(self._fields, values):
-            if not _isfinite(name, v):
-                raise InvalidParams(f"field '{name}' must be finite")
-            d[name] = v
+        try:
+            ok = all(map(math.isfinite, values))
+        except (TypeError, OverflowError):
+            ok = False
+        if not ok:  # name the first field that fails
+            for name, v in zip(self._fields, values):
+                if not _isfinite(name, v):
+                    raise InvalidParams(f"field '{name}' must be finite")
+        self.__dict__.update(zip(self._fields, values))
 
     def to_dict(self) -> dict:
         return dict(zip(self._keys, self._values))
@@ -176,7 +180,12 @@ class Hyp2F1(_Frozen):
     terminating_degree: int | None
 
     def __init__(self, a: float, b: float, c: float) -> None:
-        if not (_isfinite("a", a) & _isfinite("b", b) & _isfinite("c", c)):  # & types all three
+        try:
+            ok = math.isfinite(a) and math.isfinite(b) and math.isfinite(c)
+        except (TypeError, OverflowError):
+            ok = False
+        if not ok and not (_isfinite("a", a) & _isfinite("b", b) & _isfinite("c", c)):
+            # & types all three
             raise InvalidParams(f"2F1 parameters must be finite, got ({a!r}, {b!r}; {c!r})")
         degree = None
         for upper in (a, b):

@@ -93,11 +93,12 @@ class IndicialExponents(_Frozen):
         d["mu1"], d["mu2"], d["mu_inf"] = mu1, mu2, mu_inf
 
 
-def _solve_monic(b: float, c: float) -> RootPair:
-    # mu^2 + b mu + c = 0, numerically stable split of the two roots
+def _real_roots(b: float, c: float) -> tuple[float, float] | None:
+    """Both roots of mu^2 + b mu + c = 0, ascending, by a numerically stable
+    split; None where they are complex (negative discriminant)."""
     disc = b * b - 4.0 * c
     if disc < 0.0:
-        return RootPair(-b / 2.0, math.sqrt(-disc) / 2.0, True)
+        return None
     sd = math.sqrt(disc)
     if b > 0.0:
         lo = (-b - sd) / 2.0
@@ -110,7 +111,14 @@ def _solve_monic(b: float, c: float) -> RootPair:
         lo = -hi
     if lo > hi:
         lo, hi = hi, lo
-    return RootPair(lo, hi)
+    return lo, hi
+
+
+def _solve_monic(b: float, c: float) -> RootPair:
+    roots = _real_roots(b, c)
+    if roots is None:  # 4c - b^2 is the discriminant negated, bit for bit
+        return RootPair(-b / 2.0, math.sqrt(4.0 * c - b * b) / 2.0, True)
+    return RootPair(*roots)
 
 
 def _quadratic_coeffs(p: OdeParams) -> tuple[tuple[float, float], ...]:
@@ -408,7 +416,7 @@ class _KummerSet:
         if m > 1:  # a jet in w = 1 - z
             h = (h[0], -h[1], h[2])
         pz, pw, m1, m2 = self.joined[m]
-        edge *= _power(z, pz) * _power(w, pw)  # x ** 0.0 is 1.0, at x = 0.0 too
+        edge *= (_power(z, pz) if pz else 1.0) * (_power(w, pw) if pw else 1.0)
         p0, p1, p2 = _power_jet(edge, r - self.zmap.xi1, self.zmap.xi2 - r, m1, m2)
         u = self.dz_dr
         g0, g1, g2 = h[0], u * h[1], u * u * h[2]
@@ -442,7 +450,8 @@ def _member_of(s: SolutionBranch) -> tuple[_KummerSet, int]:
 def _f_part(s: SolutionBranch, r: float) -> float:
     """z^extra_power * 2F1(...; z(r)), the branch without the edge prefactor."""
     z = s.map.z(r)
-    return hyp2f1(s.hyp, z) * _power(z, s.extra_power)  # x ** 0.0 is 1.0, at x = 0.0 too
+    f = hyp2f1(s.hyp, z)
+    return f * _power(z, s.extra_power) if s.extra_power else f
 
 
 def evaluate(s: SolutionBranch, r: float) -> float:

@@ -9,7 +9,8 @@ any platform, independent of the host language's library generators.
 from __future__ import annotations
 
 from .hypergeom import _dist_to_int
-from .ode_solutions import IndicialExponents, OdeParams, _branch_data, indicial_exponents
+from .ode_solutions import (IndicialExponents, OdeParams, _branch_data, _quadratic_coeffs,
+                            _real_roots, indicial_exponents)
 
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -83,17 +84,17 @@ def _pair_safe(p: OdeParams, mu1: float, mu2: float) -> bool:
 def draw_nondegenerate(rng: SplitMix64) -> tuple[OdeParams, IndicialExponents]:
     """Rejection-sample parameters whose branches on the upper root pair
     are all buildable and evaluable across the whole interval (connection
-    dispatch included)."""
+    dispatch included).  A draw is judged on the float roots of its xi1 and
+    xi2 quadratics; only the accepted one builds its exponents."""
     while True:
         p = draw_ode_params(rng)
-        exps = indicial_exponents(p)
-        if exps.mu1.is_complex or exps.mu2.is_complex:
+        (b1, c1), (b2, c2), _ = _quadratic_coeffs(p)
+        mu1, mu2 = _real_roots(b1, c1), _real_roots(b2, c2)
+        if mu1 is None or mu2 is None:
             continue
-        d1 = exps.mu1.second - exps.mu1.first
-        d2 = exps.mu2.second - exps.mu2.first
-        if d1 < _DISC_MARGIN or d2 < _DISC_MARGIN:
+        if mu1[1] - mu1[0] < _DISC_MARGIN or mu2[1] - mu2[0] < _DISC_MARGIN:
             continue
-        if max(map(abs, exps.mu1.as_tuple() + exps.mu2.as_tuple())) > _MU_BOUND:
+        if max(map(abs, mu1 + mu2)) > _MU_BOUND:
             continue
-        if _pair_safe(p, exps.mu1.second, exps.mu2.second):
-            return p, exps
+        if _pair_safe(p, mu1[1], mu2[1]):
+            return p, indicial_exponents(p)

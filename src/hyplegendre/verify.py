@@ -103,9 +103,12 @@ SUITE_NAMES = tuple(_CASE_RUNNERS)
 
 def run_suite(name: str, seed: int, cases: int, tol: float) -> SuiteResult:
     """Run one named suite; the per-suite stream is decorrelated from the
-    base seed by the suite's index.  InvalidParams, in this order, for cases
-    that is no int (a bool is none) or below 1, a tol that is no int or float
-    or not positive (nan included), or an unknown suite."""
+    base seed by the suite's index.  InvalidParams, in this order, for a seed
+    that is no int (a bool is none), cases that is no int or below 1, a tol
+    that is no int or float or not positive (nan included), or an unknown
+    suite."""
+    if isinstance(seed, bool) or not isinstance(seed, int):
+        raise InvalidParams(f"seed must be an integer, got {seed!r}")
     if isinstance(cases, bool) or not isinstance(cases, int):
         raise InvalidParams(f"cases must be an integer, got {cases!r}")
     if cases < 1:
@@ -142,7 +145,7 @@ def run_all(
     if isinstance(suites, str):
         raise InvalidParams(f"suites must be a sequence of suite names, not the str {suites!r}")
     suites = tuple(suites)
-    for name in suites:  # an unknown name: run_suite raises, at cases or tol first
+    for name in suites:  # an unknown name: run_suite raises, at seed, cases or tol first
         if name not in SUITE_NAMES:
             run_suite(name, seed, cases, tol)
     return [run_suite(name, seed, cases, tol) for name in suites]

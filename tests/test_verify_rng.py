@@ -1,10 +1,13 @@
+import hashlib
+import random
 import re
 
 import pytest
 
+from hyplegendre import rng as rng_module
 from hyplegendre import verify
 from hyplegendre.errors import InvalidParams
-
+from hyplegendre.ode_solutions import indicial_exponents
 from hyplegendre.rng import SplitMix64, draw_nondegenerate, draw_ode_params
 from hyplegendre.verify import SUITE_NAMES, run_all, run_suite
 
@@ -40,6 +43,30 @@ class TestSplitMix64:
         assert seen == {0, 1, 2, 3}
 
 
+def reference_draw_nondegenerate(rng):
+    """The sampler that builds every attempt's IndicialExponents and judges
+    it on them: draw_ode_params, indicial_exponents, then the four checks."""
+    while True:
+        p = draw_ode_params(rng)
+        exps = indicial_exponents(p)
+        if exps.mu1.is_complex or exps.mu2.is_complex:
+            continue
+        d1 = exps.mu1.second - exps.mu1.first
+        d2 = exps.mu2.second - exps.mu2.first
+        if d1 < rng_module._DISC_MARGIN or d2 < rng_module._DISC_MARGIN:
+            continue
+        if max(map(abs, exps.mu1.as_tuple() + exps.mu2.as_tuple())) > rng_module._MU_BOUND:
+            continue
+        if rng_module._pair_safe(p, exps.mu1.second, exps.mu2.second):
+            return p, exps
+
+
+def _bits(p, exps):
+    """Every float of a draw, as hex."""
+    return [v.hex() for v in p._values] + [v.hex() for pair in exps._values
+                                           for v in pair.as_tuple()]
+
+
 class TestDraws:
     def test_raw_draw_valid(self):
         rng = SplitMix64(17)
@@ -59,6 +86,25 @@ class TestDraws:
         a, _ = draw_nondegenerate(SplitMix64(77))
         b, _ = draw_nondegenerate(SplitMix64(77))
         assert a == b
+
+    @pytest.mark.parametrize("seed", [3, 42, 2**63 + 5])
+    def test_sampler_matches_reference(self, seed, monkeypatch):
+        # same draws, same generator state after each, and _pair_safe asked
+        # about the same attempts (those that pass the three cheaper checks)
+        asked = []
+        pair_safe = rng_module._pair_safe
+        monkeypatch.setattr(rng_module, "_pair_safe",
+                            lambda *args: asked.append(args) or pair_safe(*args))
+        new, ref = SplitMix64(seed), SplitMix64(seed)
+        for _ in range(2000):
+            got = draw_nondegenerate(new)
+            n_new = len(asked)
+            want = reference_draw_nondegenerate(ref)
+            assert got == want
+            assert _bits(*got) == _bits(*want)
+            assert new._state == ref._state
+            assert asked[:n_new] == asked[n_new:]
+            del asked[:]
 
     # lam of the first 20 accepted draws per seed, which every verify case
     # rests on; _pair_safe rejected 33 of the 73 pairs it saw on the way
@@ -133,9 +179,11 @@ class TestVerifySuites:
     @pytest.mark.parametrize("field, value", [
         ("cases", 2.5), ("cases", "3"), ("cases", True),
         ("tol", "1e-8"), ("tol", False),
+        ("seed", "1"), ("seed", 1.5), ("seed", None), ("seed", True),
     ])
     def test_argument_of_the_wrong_type_typed(self, field, value):
-        # were TypeError from range, < or >, or (cases=True) a one-case run
+        # were TypeError from range, +, &, < or >, or (cases=True, seed=True)
+        # a run as if given 1
         kwargs = {"seed": 1, "cases": 3, "tol": 1e-8, field: value}
         word = "a real number" if field == "tol" else "an integer"
         message = f"^{field} must be {word}, got {re.escape(repr(value))}$"
@@ -143,6 +191,16 @@ class TestVerifySuites:
             run_suite("pfaff", **kwargs)
         with pytest.raises(InvalidParams, match=message):
             run_all(**kwargs, suites=("pfaff",))
+
+    def test_run_all_pinned_over_200_seeds(self):
+        # every row of verify --cases 5 on 200 seeds, bit for bit
+        rnd = random.Random(7)
+        digest = hashlib.sha256()
+        for seed in [rnd.getrandbits(48) for _ in range(200)]:
+            for r in run_all(seed, 5, 1e-8):
+                digest.update(repr((r.name, r.cases, r.passed, r.failed, r.max_err)).encode())
+        assert digest.hexdigest() == (
+            "0c534b896267d3223d39db8ce0ff0ecc1e6893eace4375cf75a9c36d150784b2")
 
     def test_suites_given_as_one_str_typed(self):
         # was iterated letter by letter: "unknown suite 'p'"
